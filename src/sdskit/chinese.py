@@ -390,21 +390,6 @@ def square_rule_pairs(n: int) -> set[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
     return pairs
 
 
-RELATIONS = "relations"
-PRECOLUMN = "precolumn"
-COMPLETED = "completed"
-
-
-def chinese_presentations(n: int, which: str) -> Presentation:
-    if which == RELATIONS:
-        return Presentation(chinese_relations(n), None)
-    if which == PRECOLUMN:
-        return precolumn_presentation(n)
-    if which == COMPLETED:
-        return completed_presentation(n)
-    raise ValueError(f"unknown presentation {which!r}")
-
-
 def _rule_gens(gens: list[Gen], word: Word) -> tuple[Gen, ...]:
     return tuple(gens[i] for i in word)
 

@@ -24,7 +24,7 @@ from .rewriting import (
     critical_branchings,
     normalize,
 )
-from .sds import GeneratingSet, Presentation
+from .sds import GeneratingSet, Presentation, report
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,10 @@ def verify_cell_shapes_young(n: int, budget: int | None = None) -> dict:
             after = len(leg.steps) - 1
             max_after = max(max_after, after)
             if after > 3:
-                return {"check": "cell-shapes", "structure": "young",
-                        "params": {"n": n}, "result": "fail",
-                        "witness": {"source": list(cell.source), "steps_after": after}}
-    return {"check": "cell-shapes", "structure": "young", "params": {"n": n},
-            "result": "pass", "cells": len(cells), "max_steps_after_branching": max_after}
+                return report("cell-shapes", "young", {"n": n}, "fail",
+                              witness={"source": list(cell.source), "steps_after": after})
+    return report("cell-shapes", "young", {"n": n}, "pass",
+                  cells=len(cells), max_steps_after_branching=max_after)
 
 
 def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
@@ -122,14 +121,12 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
     for cell in cells:
         ll, lr = len(cell.left_path.steps), len(cell.right_path.steps)
         if ll > 5 or lr > 5 or (ll == 5 and lr > 4) or (lr == 5 and ll > 4):
-            return {"check": "cell-shapes", "structure": "chinese",
-                    "params": {"n": n}, "result": "fail",
-                    "witness": {"source": list(cell.source), "left": ll, "right": lr}}
+            return report("cell-shapes", "chinese", {"n": n}, "fail",
+                          witness={"source": list(cell.source), "left": ll, "right": lr})
         if ll + lr > sum(max_pair):
             max_pair = (ll, lr)
-    return {"check": "cell-shapes", "structure": "chinese", "params": {"n": n},
-            "result": "pass", "cells": len(cells),
-            "max_leg_pair": list(max_pair)}
+    return report("cell-shapes", "chinese", {"n": n}, "pass",
+                  cells=len(cells), max_leg_pair=list(max_pair))
 
 
 def cell_to_json(cell: ThreeCell) -> dict:

@@ -17,7 +17,8 @@ from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
     StringDataStructure,
-    reachable_set,
+    first_noncommuting,
+    report,
 )
 
 # --- quasi-ribbon tableaux ------------------------------------------------
@@ -172,23 +173,28 @@ def format_tree(t: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
+    """Inverse of `format_tree` ("." also marks an empty subtree); raises ValueError."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse():
+    def take() -> str:
         nonlocal pos
-        tok = tokens[pos]
+        if pos == len(tokens):
+            raise ValueError("unexpected end of tree")
         pos += 1
+        return tokens[pos - 1]
+
+    def parse():
+        tok = take()
         if tok in ("·", "."):
             return None
         if tok != "(":
             raise ValueError(f"unexpected token {tok!r}")
-        root = int(tokens[pos]); pos += 1
+        root = int(take())
         left = parse()
         right = parse()
-        if tokens[pos] != ")":
+        if take() != ")":
             raise ValueError("expected ')'")
-        pos += 1
         return (root, left, right)
 
     tree = parse()
@@ -225,7 +231,7 @@ def patience_insert(t: PatienceTableau, x: int, variant: str) -> PatienceTableau
 
 
 def is_patience_tableau(t: PatienceTableau, variant: str) -> bool:
-    bottoms = [c[0] for c in t]
+    bottoms = [c[0] for c in t if c]
     if variant == LPS:
         rows_ok = all(a <= b for a, b in zip(bottoms, bottoms[1:]))
         cols_ok = all(a < b for c in t for a, b in zip(c, c[1:]))
@@ -335,33 +341,25 @@ def commutation_probe(right: StringDataStructure, left: StringDataStructure,
 
     Returns a definitive bounded report: either a witness (datum, x, y)
     with both evaluation orders, or exhaustion of the search space.  No
-    general claim is made either way.
+    general claim is made either way.  `pairs_tested` counts the (datum,
+    x, y) triples examined, up to and including a counterexample.
     """
-    data: dict[tuple[int, ...], object] = {}
-    for s in (right, left):
-        for key, d in reachable_set(s, max_len).by_read.items():
-            data.setdefault(key, d)
-    tested = 0
-    for key in sorted(data):
-        d = data[key]
-        for x in range(1, n + 1):
-            rx = right.insert_one(d, x)
-            for y in range(1, n + 1):
-                tested += 1
-                a = left.insert_one(rx, y)
-                b = right.insert_one(left.insert_one(d, y), x)
-                if a != b:
-                    return {"check": "probe",
-                            "structure": f"{right.name}|{left.name}",
-                            "params": {"n": n, "max_len": max_len},
-                            "result": "counterexample",
-                            "witness": {"datum": list(key), "x": x, "y": y,
-                                        "left_after_right": list(right.read(a)),
-                                        "right_after_left": list(right.read(b))},
-                            "pairs_tested": tested}
-    return {"check": "probe", "structure": f"{right.name}|{left.name}",
-            "params": {"n": n, "max_len": max_len}, "result": "exhausted",
-            "pairs_tested": tested, "data_count": len(data)}
+    data, bad = first_noncommuting(right, left, max_len)
+    name, params = f"{right.name}|{left.name}", {"n": n, "max_len": max_len}
+    k = right.n
+    if bad is None:
+        return report("probe", name, params, "exhausted",
+                      pairs_tested=len(data) * k * k, data_count=len(data))
+    key, x, y = bad
+    d = data[key]
+    a = left.insert_one(right.insert_one(d, x), y)
+    b = right.insert_one(left.insert_one(d, y), x)
+    position = sorted(data).index(key)
+    return report("probe", name, params, "counterexample",
+                  witness={"datum": list(key), "x": x, "y": y,
+                           "left_after_right": list(right.read(a)),
+                           "right_after_left": list(right.read(b))},
+                  pairs_tested=(position * k + x - 1) * k + y)
 
 
 def derived_right_insertion(left: StringDataStructure) -> StringDataStructure:

@@ -105,9 +105,11 @@ def reachable_set(structure: StringDataStructure, max_len: int) -> ReachableSet:
     return ReachableSet(structure, max_len, data, by_read, witness)
 
 
-def _report(check: str, structure, params: dict, result: str, **extra) -> dict:
+def report(check: str, structure, params: dict, result: str, **extra) -> dict:
+    """A verifier's report: check, structure, bounds and verdict, then the
+    extra fields in order, leaving out those given as None."""
     rep = {"check": check, "structure": structure, "params": params, "result": result}
-    rep.update(extra)
+    rep.update((key, value) for key, value in extra.items() if value is not None)
     return rep
 
 
@@ -121,11 +123,11 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
     params = {"n": structure.n, "max_len": max_len}
     for x in range(1, structure.n + 1):
         if structure.read(structure.iota(x)) != (x,):
-            return _report("axioms", structure.name, params, "fail",
-                           witness={"axiom": "single_letter_reading", "letter": x})
+            return report("axioms", structure.name, params, "fail",
+                          witness={"axiom": "single_letter_reading", "letter": x})
     if structure.read(structure.empty) != ():
-        return _report("axioms", structure.name, params, "fail",
-                       witness={"axiom": "empty_reading"})
+        return report("axioms", structure.name, params, "fail",
+                      witness={"axiom": "empty_reading"})
     # walk deduplicating by datum so a reading collision is observable
     seen: dict[Any, Datum] = {structure.empty: ()}
     reads: dict[tuple[int, ...], Datum] = {(): structure.empty}
@@ -140,16 +142,16 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
                 seen[d2] = d2
                 key = structure.read(d2)
                 if key in reads and reads[key] != d2:
-                    return _report("axioms", structure.name, params, "fail",
-                                   witness={"axiom": "reading_injective", "reading": list(key)})
+                    return report("axioms", structure.name, params, "fail",
+                                  witness={"axiom": "reading_injective", "reading": list(key)})
                 reads[key] = d2
                 nxt.append(d2)
         frontier = nxt
     for key, d in reads.items():
         if structure.constructor(key) != d:
-            return _report("axioms", structure.name, params, "fail",
-                           witness={"axiom": "constructor_section", "reading": list(key)})
-    return _report("axioms", structure.name, params, "pass", data_count=len(reads))
+            return report("axioms", structure.name, params, "fail",
+                          witness={"axiom": "constructor_section", "reading": list(key)})
+    return report("axioms", structure.name, params, "pass", data_count=len(reads))
 
 
 def _data_by_weight(structure: StringDataStructure, max_len: int) -> dict[int, list[Datum]]:
@@ -173,20 +175,18 @@ def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
                 ab = structure.star(a, b)
                 for c in by_weight[wc]:
                     if structure.star(ab, c) != structure.star(a, structure.star(b, c)):
-                        return _report("associativity", structure.name, params, "fail",
-                                       witness={"a": list(structure.read(a)),
-                                                "b": list(structure.read(b)),
-                                                "c": list(structure.read(c))})
-    return _report("associativity", structure.name, params, "pass")
+                        return report("associativity", structure.name, params, "fail",
+                                      witness={"a": list(structure.read(a)),
+                                               "b": list(structure.read(b)),
+                                               "c": list(structure.read(c))})
+    return report("associativity", structure.name, params, "pass")
 
 
-def check_commutation(right: StringDataStructure, left: StringDataStructure,
-                      max_len: int) -> dict:
-    """Check that the two one-element insertions commute on reachable data."""
-    if right.n != left.n:
-        raise ValueError("structures must share the alphabet size")
-    params = {"n": right.n, "max_len": max_len}
-    name = f"{right.name}|{left.name}"
+def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
+                       max_len: int) -> tuple[dict[tuple[int, ...], Datum], tuple | None]:
+    """The data reachable by either insertion within the bound, keyed by reading,
+    and the first (reading, x, y), in sorted order, on which inserting x on the
+    right and y on the left depends on the order; None if there is none."""
     data: dict[tuple[int, ...], Datum] = {}
     for s in (right, left):
         for key, d in reachable_set(s, max_len).by_read.items():
@@ -197,9 +197,23 @@ def check_commutation(right: StringDataStructure, left: StringDataStructure,
             rx = right.insert_one(d, x)
             for y in range(1, right.n + 1):
                 if left.insert_one(rx, y) != right.insert_one(left.insert_one(d, y), x):
-                    return _report("commutation", name, params, "fail",
-                                   witness={"datum": list(key), "x": x, "y": y})
-    return _report("commutation", name, params, "pass", data_count=len(data))
+                    return data, (key, x, y)
+    return data, None
+
+
+def check_commutation(right: StringDataStructure, left: StringDataStructure,
+                      max_len: int) -> dict:
+    """Check that the two one-element insertions commute on reachable data."""
+    if right.n != left.n:
+        raise ValueError("structures must share the alphabet size")
+    params = {"n": right.n, "max_len": max_len}
+    name = f"{right.name}|{left.name}"
+    data, bad = first_noncommuting(right, left, max_len)
+    if bad is not None:
+        key, x, y = bad
+        return report("commutation", name, params, "fail",
+                      witness={"datum": list(key), "x": x, "y": y})
+    return report("commutation", name, params, "pass", data_count=len(data))
 
 
 def _letters_to_indices(word: tuple[int, ...]) -> Word:
@@ -223,12 +237,12 @@ def check_cross_section(structure: StringDataStructure, congruence: RewritingSys
     partition = congruence_classes(congruence, max_len)
     classes = partition.as_partition()
     if fibers == classes:
-        return _report("cross-section", structure.name, params, "pass",
-                       exact=partition.exact, class_count=len(classes))
+        return report("cross-section", structure.name, params, "pass",
+                      exact=partition.exact, class_count=len(classes))
     bad = next(iter(fibers.symmetric_difference(classes)))
-    return _report("cross-section", structure.name, params, "fail",
-                   exact=partition.exact,
-                   witness={"block": sorted([list(w) for w in bad])[:4]})
+    return report("cross-section", structure.name, params, "fail",
+                  exact=partition.exact,
+                  witness={"block": sorted([list(w) for w in bad])[:4]})
 
 
 def check_compatibility(structure: StringDataStructure, congruence: RewritingSystem,
@@ -251,18 +265,18 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
                 w_other = tuple(x + 1 for x in other)
                 for d in data:
                     if structure.insert_word(d, w_first) != structure.insert_word(d, w_other):
-                        return _report("compatibility", structure.name, params, "fail",
-                                       witness={"u": list(w_first), "v": list(w_other),
-                                                "datum": list(structure.read(d))})
+                        return report("compatibility", structure.name, params, "fail",
+                                      witness={"u": list(w_first), "v": list(w_other),
+                                               "datum": list(structure.read(d))})
     for k in range(max_len + 1):
         for word in itertools.product(range(1, structure.n + 1), repeat=k):
             rc = structure.read(structure.constructor(word))
             iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
             if irc not in partition.representative or \
                     partition.representative[iw] != partition.representative[irc]:
-                return _report("compatibility", structure.name, params, "fail",
-                               witness={"word": list(word), "reading": list(rc)})
-    return _report("compatibility", structure.name, params, "pass")
+                return report("compatibility", structure.name, params, "fail",
+                              witness={"word": list(word), "reading": list(rc)})
+    return report("compatibility", structure.name, params, "pass")
 
 
 @dataclass(frozen=True)
@@ -393,8 +407,8 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
     by_read = {structure.read(c): c for c in gen.generators}
     for x in range(1, structure.n + 1):
         if structure.read(structure.iota(x)) not in gen_reads:
-            return _report("generating-set", name, params, "fail",
-                           witness={"condition": "letters", "letter": x})
+            return report("generating-set", name, params, "fail",
+                          witness={"condition": "letters", "letter": x})
     induced = _build_generating(structure, gen, strict=False)
     gen_index = {structure.read(c): i for i, c in enumerate(gen.generators)}
     from .rewriting import is_normal_form
@@ -404,20 +418,20 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
         d = reach.by_read[key]
         dec = gen.decompose(d)
         if not _valid_decomposition(structure, gen_reads, d, dec):
-            return _report("generating-set", name, params, "fail",
-                           witness={"condition": "decomposition", "reading": list(key)})
+            return report("generating-set", name, params, "fail",
+                          witness={"condition": "decomposition", "reading": list(key)})
         factorizations = _valid_factorizations(structure, by_read, d, key, gen_reads)
         max_valid = max(max_valid, len(factorizations))
         normal = [f for f in factorizations
                   if is_normal_form(induced.system,
                                     tuple(gen_index[structure.read(c)] for c in f))]
         if len(normal) != 1 or normal[0] != dec:
-            return _report("generating-set", name, params, "fail",
-                           witness={"condition": "uniqueness", "reading": list(key),
-                                    "valid": len(factorizations),
-                                    "normal": len(normal)})
-    return _report("generating-set", name, params, "pass",
-                   data_count=len(reach.by_read), max_valid_factorizations=max_valid)
+            return report("generating-set", name, params, "fail",
+                          witness={"condition": "uniqueness", "reading": list(key),
+                                   "valid": len(factorizations),
+                                   "normal": len(normal)})
+    return report("generating-set", name, params, "pass",
+                  data_count=len(reach.by_read), max_valid_factorizations=max_valid)
 
 
 def _valid_decomposition(structure, gen_reads, d, dec) -> bool:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from sdskit.chinese import (
     chinese_left,
     chinese_left_insert,
-    chinese_presentations,
     chinese_relations,
     chinese_right,
     chinese_right_insert,
@@ -32,6 +31,7 @@ from sdskit.chinese import (
     verify_rule_shape,
     weight,
 )
+from sdskit.registry import build_presentation
 from sdskit.rewriting import check_local_confluence, classify, knuth_bendix_pass, termination_certificate
 from sdskit.sds import reachable_set
 
@@ -154,9 +154,9 @@ def test_chinese_relations_families_n3():
 
 
 def test_precolumn_matches_presentation_dispatch():
-    assert chinese_presentations(3, "precolumn").system.pairs == \
+    assert build_presentation("chinese-precolumn", 3).system.pairs == \
         precolumn_presentation(3).system.pairs
-    assert chinese_presentations(3, "relations").system.pairs == \
+    assert build_presentation("chinese-relations", 3).system.pairs == \
         chinese_relations(3).pairs
 
 

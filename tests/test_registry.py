@@ -5,11 +5,17 @@ import itertools
 import pytest
 
 from sdskit.registry import (
+    CELLS,
     COMMUTATION_PAIRS,
     DEFAULT_CONGRUENCE,
+    PRESENTATION_NAMES,
+    PRESENTATIONS,
+    PROBE_PAIRS,
     STRUCTURES,
+    TERMINATION_ORDERS,
     build_presentation,
     get_structure,
+    lookup,
 )
 from sdskit.rewriting import LEFTMOST, RIGHTMOST, normalize, words_up_to
 from sdskit.sds import check_axioms, reachable_set
@@ -65,7 +71,29 @@ def test_strategies_agree_on_convergent_presentations(name):
 
 
 def test_presentation_names_all_build():
-    from sdskit.registry import PRESENTATION_NAMES
     for name in PRESENTATION_NAMES:
         pres = build_presentation(name, 2, 3)
         assert pres.system.alphabet.labels
+
+
+def test_family_names_resolve_to_their_presentations():
+    assert build_presentation("young", 3) == build_presentation("column", 3)
+    assert build_presentation("chinese", 3) == build_presentation("chinese-completed", 3)
+    assert lookup(TERMINATION_ORDERS, "chinese", "order") is TERMINATION_ORDERS["chinese-completed"]
+    assert lookup(CELLS, "young", "cells") is CELLS["column"]
+    for table in (COMMUTATION_PAIRS, PROBE_PAIRS, TERMINATION_ORDERS, CELLS, PRESENTATIONS):
+        with pytest.raises(KeyError):
+            lookup(table, "bogus", "entry")
+    with pytest.raises(KeyError):
+        get_structure("young", 3)  # families are not structures
+
+
+def test_presentation_names_follow_the_table():
+    assert PRESENTATION_NAMES == tuple(PRESENTATIONS)
+
+
+def test_tables_resolve_functions_when_called(monkeypatch):
+    # a rebound module function (as a tracer installs) must be the one used
+    from sdskit import coherence
+    monkeypatch.setattr(coherence, "verify_cell_shapes_chinese", lambda n, budget: {"n": n})
+    assert CELLS["chinese-completed"].verify_shapes(2, None) == {"n": 2}
