@@ -443,7 +443,8 @@ def verify_path_bounds(n: int) -> dict:
     steps; (b) steps four and five of a leftmost path longer than three use
     only commutation rules.  The report carries both outcomes separately;
     (b) does not hold in general (see the witness list), so the overall
-    result reflects (a) and (b) independently.
+    result reflects (a) and (b) independently.  It also fails when a path
+    hit the normalization budget; `budget_hits` then counts those paths.
     """
     pres = completed_presentation(n)
     system = pres.system
@@ -458,6 +459,7 @@ def verify_path_bounds(n: int) -> dict:
     triples = 0
     bound_witness = None
     late_witnesses = []
+    budget_hits = 0
     k = len(gens)
     for u, v, t in itertools.product(range(k), repeat=3):
         if (u, v) not in reducible or (v, t) not in reducible:
@@ -466,6 +468,7 @@ def verify_path_bounds(n: int) -> dict:
         word = (u, v, t)
         left = normalize(system, word, LEFTMOST)
         right = normalize(system, word, RIGHTMOST)
+        budget_hits += (not left.reached_normal_form) + (not right.reached_normal_form)
         ll, lr = len(left.path.steps), len(right.path.steps)
         max_left, max_right = max(max_left, ll), max(max_right, lr)
         if gens[u][0] == gens[u][1]:
@@ -485,7 +488,7 @@ def verify_path_bounds(n: int) -> dict:
     bounds_ok = bound_witness is None
     late_ok = not late_witnesses
     report = {"check": "path-bounds", "params": {"n": n},
-              "result": "pass" if bounds_ok and late_ok else "fail",
+              "result": "pass" if bounds_ok and late_ok and not budget_hits else "fail",
               "length_bounds": "pass" if bounds_ok else "fail",
               "late_steps_commutation": "pass" if late_ok else "fail",
               "triples": triples, "max_left": max_left, "max_right": max_right,
@@ -495,6 +498,9 @@ def verify_path_bounds(n: int) -> dict:
     if late_witnesses:
         report["late_step_witnesses"] = late_witnesses[:5]
         report["late_step_violations"] = len(late_witnesses)
+    if budget_hits:
+        # a truncated path reads as a short one
+        report["budget_hits"] = budget_hits
     return report
 
 

@@ -12,7 +12,9 @@ a stated length bound, and every report embeds that bound.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable
 
 from .rewriting import (
@@ -69,40 +71,167 @@ class StringDataStructure:
         return self.insert_word(d, self.read(e))
 
 
+class Table:
+    """Data interned to ids by equality, with one `Row` of memoised
+    insertions and readings per structure.
+
+    A verifier builds one table per call and fills it with the breadth-first
+    search of `reachable_set`, which interns exactly the data it reaches
+    within its bound.  An insertion that leaves those data is computed on each request
+    and neither interned nor stored, so the table stays the size of the
+    reachable set.  Rows act on states: an id, or the 1-tuple `(datum,)` for
+    a datum the table does not hold.  Two states are equal exactly when
+    their data are.
+    """
+
+    def __init__(self):
+        self.data: list[Datum] = []
+        self.ids: dict[Datum, int] = {}
+        self.rows: dict[int, Row] = {}
+
+    def intern(self, d: Datum) -> int:
+        i = self.ids.get(d)
+        if i is None:
+            i = self.ids[d] = len(self.data)
+            self.data.append(d)
+            for row in self.rows.values():
+                row.grow()
+        return i
+
+    def row(self, structure: StringDataStructure) -> Row:
+        row = self.rows.get(id(structure))
+        if row is None:
+            row = self.rows[id(structure)] = Row(self, structure)
+        return row
+
+
+class Row:
+    """One structure's insertions and readings over the states of a table."""
+
+    def __init__(self, table: Table, structure: StringDataStructure):
+        # the table's lists, not the table: a cycle would keep every table
+        # alive until the cyclic collector runs
+        self.data, self.ids, self.structure = table.data, table.ids, structure
+        self.blank = [None] * structure.n
+        self.delta: list = []       # state after letter x from id i, at i * n + x - 1
+        self.reads: list = []       # id -> reading
+        for _ in table.data:
+            self.grow()
+
+    def grow(self):
+        self.delta += self.blank
+        self.reads.append(None)
+
+    def state(self, d: Datum):
+        """The id of datum d, or (d,) if the table does not hold it."""
+        i = self.ids.get(d)
+        return (d,) if i is None else i
+
+    def step(self, s, x: int):
+        """The state after inserting letter x (unchecked) into state s.
+        Only a result the table holds is memoised."""
+        if type(s) is not int:
+            return self.state(self.structure.insert_one(s[0], x))
+        k = s * self.structure.n + x - 1
+        t = self.delta[k]
+        if t is None:
+            t = self.state(self.structure.insert_one(self.data[s], x))
+            if type(t) is int:
+                self.delta[k] = t
+        return t
+
+    def expand(self, table: Table, i: int, x: int) -> int:
+        """The id after inserting letter x into id i, interning the result."""
+        k = i * self.structure.n + x - 1
+        j = self.delta[k]
+        if j is None:
+            j = self.delta[k] = table.intern(self.structure.insert_one(self.data[i], x))
+        return j
+
+    def read(self, s) -> tuple[int, ...]:
+        if type(s) is not int:
+            return self.structure.read(s[0])
+        key = self.reads[s]
+        if key is None:
+            key = self.reads[s] = self.structure.read(self.data[s])
+        return key
+
+    def walk(self, s, word: tuple[int, ...]):
+        """`insert_word` from state s: each letter checked, in reading order."""
+        structure = self.structure
+        for x in word if structure.direction == LEFT_TO_RIGHT else reversed(word):
+            structure._check_letter(x)
+            s = self.step(s, x)
+        return s
+
+
 @dataclass
 class ReachableSet:
+    """The data a structure reaches from words of length <= max_len, one per
+    reading, as ids of `table`."""
+
     structure: StringDataStructure
     max_len: int
-    data: list[Datum]
-    by_read: dict[tuple[int, ...], Datum]
-    witness: dict[tuple[int, ...], tuple[int, ...]]
+    table: Table
+    index: dict[tuple[int, ...], int]       # reading -> id in `table`
+    # how each reading after the first was reached, in the order of `index`:
+    # position of the reading it extends * n + the letter inserted - 1
+    via: array
+
+    @cached_property
+    def data(self) -> list[Datum]:
+        return [self.table.data[i] for i in self.index.values()]
+
+    @cached_property
+    def by_read(self) -> dict[tuple[int, ...], Datum]:
+        return {key: self.table.data[i] for key, i in self.index.items()}
+
+    @cached_property
+    def witness(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The first word, in breadth-first order, reaching each reading."""
+        n, append_right = self.structure.n, self.structure.direction == LEFT_TO_RIGHT
+        words: list[tuple[int, ...]] = [()]
+        for link in self.via:
+            p, x = divmod(link, n)
+            words.append(words[p] + (x + 1,) if append_right else (x + 1,) + words[p])
+        return dict(zip(self.index, words))
 
     def __contains__(self, key):
-        return key in self.by_read
+        return key in self.index
 
 
-def reachable_set(structure: StringDataStructure, max_len: int) -> ReachableSet:
-    """All data obtainable from words of length <= max_len, keyed by reading."""
-    empty = structure.empty
-    data = [empty]
-    by_read = {structure.read(empty): empty}
-    witness = {structure.read(empty): ()}
-    frontier: list[tuple[Datum, tuple[int, ...]]] = [(empty, ())]
-    append_right = structure.direction == LEFT_TO_RIGHT
+def reachable_set(structure: StringDataStructure, max_len: int,
+                  table: Table | None = None) -> ReachableSet:
+    """All data obtainable from words of length <= max_len, keyed by reading.
+
+    The search interns what it reaches in `table` (a new one if none is
+    given), whose row for the structure then holds every insertion made.
+    """
+    return _search(Table() if table is None else table, structure, max_len)
+
+
+def _search(table: Table, structure: StringDataStructure, max_len: int) -> ReachableSet:
+    # breadth first from the empty datum; every datum met is interned, but
+    # only one with a new reading is kept and expanded.  check_axioms and the
+    # cross-section fibers, which ran searches of their own before the table,
+    # call this directly, so the traced benchmark's counts of reachable_set
+    # keep measuring the same calls.
+    row, n = table.row(structure), structure.n
+    start = table.intern(structure.empty)
+    index, via = {row.read(start): start}, array("q")
+    frontier = [(start, 0)]             # (id, position in index)
     for _ in range(max_len):
         nxt = []
-        for d, w in frontier:
-            for x in range(1, structure.n + 1):
-                d2 = structure.insert_one(d, x)
-                key = structure.read(d2)
-                if key not in by_read:
-                    w2 = w + (x,) if append_right else (x,) + w
-                    by_read[key] = d2
-                    witness[key] = w2
-                    data.append(d2)
-                    nxt.append((d2, w2))
+        for i, p in frontier:
+            for x in range(1, n + 1):
+                j = row.expand(table, i, x)
+                key = row.read(j)
+                if key not in index:
+                    nxt.append((j, len(index)))
+                    index[key] = j
+                    via.append(p * n + x - 1)
         frontier = nxt
-    return ReachableSet(structure, max_len, data, by_read, witness)
+    return ReachableSet(structure, max_len, table, index, via)
 
 
 def report(check: str, structure, params: dict, result: str, **extra) -> dict:
@@ -128,57 +257,45 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
     if structure.read(structure.empty) != ():
         return report("axioms", structure.name, params, "fail",
                       witness={"axiom": "empty_reading"})
-    # walk deduplicating by datum so a reading collision is observable
-    seen: dict[Any, Datum] = {structure.empty: ()}
-    reads: dict[tuple[int, ...], Datum] = {(): structure.empty}
-    frontier = [structure.empty]
-    for _ in range(max_len):
-        nxt = []
-        for d in frontier:
-            for x in range(1, structure.n + 1):
-                d2 = structure.insert_one(d, x)
-                if d2 in seen:
-                    continue
-                seen[d2] = d2
-                key = structure.read(d2)
-                if key in reads and reads[key] != d2:
-                    return report("axioms", structure.name, params, "fail",
-                                  witness={"axiom": "reading_injective", "reading": list(key)})
-                reads[key] = d2
-                nxt.append(d2)
-        frontier = nxt
-    for key, d in reads.items():
-        if structure.constructor(key) != d:
+    table = Table()
+    index = _search(table, structure, max_len).index
+    row, empty = table.row(structure), table.ids[structure.empty]
+    # the search interns every datum it meets, so a reading collision is an
+    # id that lost its reading to an earlier one
+    for i in range(len(table.data)):
+        key = row.read(i)
+        if index[key] != i:
+            return report("axioms", structure.name, params, "fail",
+                          witness={"axiom": "reading_injective", "reading": list(key)})
+    for key, i in index.items():
+        if row.walk(empty, key) != i:
             return report("axioms", structure.name, params, "fail",
                           witness={"axiom": "constructor_section", "reading": list(key)})
-    return report("axioms", structure.name, params, "pass", data_count=len(reads))
-
-
-def _data_by_weight(structure: StringDataStructure, max_len: int) -> dict[int, list[Datum]]:
-    reach = reachable_set(structure, max_len)
-    by_weight: dict[int, list[Datum]] = {}
-    for key, d in reach.by_read.items():
-        by_weight.setdefault(len(key), []).append(d)
-    return by_weight
+    return report("axioms", structure.name, params, "pass", data_count=len(index))
 
 
 def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
     """Exhaustively compare the two bracketings of the internal product."""
     params = {"n": structure.n, "max_len": max_len}
-    by_weight = _data_by_weight(structure, max_len)
+    reach = reachable_set(structure, max_len)
+    row = reach.table.row(structure)
+    by_weight: dict[int, list[int]] = {}
+    for key, i in reach.index.items():
+        by_weight.setdefault(len(key), []).append(i)
     weights = sorted(by_weight)
     for wa, wb, wc in itertools.product(weights, repeat=3):
         if wa + wb + wc > max_len:
             continue
         for a in by_weight[wa]:
             for b in by_weight[wb]:
-                ab = structure.star(a, b)
+                ab = row.walk(a, row.read(b))
                 for c in by_weight[wc]:
-                    if structure.star(ab, c) != structure.star(a, structure.star(b, c)):
+                    rc = row.read(c)
+                    if row.walk(ab, rc) != row.walk(a, row.read(row.walk(b, rc))):
                         return report("associativity", structure.name, params, "fail",
-                                      witness={"a": list(structure.read(a)),
-                                               "b": list(structure.read(b)),
-                                               "c": list(structure.read(c))})
+                                      witness={"a": list(row.read(a)),
+                                               "b": list(row.read(b)),
+                                               "c": list(rc)})
     return report("associativity", structure.name, params, "pass")
 
 
@@ -187,16 +304,21 @@ def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
     """The data reachable by either insertion within the bound, keyed by reading,
     and the first (reading, x, y), in sorted order, on which inserting x on the
     right and y on the left depends on the order; None if there is none."""
-    data: dict[tuple[int, ...], Datum] = {}
+    table = Table()
+    ids: dict[tuple[int, ...], int] = {}
     for s in (right, left):
-        for key, d in reachable_set(s, max_len).by_read.items():
-            data.setdefault(key, d)
-    for key in sorted(data):
-        d = data[key]
-        for x in range(1, right.n + 1):
-            rx = right.insert_one(d, x)
-            for y in range(1, right.n + 1):
-                if left.insert_one(rx, y) != right.insert_one(left.insert_one(d, y), x):
+        for key, i in reachable_set(s, max_len, table).index.items():
+            ids.setdefault(key, i)
+    data = {key: table.data[i] for key, i in ids.items()}
+    r, l = table.row(right), table.row(left)
+    letters = range(1, right.n + 1)
+    for key in sorted(ids):
+        i = ids[key]
+        rights = [r.step(i, x) for x in letters]
+        lefts = [l.step(i, y) for y in letters]
+        for x, rx in zip(letters, rights):
+            for y, ly in zip(letters, lefts):
+                if l.step(rx, y) != r.step(ly, x):
                     return data, (key, x, y)
     return data, None
 
@@ -220,11 +342,18 @@ def _letters_to_indices(word: tuple[int, ...]) -> Word:
     return tuple(x - 1 for x in word)
 
 
+def _words(n: int, max_len: int):
+    return itertools.chain.from_iterable(
+        itertools.product(range(1, n + 1), repeat=k) for k in range(max_len + 1))
+
+
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
+    table = Table()
+    _search(table, structure, max_len)
+    row, empty = table.row(structure), table.ids[structure.empty]
     fibers: dict[tuple[int, ...], set[Word]] = {}
-    for word in itertools.chain.from_iterable(
-            itertools.product(range(1, structure.n + 1), repeat=k) for k in range(max_len + 1)):
-        key = structure.read(structure.constructor(word))
+    for word in _words(structure.n, max_len):
+        key = row.read(row.walk(empty, word))
         fibers.setdefault(key, set()).add(_letters_to_indices(word))
     return {frozenset(v) for v in fibers.values()}
 
@@ -255,27 +384,28 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
     reach = reachable_set(structure, max_len)
-    data = [reach.by_read[k] for k in sorted(reach.by_read)]
+    row = reach.table.row(structure)
+    data = [reach.index[k] for k in sorted(reach.index)]
     for block in partition.classes():
         words = sorted(block)
         if len(words) > 1:
-            first = words[0]
-            w_first = tuple(x + 1 for x in first)
+            w_first = tuple(x + 1 for x in words[0])
+            firsts = [row.walk(d, w_first) for d in data]
             for other in words[1:]:
                 w_other = tuple(x + 1 for x in other)
-                for d in data:
-                    if structure.insert_word(d, w_first) != structure.insert_word(d, w_other):
+                for d, first in zip(data, firsts):
+                    if first != row.walk(d, w_other):
                         return report("compatibility", structure.name, params, "fail",
                                       witness={"u": list(w_first), "v": list(w_other),
-                                               "datum": list(structure.read(d))})
-    for k in range(max_len + 1):
-        for word in itertools.product(range(1, structure.n + 1), repeat=k):
-            rc = structure.read(structure.constructor(word))
-            iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
-            if irc not in partition.representative or \
-                    partition.representative[iw] != partition.representative[irc]:
-                return report("compatibility", structure.name, params, "fail",
-                              witness={"word": list(word), "reading": list(rc)})
+                                               "datum": list(row.read(d))})
+    empty = reach.table.ids[structure.empty]
+    for word in _words(structure.n, max_len):
+        rc = row.read(row.walk(empty, word))
+        iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
+        if irc not in partition.representative or \
+                partition.representative[iw] != partition.representative[irc]:
+            return report("compatibility", structure.name, params, "fail",
+                          witness={"word": list(word), "reading": list(rc)})
     return report("compatibility", structure.name, params, "pass")
 
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdskit import chinese
 from sdskit.chinese import (
     chinese_left,
     chinese_left_insert,
@@ -243,8 +244,22 @@ def test_verify_path_bounds():
         witnesses = report["late_step_witnesses"]
         assert witnesses[0]["triple"] == ["c_22", "c_2", "c_1"]
         assert witnesses[0]["late_rules"] == [["c_2", "c_2"]]
+        assert "budget_hits" not in report
     assert verify_path_bounds(3)["late_step_violations"] == 1
     assert verify_path_bounds(4)["late_step_violations"] == 3
+
+
+def test_verify_path_bounds_fails_on_budget_hits(monkeypatch):
+    # with one step allowed every path looks short and no late step is
+    # seen: only the counted budget hits keep the truncated run from passing
+    real = chinese.normalize
+    monkeypatch.setattr(chinese, "normalize",
+                        lambda system, word, strategy: real(system, word, strategy, budget=1))
+    report = verify_path_bounds(3)
+    assert report["length_bounds"] == "pass"
+    assert report["late_steps_commutation"] == "pass"
+    assert report["result"] == "fail"
+    assert 0 < report["budget_hits"] <= 2 * report["triples"]
 
 
 def test_staircase_json_round_trip():

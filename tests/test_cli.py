@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,27 @@ def test_golden_covers_every_check():
 @pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_report_bytes_are_pinned(line, code, digest, capsys):
     assert main([arg.replace("_", " ") for arg in line.split()]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# check name -> [exit code, sha256 of stdout] for every structure verifier
+# on every structure and family name at n = 2, 3 and --max-len 4, recorded
+# before the verifiers walked a transition table
+CHECK_MATRIX = json.loads(Path(__file__).with_name("check_matrix_golden.json").read_text())
+
+
+def test_check_matrix_covers_every_structure_verifier():
+    checks = ("axioms", "associativity", "commutation", "cross-section", "compatibility",
+              "probe")
+    names = (*STRUCTURES, *COMMUTATION_PAIRS, *PROBE_PAIRS)
+    assert set(CHECK_MATRIX) == {f"check {c} --structure {s} --n {n} --max-len 4"
+                                 for c in checks for s in names for n in (2, 3)}
+
+
+@pytest.mark.parametrize("line", list(CHECK_MATRIX))
+def test_check_matrix_bytes_are_pinned(line, capsys):
+    code, digest = CHECK_MATRIX[line]
+    assert main(line.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -11,6 +11,9 @@ from sdskit.chinese import (
     chinese_right,
     qn_generating_set,
 )
+from sdskit import sds
+from sdskit.extra import commutation_probe
+from sdskit.registry import COMMUTATION_PAIRS, get_structure
 from sdskit.rewriting import normalize, words_up_to
 from sdskit.sds import (
     FULL,
@@ -157,6 +160,29 @@ def test_check_commutation_witness_on_broken_pair():
     report = check_commutation(young_right(2), fake_left, 3)
     assert report["result"] == "fail"
     assert set(report["witness"]) == {"datum", "x", "y"}
+
+
+@pytest.mark.parametrize("family", ["young", "chinese"])
+def test_commutation_tables_hold_only_the_reachable_data(family, monkeypatch):
+    right, left = (get_structure(name, 3) for name in COMMUTATION_PAIRS[family])
+    reachable = {d for s in (right, left) for d in reachable_set(s, 4).data}
+    tables = []
+
+    class Recorded(sds.Table):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(sds, "Table", Recorded)
+    reports = [check_commutation(right, left, 4), commutation_probe(right, left, 3, 4)]
+    assert [r["data_count"] for r in reports] == [len(reachable)] * 2
+    assert len(tables) == 2
+    for table in tables:
+        # insertions from data of length 4 leave the bound: computed and
+        # compared, but neither interned nor memoised
+        assert set(table.data) == reachable and len(table.ids) == len(reachable)
+        assert len(table.rows) == 2
+        assert all(t is None or type(t) is int for row in table.rows.values() for t in row.delta)
 
 
 def test_cross_section_young_and_chinese():

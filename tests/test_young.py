@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdskit.rewriting import check_local_confluence, classify, termination_certificate
 from sdskit.sds import reachable_set
+from sdskit import young
 from sdskit.young import (
     column_complement,
     column_length_less,
@@ -173,6 +174,20 @@ def test_schuetzenberger_report():
     assert report["normal_forms_preserved"]["result"] == "fail"
     assert report["normalization_commutes"]["result"] == "fail"
     assert "witness" in report["normal_forms_preserved"]
+    assert not any("budget_hits" in value for value in report.values()
+                   if isinstance(value, dict))
+
+
+def test_schuetzenberger_counts_budget_hits(monkeypatch):
+    real = young.normalize
+    monkeypatch.setattr(young, "normalize",
+                        lambda system, word, strategy: real(system, word, strategy, budget=1))
+    report = schuetzenberger_involution(3)
+    assert report["normalization_commutes"]["result"] == "fail"
+    assert report["normalization_commutes"]["budget_hits"] > 0
+    # the congruence check stops at its first witness, before any hit
+    assert "budget_hits" not in report["congruence_preserved"]
+    assert "budget_hits" not in report["normal_forms_preserved"]
 
 
 def test_tableau_text_format_round_trip():
