@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import chinese, coherence, extra, registry
 from .rewriting import check_local_confluence, system_to_json, termination_certificate
@@ -136,7 +137,10 @@ def _at_least(low: int):
     return integer
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call
+    in the process (parsing leaves no state on it)."""
     parser = argparse.ArgumentParser(prog="sdskit")
     sub = parser.add_subparsers(dest="command", required=True)
     output = argparse.ArgumentParser(add_help=False)

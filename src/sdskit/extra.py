@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 from .rewriting import Alphabet, RewritingSystem
 from .sds import (
@@ -20,6 +21,8 @@ from .sds import (
     first_noncommuting,
     report,
 )
+
+_first, _last = itemgetter(0), itemgetter(-1)
 
 # --- quasi-ribbon tableaux ------------------------------------------------
 #
@@ -46,45 +49,31 @@ def is_quasi_ribbon(t: QuasiRibbon) -> bool:
     return all(prev[-1] < nxt[0] for prev, nxt in zip(t, t[1:]))
 
 
-def _ribbon_sequence(t: QuasiRibbon) -> list[int]:
-    return [x for row in t for x in row]
-
-
 def hypoplactic_insert(t: QuasiRibbon, x: int, side: str = "right") -> QuasiRibbon:
     """Split the ribbon at the pivot entry and attach the loose part around x.
 
     Right insertion places x after the last entry <= x, with everything
     beyond hanging below; left insertion places x before the first entry
-    >= x, with everything before hanging above.
+    >= x, with everything before hanging above.  The entries read row after
+    row weakly increase, so the pivot lies in the last row starting <= x
+    (right) or the first row ending >= x (left); the other rows are shared.
     """
-    rows = [list(r) for r in t]
-    seq = _ribbon_sequence(t)
     if side == "right":
-        k = bisect_right(seq, x)
-        if k == 0:
+        i = bisect_right(t, x, key=_first) - 1
+        if i < 0:
             return ((x,),) + t
-        i, j = _locate(rows, k - 1)
-        head = rows[:i] + [rows[i][:j + 1] + [x]]
-        rest = rows[i][j + 1:]
-        tail = ([rest] if rest else []) + rows[i + 1:]
-        return tuple(tuple(r) for r in head + tail)
+        row = t[i]
+        j = bisect_right(row, x)
+        rest = row[j:]
+        return t[:i] + (row[:j] + (x,),) + ((rest,) if rest else ()) + t[i + 1:]
     if side == "left":
-        k = bisect_left(seq, x)
-        if k == len(seq):
+        i = bisect_left(t, x, key=_last)
+        if i == len(t):
             return t + ((x,),)
-        i, j = _locate(rows, k)
-        head = rows[:i] + ([rows[i][:j]] if j else [])
-        tail = [[x] + rows[i][j:]] + rows[i + 1:]
-        return tuple(tuple(r) for r in head + tail)
+        row = t[i]
+        j = bisect_left(row, x)
+        return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
     raise ValueError(f"unknown side {side!r}")
-
-
-def _locate(rows, flat_index):
-    for i, row in enumerate(rows):
-        if flat_index < len(row):
-            return i, flat_index
-        flat_index -= len(row)
-    raise IndexError(flat_index)
 
 
 def qr_read(t: QuasiRibbon) -> tuple[int, ...]:
@@ -129,33 +118,48 @@ def sylvester_insert(x: int, t: Tree) -> Tree:
     """Leaf insertion: strictly greater descends right, everything else left.
 
     This branch choice keeps the search invariant and lets the reading
-    rebuild every reachable tree.
+    rebuild every reachable tree.  The walk is a loop, so a degenerate
+    tree of any depth is fine.
     """
-    if t is None:
-        return (x, None, None)
-    root, left, right = t
-    if x > root:
-        return (root, left, sylvester_insert(x, right))
-    return (root, sylvester_insert(x, left), right)
+    path = []
+    while t is not None:
+        path.append(t)
+        t = t[2] if x > t[0] else t[1]
+    t = (x, None, None)
+    for root, left, right in reversed(path):
+        t = (root, left, t) if x > root else (root, t, right)
+    return t
 
 
 def is_search_tree(t: Tree) -> bool:
-    def between(t, lo, hi):
+    stack = [(t, float("-inf"), float("inf"))]
+    while stack:
+        t, lo, hi = stack.pop()
         if t is None:
-            return True
+            continue
         root, left, right = t
         if not (lo <= root <= hi):
             return False
-        return between(left, lo, root) and between(right, root + 1, hi)
-    return between(t, float("-inf"), float("inf"))
+        stack.append((right, root + 1, hi))
+        stack.append((left, lo, root))
+    return True
 
 
 def tree_read(t: Tree) -> tuple[int, ...]:
-    """Right subtree, then left subtree, then the root."""
-    if t is None:
-        return ()
-    root, left, right = t
-    return tree_read(right) + tree_read(left) + (root,)
+    """Right subtree, then left subtree, then the root.
+
+    Reversed, this is the preorder root, left, right, built with a stack.
+    """
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if t is not None:
+            root, left, right = t
+            out.append(root)
+            stack.append(right)
+            stack.append(left)
+    out.reverse()
+    return tuple(out)
 
 
 def sylvester_left(n: int) -> StringDataStructure:
@@ -166,41 +170,50 @@ def sylvester_left(n: int) -> StringDataStructure:
 
 def format_tree(t: Tree) -> str:
     """Nested parenthesized form "(label left right)" with "·" for empty."""
-    if t is None:
-        return "·"
-    root, left, right = t
-    return f"({root} {format_tree(left)} {format_tree(right)})"
+    parts, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif t is None:
+            parts.append("·")
+        else:
+            root, left, right = t
+            parts.append(f"({root} ")
+            stack += (")", right, " ", left)
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> Tree:
     """Inverse of `format_tree` ("." also marks an empty subtree); raises ValueError."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
 
     def take() -> str:
-        nonlocal pos
-        if pos == len(tokens):
+        tok = next(tokens, None)
+        if tok is None:
             raise ValueError("unexpected end of tree")
-        pos += 1
-        return tokens[pos - 1]
+        return tok
 
-    def parse():
+    open_nodes: list[tuple[int, list[Tree]]] = []   # (label, subtrees so far)
+    while True:
         tok = take()
-        if tok in ("·", "."):
-            return None
-        if tok != "(":
+        if tok == "(":
+            open_nodes.append((int(take()), []))
+            continue
+        if tok not in ("·", "."):
             raise ValueError(f"unexpected token {tok!r}")
-        root = int(take())
-        left = parse()
-        right = parse()
-        if take() != ")":
-            raise ValueError("expected ')'")
-        return (root, left, right)
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing input")
-    return tree
+        tree = None
+        # a finished subtree closes every open node it completes
+        while open_nodes and len(open_nodes[-1][1]) == 1:
+            root, (left,) = open_nodes.pop()
+            if take() != ")":
+                raise ValueError("expected ')'")
+            tree = (root, left, tree)
+        if not open_nodes:
+            if next(tokens, None) is not None:
+                raise ValueError("trailing input")
+            return tree
+        open_nodes[-1][1].append(tree)
 
 
 # --- patience sorting tableaux ---------------------------------------------
@@ -215,19 +228,15 @@ RPS = "rps"
 
 def patience_insert(t: PatienceTableau, x: int, variant: str) -> PatienceTableau:
     """Bump the leftmost too-large bottom entry, stacking its column on x."""
-    cols = [list(c) for c in t]
-    bottoms = [c[0] for c in cols]
     if variant == LPS:
-        k = bisect_right(bottoms, x)
+        k = bisect_right(t, x, key=_first)
     elif variant == RPS:
-        k = bisect_left(bottoms, x)
+        k = bisect_left(t, x, key=_first)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if k == len(cols):
-        cols.append([x])
-    else:
-        cols[k] = [x] + cols[k]
-    return tuple(tuple(c) for c in cols)
+    if k == len(t):
+        return t + ((x,),)
+    return t[:k] + ((x,) + t[k],) + t[k + 1:]
 
 
 def is_patience_tableau(t: PatienceTableau, variant: str) -> bool:

@@ -10,7 +10,7 @@ the column complement involution.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import combinations
 
 from .rewriting import (
@@ -53,43 +53,58 @@ def is_tableau(t: Tableau) -> bool:
 
 
 def schensted_right(t: Tableau, x: int) -> Tableau:
-    """Row bumping: x enters the top row, bumped entries cascade downwards."""
-    rows = [list(r) for r in t]
+    """Row bumping: x enters the top row, bumped entries cascade downwards.
+
+    Only the rows the cascade reaches are copied; the others are shared."""
+    rows = list(t)
     cur = x
-    for row in rows:
+    for i, row in enumerate(rows):
         if cur >= row[-1]:
-            row.append(cur)
-            return tuple(tuple(r) for r in rows)
+            rows[i] = row + (cur,)
+            return tuple(rows)
         k = bisect_right(row, cur)
-        cur, row[k] = row[k], cur
-    rows.append([cur])
-    return tuple(tuple(r) for r in rows)
+        rows[i] = row[:k] + (cur,) + row[k + 1:]
+        cur = row[k]
+    rows.append((cur,))
+    return tuple(rows)
 
 
 def schensted_left(x: int, t: Tableau) -> Tableau:
-    """Column bumping: x enters the leftmost column, bumps cascade rightwards."""
-    cols = [list(c) for c in columns(t)]
-    cur = x
-    for col in cols:
-        if cur > col[-1]:
-            col.append(cur)
-            return from_columns(cols)
-        k = bisect_left(col, cur)
-        cur, col[k] = col[k], cur
-    cols.append([cur])
-    return from_columns(cols)
+    """Column bumping: x enters the leftmost column, bumps cascade rightwards.
+
+    In each column the travelling value replaces the first entry >= it, or
+    goes below the column's last entry.  The walk stays on the rows: column
+    k is the k-th entry of every row longer than k.  An equal entry changes
+    nothing along its row's run of equal entries, so the walk jumps over the
+    run; a real bump raises the travelling value, so in the next column the
+    first entry >= it lies at or above the bumped row.
+    """
+    rows = list(t)
+    cur, k, limit = x, 0, len(rows)
+    while True:
+        for i in range(limit):
+            row = rows[i]
+            if len(row) == k:       # column k ends above row i
+                rows[i] = row + (cur,)
+                return tuple(rows)
+            if row[k] >= cur:
+                break
+        else:                       # only in the first column: cur exceeds it
+            rows.append((cur,))
+            return tuple(rows)
+        if row[k] == cur:
+            k = bisect_right(row, cur, k)
+        else:
+            rows[i] = row[:k] + (cur,) + row[k + 1:]
+            cur = row[k]
+            k += 1
+        limit = i + 1
 
 
 def columns(t: Tableau) -> list[tuple[int, ...]]:
     if not t:
         return []
     return [tuple(row[k] for row in t if len(row) > k) for k in range(len(t[0]))]
-
-
-def from_columns(cols) -> Tableau:
-    if not cols:
-        return ()
-    return tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(len(cols[0])))
 
 
 READ_COL = "col"

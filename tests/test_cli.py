@@ -137,6 +137,43 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
+def test_insert_deep_search_tree_exits_0_and_round_trips():
+    # equal letters all descend left: a chain deeper than the recursion limit
+    base = ["insert", "--structure", "sylvester-left", "--n", "1"]
+    proc = run_cli(*base, "--word", " ".join(["1"] * 1500))
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert proc.stdout == "(1 " * 1500 + "·" + " ·)" * 1500 + "\n"
+    again = run_cli(*base, "--datum", proc.stdout.rstrip("\n"), "--word", "")
+    assert again.returncode == 0 and "Traceback" not in again.stderr
+    assert again.stdout == proc.stdout
+
+
+def _main_in_process(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+
+def test_shared_parser_carries_no_state_between_calls():
+    # one process parses every argv with the same parser object; each call
+    # must behave as the first call of a fresh process
+    sequence = [
+        ["insert", "--structure", "young-left", "--n", "4", "--datum", "1 2;3",
+         "--word", "4 1 2"],
+        ["check", "path-bounds", "--n", "3"],
+        ["check", "axioms", "--structure", "young-right", "--n", "0"],
+        ["insert", "--structure", "young-left", "--word", "3 1 2 2"],
+    ]
+    in_process = [_main_in_process(argv) for argv in sequence]
+    fresh = [(proc.returncode, proc.stdout) for proc in (run_cli(*argv) for argv in sequence)]
+    assert in_process == fresh
+    assert [code for code, _ in in_process] == [0, 1, 2, 0]
+
+
 @pytest.mark.parametrize("argv", [
     ["--structure", "young-right", "--word", "1 x"],
     ["--structure", "sylvester-left", "--datum", "(", "--word", "1"],

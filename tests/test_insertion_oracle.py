@@ -1,0 +1,296 @@
+"""Test-only oracle for the one-letter insertions and the search-tree helpers.
+
+The insertions as they were before they learned to copy only what they
+change (column bumping through a transpose of the whole tableau, patience
+and quasi-ribbon insertion through lists of every row, recursive tree
+code), copied verbatim, are compared letter by letter with the ones in
+`sdskit`: exhaustively on every word of length <= 6 over n <= 3 letters,
+and on random words of up to 300 letters over n <= 9, which are long
+enough to hold the long runs of equal entries that column bumping jumps.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sdskit import extra, young
+
+# --- the functions before the change, verbatim ---------------------------------
+
+
+def schensted_right(t, x: int):
+    """Row bumping: x enters the top row, bumped entries cascade downwards."""
+    rows = [list(r) for r in t]
+    cur = x
+    for row in rows:
+        if cur >= row[-1]:
+            row.append(cur)
+            return tuple(tuple(r) for r in rows)
+        k = bisect_right(row, cur)
+        cur, row[k] = row[k], cur
+    rows.append([cur])
+    return tuple(tuple(r) for r in rows)
+
+
+def schensted_left(x: int, t):
+    """Column bumping: x enters the leftmost column, bumps cascade rightwards."""
+    cols = [list(c) for c in columns(t)]
+    cur = x
+    for col in cols:
+        if cur > col[-1]:
+            col.append(cur)
+            return from_columns(cols)
+        k = bisect_left(col, cur)
+        cur, col[k] = col[k], cur
+    cols.append([cur])
+    return from_columns(cols)
+
+
+def columns(t) -> list[tuple[int, ...]]:
+    if not t:
+        return []
+    return [tuple(row[k] for row in t if len(row) > k) for k in range(len(t[0]))]
+
+
+def from_columns(cols):
+    if not cols:
+        return ()
+    return tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(len(cols[0])))
+
+
+def _ribbon_sequence(t) -> list[int]:
+    return [x for row in t for x in row]
+
+
+def hypoplactic_insert(t, x: int, side: str = "right"):
+    """Split the ribbon at the pivot entry and attach the loose part around x.
+
+    Right insertion places x after the last entry <= x, with everything
+    beyond hanging below; left insertion places x before the first entry
+    >= x, with everything before hanging above.
+    """
+    rows = [list(r) for r in t]
+    seq = _ribbon_sequence(t)
+    if side == "right":
+        k = bisect_right(seq, x)
+        if k == 0:
+            return ((x,),) + t
+        i, j = _locate(rows, k - 1)
+        head = rows[:i] + [rows[i][:j + 1] + [x]]
+        rest = rows[i][j + 1:]
+        tail = ([rest] if rest else []) + rows[i + 1:]
+        return tuple(tuple(r) for r in head + tail)
+    if side == "left":
+        k = bisect_left(seq, x)
+        if k == len(seq):
+            return t + ((x,),)
+        i, j = _locate(rows, k)
+        head = rows[:i] + ([rows[i][:j]] if j else [])
+        tail = [[x] + rows[i][j:]] + rows[i + 1:]
+        return tuple(tuple(r) for r in head + tail)
+    raise ValueError(f"unknown side {side!r}")
+
+
+def _locate(rows, flat_index):
+    for i, row in enumerate(rows):
+        if flat_index < len(row):
+            return i, flat_index
+        flat_index -= len(row)
+    raise IndexError(flat_index)
+
+
+def sylvester_insert(x: int, t):
+    """Leaf insertion: strictly greater descends right, everything else left.
+
+    This branch choice keeps the search invariant and lets the reading
+    rebuild every reachable tree.
+    """
+    if t is None:
+        return (x, None, None)
+    root, left, right = t
+    if x > root:
+        return (root, left, sylvester_insert(x, right))
+    return (root, sylvester_insert(x, left), right)
+
+
+def is_search_tree(t) -> bool:
+    def between(t, lo, hi):
+        if t is None:
+            return True
+        root, left, right = t
+        if not (lo <= root <= hi):
+            return False
+        return between(left, lo, root) and between(right, root + 1, hi)
+    return between(t, float("-inf"), float("inf"))
+
+
+def tree_read(t) -> tuple[int, ...]:
+    """Right subtree, then left subtree, then the root."""
+    if t is None:
+        return ()
+    root, left, right = t
+    return tree_read(right) + tree_read(left) + (root,)
+
+
+def format_tree(t) -> str:
+    """Nested parenthesized form "(label left right)" with "·" for empty."""
+    if t is None:
+        return "·"
+    root, left, right = t
+    return f"({root} {format_tree(left)} {format_tree(right)})"
+
+
+def parse_tree(text: str):
+    """Inverse of `format_tree` ("." also marks an empty subtree); raises ValueError."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("unexpected end of tree")
+        pos += 1
+        return tokens[pos - 1]
+
+    def parse():
+        tok = take()
+        if tok in ("·", "."):
+            return None
+        if tok != "(":
+            raise ValueError(f"unexpected token {tok!r}")
+        root = int(take())
+        left = parse()
+        right = parse()
+        if take() != ")":
+            raise ValueError("expected ')'")
+        return (root, left, right)
+
+    tree = parse()
+    if pos != len(tokens):
+        raise ValueError("trailing input")
+    return tree
+
+
+def patience_insert(t, x: int, variant: str):
+    """Bump the leftmost too-large bottom entry, stacking its column on x."""
+    cols = [list(c) for c in t]
+    bottoms = [c[0] for c in cols]
+    if variant == extra.LPS:
+        k = bisect_right(bottoms, x)
+    elif variant == extra.RPS:
+        k = bisect_left(bottoms, x)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    if k == len(cols):
+        cols.append([x])
+    else:
+        cols[k] = [x] + cols[k]
+    return tuple(tuple(c) for c in cols)
+
+
+# --- comparisons -------------------------------------------------------------
+
+# name -> (empty datum, insertion under test, oracle), both as (datum, x) -> datum
+INSERTIONS = {
+    "young-right": ((), young.schensted_right, schensted_right),
+    "young-left": ((), lambda t, x: young.schensted_left(x, t),
+                   lambda t, x: schensted_left(x, t)),
+    "hypoplactic-right": ((), lambda t, x: extra.hypoplactic_insert(t, x, "right"),
+                          lambda t, x: hypoplactic_insert(t, x, "right")),
+    "hypoplactic-left": ((), lambda t, x: extra.hypoplactic_insert(t, x, "left"),
+                         lambda t, x: hypoplactic_insert(t, x, "left")),
+    "sylvester-left": (None, lambda t, x: extra.sylvester_insert(x, t),
+                       lambda t, x: sylvester_insert(x, t)),
+    "lps": ((), lambda t, x: extra.patience_insert(t, x, extra.LPS),
+            lambda t, x: patience_insert(t, x, extra.LPS)),
+    "rps": ((), lambda t, x: extra.patience_insert(t, x, extra.RPS),
+            lambda t, x: patience_insert(t, x, extra.RPS)),
+}
+
+
+def _same_tree_helpers(t):
+    assert extra.tree_read(t) == tree_read(t)
+    assert extra.is_search_tree(t) == is_search_tree(t)
+    text = extra.format_tree(t)
+    assert text == format_tree(t)
+    assert extra.parse_tree(text) == parse_tree(text) == t
+
+
+@pytest.mark.parametrize("name", sorted(INSERTIONS))
+def test_insertions_match_the_oracle_on_every_short_word(name):
+    empty, insert, oracle = INSERTIONS[name]
+    for n in (1, 2, 3):
+        # depth-first over the words of length <= 6: every prefix's datum is
+        # shared, so each (datum, letter) of the walk is compared once
+        stack = [(empty, 0)]
+        while stack:
+            d, length = stack.pop()
+            if name == "sylvester-left":
+                _same_tree_helpers(d)
+            if length == 6:
+                continue
+            for x in range(1, n + 1):
+                got = insert(d, x)
+                assert got == oracle(d, x), (name, d, x)
+                stack.append((got, length + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_insertions_match_the_oracle_on_long_words(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    length = data.draw(st.integers(0, 300), label="length")
+    word = data.draw(st.lists(st.integers(1, n), min_size=length, max_size=length),
+                     label="word")
+    for name, (empty, insert, oracle) in INSERTIONS.items():
+        d = empty
+        for x in word:
+            got = insert(d, x)
+            assert got == oracle(d, x), (name, d, x)
+            d = got
+        if name == "sylvester-left":
+            _same_tree_helpers(d)
+
+
+def _any_tree(labels):
+    # binary trees whose labels need not respect the search order
+    return st.recursive(st.none(), lambda sub: st.tuples(labels, sub, sub), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_tree(st.integers(1, 5)))
+def test_tree_helpers_match_the_oracle_on_any_tree(t):
+    _same_tree_helpers(t)
+    # every truncation of the text fails (or parses) the same way
+    text = extra.format_tree(t)
+    for cut in range(len(text)):
+        assert _parse_outcome(extra.parse_tree, text[:cut]) == _parse_outcome(parse_tree,
+                                                                              text[:cut])
+
+
+@pytest.mark.parametrize("text", ["", "(", "(1", "(x · ·)", "(1 · · ·)", "(1 · ·) ·",
+                                  ")", "(1 (2 · ·)", "· ·", "(1 · )", "(1 · · x"])
+def test_parse_tree_errors_match_the_oracle(text):
+    assert _parse_outcome(extra.parse_tree, text) == _parse_outcome(parse_tree, text)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "tree", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_tree_helpers_handle_a_chain_deeper_than_the_recursion_limit():
+    t = None
+    for _ in range(3000):
+        t = extra.sylvester_insert(1, t)
+    text = extra.format_tree(t)
+    assert text == "(1 " * 3000 + "·" + " ·)" * 3000
+    assert extra.tree_read(t) == (1,) * 3000
+    assert extra.is_search_tree(t)
+    # compare through the text: == on tuples this deep recurses in C
+    assert extra.format_tree(extra.parse_tree(text)) == text

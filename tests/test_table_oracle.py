@@ -11,6 +11,7 @@ that every verdict, witness and counter must agree.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any
 
@@ -295,3 +296,32 @@ def test_broken_pairs_match_the_oracle(monkeypatch):
         for max_len in range(5):
             probe = _same_commutation(right, left, 2, max_len, monkeypatch)
         assert probe["result"] == "counterexample"
+
+
+def _left_after_ties(t, x):
+    # left quasi-ribbon insertion that puts x after the entries equal to it,
+    # not before them: it differs from the real one only when x occurs in t
+    i = bisect_right(t, x, key=lambda row: row[-1])
+    if i == len(t):
+        return t + ((x,),)
+    row = t[i]
+    j = bisect_right(row, x)
+    return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
+
+
+def test_a_pair_failing_only_on_the_diagonal_is_reported(monkeypatch):
+    # the pair commutes for every x != y, so only the x = y diagonal of the
+    # commutation loop can see the fault
+    right = extra.hypoplactic_right(3)
+    left = StringDataStructure("ties-after-left", 3, (), _left_after_ties, extra.qr_read,
+                               RIGHT_TO_LEFT)
+    data, _ = first_noncommuting(right, left, 4)
+    assert all(left.insert_one(right.insert_one(d, x), y) ==
+               right.insert_one(left.insert_one(d, y), x)
+               for d in data.values() for x in range(1, 4) for y in range(1, 4) if x != y)
+    witness = {"datum": [], "x": 1, "y": 1}
+    result = sds.check_commutation(right, left, 4)
+    assert (result["result"], result["witness"]) == ("fail", witness)
+    probe = _same_commutation(right, left, 3, 4, monkeypatch)
+    assert probe["result"] == "counterexample"
+    assert {key: probe["witness"][key] for key in witness} == witness
