@@ -22,6 +22,7 @@ from .rewriting import (
     Alphabet,
     RewritingSystem,
     Word,
+    critical_branchings,
     normalize,
 )
 from .sds import (
@@ -32,6 +33,7 @@ from .sds import (
     Presentation,
     StringDataStructure,
     build_srs,
+    report,
 )
 
 Staircase = tuple[tuple[int, ...], ...]
@@ -413,65 +415,61 @@ def verify_rule_shape(n: int) -> dict:
         rhs = _rule_gens(gens, rule.rhs)
         head = lhs[0][0]
         if rhs[-1][0] != head:
-            return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                    "witness": {"rule": [gen_label(g) for g in lhs]}}
+            return report("rule-shape", None, {"n": n}, "fail",
+                          witness={"rule": [gen_label(g) for g in lhs]})
         padded_rhs = ((0, 0),) * (2 - len(rhs)) + rhs
         lhs_indices = sorted(lhs[0][1:] + lhs[1])
         rhs_indices = sorted(padded_rhs[0] + padded_rhs[1][1:])
         if lhs_indices != sorted(rhs_indices):
-            return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                    "witness": {"rule": [gen_label(g) for g in lhs],
-                                "reason": "index multiset"}}
+            return report("rule-shape", None, {"n": n}, "fail",
+                          witness={"rule": [gen_label(g) for g in lhs],
+                                   "reason": "index multiset"})
         if len(rhs) == 2 and rhs[0][0] == head:
             if (lhs, rhs) in commutation:
                 counts["commutation"] += 1
             elif (lhs, rhs) in square:
                 counts["square"] += 1
             else:
-                return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                        "witness": {"rule": [gen_label(g) for g in lhs],
-                                    "reason": "unclassified head-led rule"}}
-    return {"check": "rule-shape", "params": {"n": n}, "result": "pass",
-            "rule_count": len(pres.system.rules), "family_counts": counts}
+                return report("rule-shape", None, {"n": n}, "fail",
+                              witness={"rule": [gen_label(g) for g in lhs],
+                                       "reason": "unclassified head-led rule"})
+    return report("rule-shape", None, {"n": n}, "pass",
+                  rule_count=len(pres.system.rules), family_counts=counts)
 
 
-def verify_path_bounds(n: int) -> dict:
+def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     """Reduction-length bounds on critical triples of the completed system.
 
     Two sub-checks over every word c.c'.c'' whose two overlapping pairs are
     reducible: (a) the leftmost and rightmost paths finish within five
     steps; (b) steps four and five of a leftmost path longer than three use
-    only commutation rules.  The report carries both outcomes separately;
-    (b) does not hold in general (see the witness list), so the overall
-    result reflects (a) and (b) independently.  It also fails when a path
-    hit the normalization budget; `budget_hits` then counts those paths.
+    only commutation rules.  The system has one rule per length-2 lhs, so
+    these words are the sources of its critical branchings, one branching
+    each.  The report carries both outcomes separately; (b) does not hold
+    in general (see the witness list), so the overall result reflects (a)
+    and (b) independently.  Paths stop after `budget` steps (the
+    normalization default when None); the result also fails when a path
+    hit that budget, and `budget_hits` then counts those paths.
     """
-    pres = completed_presentation(n)
-    system = pres.system
+    system = completed_presentation(n).system
     gens = qn_generators(n)
-    reducible = {r.lhs for r in system.rules}
     commutation = commutation_rule_pairs(n)
     comm_ids = {r.rule_id for r in system.rules
                 if (_rule_gens(gens, r.lhs), _rule_gens(gens, r.rhs))
                 in commutation}
     max_left = max_right = 0
     max_right_square = 0
-    triples = 0
     bound_witness = None
     late_witnesses = []
     budget_hits = 0
-    k = len(gens)
-    for u, v, t in itertools.product(range(k), repeat=3):
-        if (u, v) not in reducible or (v, t) not in reducible:
-            continue
-        triples += 1
-        word = (u, v, t)
-        left = normalize(system, word, LEFTMOST)
-        right = normalize(system, word, RIGHTMOST)
+    triples = [b.source for b in critical_branchings(system)]
+    for word in triples:
+        left = normalize(system, word, LEFTMOST, budget)
+        right = normalize(system, word, RIGHTMOST, budget)
         budget_hits += (not left.reached_normal_form) + (not right.reached_normal_form)
         ll, lr = len(left.path.steps), len(right.path.steps)
         max_left, max_right = max(max_left, ll), max(max_right, lr)
-        if gens[u][0] == gens[u][1]:
+        if gens[word[0]][0] == gens[word[0]][1]:
             max_right_square = max(max_right_square, lr)
         if (ll > 5 or lr > 5) and bound_witness is None:
             bound_witness = {"triple": [gen_label(gens[i]) for i in word],
@@ -487,21 +485,16 @@ def verify_path_bounds(n: int) -> dict:
             })
     bounds_ok = bound_witness is None
     late_ok = not late_witnesses
-    report = {"check": "path-bounds", "params": {"n": n},
-              "result": "pass" if bounds_ok and late_ok and not budget_hits else "fail",
-              "length_bounds": "pass" if bounds_ok else "fail",
-              "late_steps_commutation": "pass" if late_ok else "fail",
-              "triples": triples, "max_left": max_left, "max_right": max_right,
-              "max_right_square_led": max_right_square}
-    if bound_witness is not None:
-        report["witness"] = bound_witness
-    if late_witnesses:
-        report["late_step_witnesses"] = late_witnesses[:5]
-        report["late_step_violations"] = len(late_witnesses)
-    if budget_hits:
-        # a truncated path reads as a short one
-        report["budget_hits"] = budget_hits
-    return report
+    # a truncated path reads as a short one, so budget hits fail the check
+    return report("path-bounds", None, {"n": n},
+                  "pass" if bounds_ok and late_ok and not budget_hits else "fail",
+                  length_bounds="pass" if bounds_ok else "fail",
+                  late_steps_commutation="pass" if late_ok else "fail",
+                  triples=len(triples), max_left=max_left, max_right=max_right,
+                  max_right_square_led=max_right_square, witness=bound_witness,
+                  late_step_witnesses=late_witnesses[:5] or None,
+                  late_step_violations=len(late_witnesses) or None,
+                  budget_hits=budget_hits or None)
 
 
 def staircase_to_json(t: Staircase) -> dict:

@@ -13,7 +13,7 @@ import json
 import sys
 from functools import cache
 
-from . import chinese, coherence, extra, registry
+from . import coherence, registry
 from .rewriting import check_local_confluence, system_to_json, termination_certificate
 from .sds import (
     check_associativity,
@@ -99,11 +99,11 @@ CHECKS = {
         check_compatibility(*_with_congruence(name, n, L), L),
     "confluence": _confluence,
     "termination": _termination,
-    "path-bounds": lambda name, n, L, budget: chinese.verify_path_bounds(n),
+    "path-bounds": lambda name, n, L, budget:
+        registry.lookup(registry.PATH_BOUNDS, name, "path bounds")(n, budget),
     "cell-shapes": lambda name, n, L, budget:
         registry.lookup(registry.CELLS, name, "cell shapes").verify_shapes(n, budget),
-    "probe": lambda name, n, L, budget: extra.commutation_probe(
-        *registry.lookup(registry.PROBE_PAIRS, name, "probe pair")(n), n, L),
+    "probe": lambda name, n, L, budget: registry.probe(name, n, L),
 }
 
 
@@ -167,14 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--structure", default="chinese")
     p_check.add_argument("--n", type=_at_least(1), required=True)
     p_check.add_argument("--max-len", type=_at_least(0), default=5)
-    p_check.add_argument("--budget", type=int, default=None)
+    p_check.add_argument("--budget", type=_at_least(0), default=None)
     p_check.set_defaults(fn=cmd_check)
 
     p_cells = sub.add_parser("cells", parents=[output], help="export coherence cells")
     p_cells.add_argument("--structure", required=True)
     p_cells.add_argument("--n", type=_at_least(1), required=True)
     p_cells.add_argument("--kind", choices=("squier", "strategy"), default="squier")
-    p_cells.add_argument("--budget", type=int, default=None)
+    p_cells.add_argument("--budget", type=_at_least(0), default=None)
     p_cells.set_defaults(fn=cmd_cells)
 
     return parser

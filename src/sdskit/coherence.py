@@ -20,7 +20,7 @@ from .rewriting import (
     RewritePath,
     RewritingSystem,
     Word,
-    apply_step,
+    branching_legs,
     critical_branchings,
     normalize,
 )
@@ -46,18 +46,12 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
     followed by leftmost normalization.  The system must be convergent."""
     cells = []
     for branching in critical_branchings(system):
-        legs = []
-        for step in (branching.left, branching.right):
-            after = apply_step(system, branching.source, step)
-            res = normalize(system, after, LEFTMOST, budget)
-            if not res.reached_normal_form:
-                raise ValueError(f"budget exhausted on branching {branching.source}")
-            legs.append(RewritePath(branching.source, (step,) + res.path.steps,
-                                    res.target))
-        left, right = legs
+        left, right = branching_legs(system, branching, budget)
+        if not (left.reached_normal_form and right.reached_normal_form):
+            raise ValueError(f"budget exhausted on branching {branching.source}")
         if left.target != right.target:
             raise ValueError(f"non-confluent branching {branching.source}")
-        cells.append(ThreeCell(branching.source, left, right, branching))
+        cells.append(ThreeCell(branching.source, left.path, right.path, branching))
     return cells
 
 

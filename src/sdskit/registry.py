@@ -175,6 +175,18 @@ CELLS: dict[str, CellFamily] = {
 }
 
 
+# the reduction-path bound verifier of a presentation, (n, budget) -> report
+PATH_BOUNDS: dict[str, Callable[[int, int | None], dict]] = {
+    "chinese-completed": lambda n, budget: chinese.verify_path_bounds(n, budget),
+}
+
+
+def probe(name: str, n: int, max_len: int) -> dict:
+    """The commutation probe of the family `name`'s right and left insertions."""
+    right, left = lookup(PROBE_PAIRS, name, "probe pair")(n)
+    return extra.commutation_probe(right, left, n, max_len)
+
+
 def lookup(table: dict, name: str, what: str):
     """The entry of `table` for `name`, or for the presentation the family
     `name` stands for; KeyError naming `what` if neither is registered."""

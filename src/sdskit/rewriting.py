@@ -21,9 +21,6 @@ Word = tuple[int, ...]
 LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 
-ASPHERICAL = "aspherical"
-PEIFFER = "peiffer"
-OVERLAPPING = "overlapping"
 CRITICAL = "critical"
 
 
@@ -223,20 +220,6 @@ def normalize(system: RewritingSystem, word: Word, strategy: str = LEFTMOST,
     return NormalizeResult(RewritePath(word, tuple(steps), current), reached)
 
 
-def classify_branching(source: Word, system: RewritingSystem,
-                       left: RewriteStep, right: RewriteStep) -> str:
-    """Classify a local branching (two one-step reductions of one word)."""
-    if left == right:
-        return ASPHERICAL
-    l_span = (left.position, left.position + len(system.rule(left.rule_id).lhs))
-    r_span = (right.position, right.position + len(system.rule(right.rule_id).lhs))
-    if l_span[1] <= r_span[0] or r_span[1] <= l_span[0]:
-        return PEIFFER
-    if min(l_span[0], r_span[0]) == 0 and max(l_span[1], r_span[1]) == len(source):
-        return CRITICAL
-    return OVERLAPPING
-
-
 def critical_branchings(system: RewritingSystem) -> list[Branching]:
     """All critical branchings up to symmetry.
 
@@ -250,7 +233,7 @@ def critical_branchings(system: RewritingSystem) -> list[Branching]:
         for k in range(1, min(len(l1), len(l2))):
             if l1[len(l1) - k:] == l2[:k]:
                 source = l1 + l2[k:]
-                _record(found, system, source,
+                _record(found, source,
                         RewriteStep(r1.rule_id, 0),
                         RewriteStep(r2.rule_id, len(l1) - k))
         # inclusion: l2 occurs inside l1
@@ -259,7 +242,7 @@ def critical_branchings(system: RewritingSystem) -> list[Branching]:
                 if l1[p:p + len(l2)] == l2:
                     if r1.rule_id == r2.rule_id and p == 0 and len(l1) == len(l2):
                         continue
-                    _record(found, system, l1,
+                    _record(found, l1,
                             RewriteStep(r1.rule_id, 0),
                             RewriteStep(r2.rule_id, p))
     order = sorted(found.values(), key=lambda b: (b.source, b.left.position,
@@ -268,15 +251,25 @@ def critical_branchings(system: RewritingSystem) -> list[Branching]:
     return order
 
 
-def _record(found, system, source, a: RewriteStep, b: RewriteStep):
+def _record(found, source, a: RewriteStep, b: RewriteStep):
+    # both callers pass two distinct steps that together span the source,
+    # so the branching is critical
     if (a.position, a.rule_id) > (b.position, b.rule_id):
         a, b = b, a
-    if a == b:
-        return
-    kind = classify_branching(source, system, a, b)
-    if kind != CRITICAL:
-        return
-    found[(source, a, b)] = Branching(source, a, b, kind)
+    found[(source, a, b)] = Branching(source, a, b, CRITICAL)
+
+
+def branching_legs(system: RewritingSystem, branching: Branching,
+                   budget: int | None = None) -> tuple[NormalizeResult, NormalizeResult]:
+    """The left and right legs of a branching: its step, then leftmost
+    normalization within `budget` steps.  Each leg's path starts at the
+    branching's source."""
+    legs = []
+    for step in (branching.left, branching.right):
+        rest = normalize(system, apply_step(system, branching.source, step), LEFTMOST, budget)
+        path = RewritePath(branching.source, (step,) + rest.path.steps, rest.target)
+        legs.append(NormalizeResult(path, rest.reached_normal_form))
+    return legs[0], legs[1]
 
 
 @dataclass(frozen=True)
@@ -305,10 +298,7 @@ def check_local_confluence(system: RewritingSystem, budget: int | None = None) -
     """Normalize both legs of every critical branching and compare targets."""
     checks = []
     for branching in critical_branchings(system):
-        left = normalize(system, apply_step(system, branching.source, branching.left),
-                         LEFTMOST, budget)
-        right = normalize(system, apply_step(system, branching.source, branching.right),
-                          LEFTMOST, budget)
+        left, right = branching_legs(system, branching, budget)
         complete = left.reached_normal_form and right.reached_normal_form
         checks.append(BranchingCheck(
             branching, left.target, right.target,
@@ -441,10 +431,7 @@ def knuth_bendix_pass(system: RewritingSystem, order_less: Callable[[Word, Word]
         changed = False
         cur = current_system()
         for branching in branchings:
-            left = normalize(cur, apply_step(cur, branching.source, branching.left),
-                             LEFTMOST, budget)
-            right = normalize(cur, apply_step(cur, branching.source, branching.right),
-                              LEFTMOST, budget)
+            left, right = branching_legs(cur, branching, budget)
             if not (left.reached_normal_form and right.reached_normal_form):
                 exhausted = True
                 continue
@@ -492,17 +479,12 @@ class SystemFlags:
 
 
 def classify(system: RewritingSystem) -> SystemFlags:
-    """Shape flags: semi-quadratic, quadratic, and reduced."""
+    """Shape flags: semi-quadratic, quadratic, and reduced (each lhs is
+    reducible by its own rule only, each rhs is a normal form)."""
     semi = all(len(r.lhs) == 2 and len(r.rhs) <= 2 for r in system.rules)
     quad = all(len(r.lhs) == 2 and len(r.rhs) == 2 for r in system.rules)
-    reduced = True
-    for rule in system.rules:
-        others = RewritingSystem.from_pairs(
-            system.alphabet,
-            [(r.lhs, r.rhs) for r in system.rules if r.rule_id != rule.rule_id])
-        if not is_normal_form(others, rule.lhs) or not is_normal_form(system, rule.rhs):
-            reduced = False
-            break
+    reduced = all(enumerate_steps(system, r.lhs) == [RewriteStep(r.rule_id, 0)]
+                  and is_normal_form(system, r.rhs) for r in system.rules)
     return SystemFlags(semi, quad, reduced)
 
 

@@ -236,10 +236,11 @@ def _search(table: Table, structure: StringDataStructure, max_len: int) -> Reach
 
 def report(check: str, structure, params: dict, result: str, **extra) -> dict:
     """A verifier's report: check, structure, bounds and verdict, then the
-    extra fields in order, leaving out those given as None."""
-    rep = {"check": check, "structure": structure, "params": params, "result": result}
-    rep.update((key, value) for key, value in extra.items() if value is not None)
-    return rep
+    extra fields in order, leaving out the structure and the extra fields
+    given as None."""
+    fields = {"check": check, "structure": structure, "params": params, "result": result,
+              **extra}
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def check_axioms(structure: StringDataStructure, max_len: int) -> dict:

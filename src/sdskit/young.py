@@ -30,6 +30,7 @@ from .sds import (
     StringDataStructure,
     build_srs,
     datum_label,
+    report,
 )
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -254,11 +255,10 @@ def verify_knuth_decomposition(n: int) -> dict:
         a = normalize(system, embed(lhs), LEFTMOST)
         b = normalize(system, embed(rhs), LEFTMOST)
         if not (a.reached_normal_form and b.reached_normal_form) or a.target != b.target:
-            return {"check": "knuth-decomposition", "params": {"n": n}, "result": "fail",
-                    "witness": {"lhs": list(lhs), "rhs": list(rhs)}}
+            return report("knuth-decomposition", None, {"n": n}, "fail",
+                          witness={"lhs": list(lhs), "rhs": list(rhs)})
         checked += 1
-    return {"check": "knuth-decomposition", "params": {"n": n}, "result": "pass",
-            "instances": checked}
+    return report("knuth-decomposition", None, {"n": n}, "pass", instances=checked)
 
 
 def column_complement(col: Tableau, n: int) -> Tableau:

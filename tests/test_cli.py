@@ -98,6 +98,21 @@ def test_check_path_bounds_reports_failure_exit_one(capsys):
     assert payload["late_steps_commutation"] == "fail"
 
 
+@pytest.mark.parametrize("name", ["bogus", "column", "young-right"])
+def test_check_path_bounds_unregistered_name_exits_2(name):
+    proc = run_cli("check", "path-bounds", "--structure", name, "--n", "3")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_check_path_bounds_honours_budget(capsys):
+    # one step per path cannot normalize a reducible triple
+    assert main(["check", "path-bounds", "--n", "3", "--budget", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "fail"
+    assert 0 < payload["budget_hits"] <= 2 * payload["triples"]
+
+
 def test_check_probe_always_exit_zero(capsys):
     assert main(["check", "probe", "--structure", "hypoplactic",
                  "--n", "3", "--max-len", "3"]) == 0
@@ -200,6 +215,12 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     ["cells", "--structure", "young", "--n", "0"],
     ["build", "knuth", "--n", "0"],
     ["insert", "--structure", "young-right", "--n", "-1", "--word", ""],
+    # a negative budget is refused even where no normalization would run
+    ["check", "axioms", "--structure", "young-right", "--n", "2", "--max-len", "3",
+     "--budget", "-5"],
+    ["check", "path-bounds", "--n", "2", "--budget", "-5"],
+    ["check", "confluence", "--structure", "column", "--n", "2", "--budget", "-5"],
+    ["cells", "--structure", "young", "--n", "2", "--budget", "-1"],
 ])
 def test_degenerate_bounds_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -231,6 +252,10 @@ GOLDEN = [
      "39047647666dc206be0e2babf54babe6c1ad336c196b8809afb0d8b9da64f805"),
     ("check path-bounds --n 3", 1,
      "f0c6c74750907bc34c215a3af5e584d22b2a569f2a933099ef92b8aedd596af5"),
+    ("check path-bounds --structure chinese-completed --n 3", 1,
+     "f0c6c74750907bc34c215a3af5e584d22b2a569f2a933099ef92b8aedd596af5"),
+    ("check path-bounds --structure chinese --n 4", 1,
+     "67633c18d098a6bf3401c5353455e005578d4ccf3aaa9685a7d6bda42174096f"),
     ("check cell-shapes --structure chinese --n 3", 0,
      "eb808e7f7f4620da3b961ec988c68b08e7acd9fd01e499d34551842465938444"),
     ("check probe --structure sylvester --n 3 --max-len 4", 0,
