@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -73,7 +74,9 @@ def _confluence(name: str, n: int, L: int, budget) -> dict:
         witness = {"source": list(bad.branching.source), "left": list(bad.left_target),
                    "right": list(bad.right_target)}
     return report("confluence", name, {"n": n}, "pass" if result.confluent else "fail",
-                  branchings=len(result.checks), witness=witness)
+                  branchings=len(result.checks),
+                  budget_hits=sum(c.budget_exhausted for c in result.checks) or None,
+                  witness=witness)
 
 
 def _termination(name: str, n: int, L: int, budget) -> dict:
@@ -183,7 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull so
+        # that the flush at exit does not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except coherence.BudgetExhausted as exc:     # a truncated run, not bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

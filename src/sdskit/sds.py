@@ -22,6 +22,7 @@ from .rewriting import (
     RewritingSystem,
     Word,
     congruence_classes,
+    is_normal_form,
 )
 
 LEFT_TO_RIGHT = "left_to_right"
@@ -416,12 +417,37 @@ class GeneratingSet:
 
     `decompose` must return the canonical factorization of a datum whose
     adjacent products leave the generating set and whose readings
-    concatenate to the datum's reading.
+    concatenate to the datum's reading.  Generators are indexed by their
+    readings (`index`), words over the generators are tuples of those ids,
+    and `word`/`product` translate between data and such words.
     """
 
     structure: StringDataStructure
     generators: tuple[Datum, ...]
     decompose: Callable[[Datum], tuple[Datum, ...]]
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Reading -> generator id."""
+        read = self.structure.read
+        return {read(c): i for i, c in enumerate(self.generators)}
+
+    def word(self, d: Datum) -> tuple[int, ...] | None:
+        """The generator ids of d's canonical factorization; None if a factor
+        is not a generator."""
+        index, read = self.index, self.structure.read
+        word = tuple(index.get(read(f)) for f in self.decompose(d))
+        return None if None in word else word
+
+    def product(self, word: tuple[int, ...]) -> Datum:
+        """The product of a nonempty generator word, folded from its first
+        generator.  Products generally leave every bounded table, so this is
+        a plain fold of the structure's product."""
+        gens = self.generators
+        d = gens[word[0]]
+        for i in word[1:]:
+            d = self.structure.star(d, gens[i])
+        return d
 
 
 def datum_label(structure: StringDataStructure, d: Datum) -> str:
@@ -456,65 +482,61 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int | None = 
     readings:   rules R(d)R(d') -> R(d star d') over the letter alphabet
     generating: rules c.c' -> decomposition of c star c' over a generating set
     The first three are bounded truncations of infinite systems; the bound
-    is the word length feeding the reachable set.
+    is the word length feeding the reachable set.  A generating presentation
+    is complete without a bound; with one, it keeps the pairs whose readings
+    have at most `bound` letters in all.
     """
     if mode == GENERATING:
         if generating is None:
             raise ValueError("generating mode needs a generating set")
-        return _build_generating(structure, generating)
+        return _build_generating(generating, bound)
     if bound is None:
         raise ValueError(f"{mode} mode needs a bound")
+    if mode not in (FULL, MINIMAL, READINGS):
+        raise ValueError(f"unknown mode {mode!r}")
     reach = reachable_set(structure, bound)
-    data = [d for d in reach.data if structure.read(d)]  # the unit is not a generator
-    keys = {structure.read(d): i for i, d in enumerate(data)}
-    labels = tuple(datum_label(structure, d) for d in data)
-    alphabet = Alphabet(labels)
-    pairs = []
-    if mode == FULL:
-        for i, d in enumerate(data):
-            for j, e in enumerate(data):
-                key = structure.read(structure.star(d, e))
-                if key in keys:
-                    pairs.append(((i, j), (keys[key],)))
-    elif mode == MINIMAL:
-        for i, d in enumerate(data):
-            for x in range(1, structure.n + 1):
-                key = structure.read(structure.star(d, structure.iota(x)))
-                if key in keys:
-                    pairs.append(((i, keys[(x,)]), (keys[key],)))
-    elif mode == READINGS:
+    row = reach.table.row(structure)
+    keys = {key: k for k, key in enumerate(k for k in reach.index if k)}  # no unit
+    if mode == MINIMAL:     # the right factor is a single letter
+        rights = [((x,), row.state(structure.iota(x))) for x in range(1, structure.n + 1)]
+    else:
+        rights = [(key, reach.index[key]) for key in keys]
+    pairs, seen = [], set()
+    for left in keys:
+        s = reach.index[left]
+        for right, t in rights:
+            key = row.read(row.walk(s, row.read(t)))
+            if mode == READINGS:
+                if left + right != key:
+                    seen.add((left + right, key))
+            elif key in keys:
+                pairs.append(((keys[left], keys[right]), (keys[key],)))
+    if mode == READINGS:
         letter_alphabet = Alphabet(tuple(str(x) for x in range(1, structure.n + 1)))
-        seen = set()
-        for d in data:
-            for e in data:
-                lhs = structure.read(d) + structure.read(e)
-                rhs = structure.read(structure.star(d, e))
-                if lhs != rhs and (lhs, rhs) not in seen:
-                    seen.add((lhs, rhs))
         pairs = sorted((_letters_to_indices(l), _letters_to_indices(r)) for l, r in seen)
         return Presentation(RewritingSystem.from_pairs(letter_alphabet, pairs), None)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), tuple(data))
+    data = tuple(reach.table.data[reach.index[key]] for key in keys)
+    alphabet = Alphabet(tuple(datum_label(structure, d) for d in data))
+    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), data)
 
 
-def _build_generating(structure: StringDataStructure, gen: GeneratingSet,
-                      strict: bool = True) -> Presentation:
-    index = {structure.read(c): i for i, c in enumerate(gen.generators)}
-    labels = tuple(datum_label(structure, c) for c in gen.generators)
-    alphabet = Alphabet(labels)
+def _build_generating(gen: GeneratingSet, bound: int | None) -> Presentation:
+    # a product that leaves the set raises, unless a bound truncates the set
+    read = gen.structure.read
+    sizes = [len(read(c)) for c in gen.generators]
     pairs = []
-    for i, c in enumerate(gen.generators):
-        for j, e in enumerate(gen.generators):
-            product = structure.star(c, e)
-            factors = gen.decompose(product)
-            if any(structure.read(f) not in index for f in factors):
-                if strict:
+    for i, a in enumerate(sizes):
+        for j, b in enumerate(sizes):
+            if bound is not None and a + b > bound:
+                continue
+            rhs = gen.word(gen.product((i, j)))
+            if rhs is None:
+                if bound is None:
                     raise ValueError(f"product of generators {i},{j} leaves the set")
-                continue  # truncated generating set; skip the out-of-range product
-            rhs = tuple(index[structure.read(f)] for f in factors)
+                continue
             if (i, j) != rhs:
                 pairs.append(((i, j), rhs))
+    alphabet = Alphabet(tuple(datum_label(gen.structure, c) for c in gen.generators))
     return Presentation(RewritingSystem.from_pairs(alphabet, pairs), tuple(gen.generators))
 
 
@@ -534,66 +556,56 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
     """
     params = {"n": structure.n, "max_len": max_len}
     name = structure.name
-    gen_reads = {structure.read(c) for c in gen.generators}
-    by_read = {structure.read(c): c for c in gen.generators}
+    index = gen.index
     for x in range(1, structure.n + 1):
-        if structure.read(structure.iota(x)) not in gen_reads:
+        if structure.read(structure.iota(x)) not in index:
             return report("generating-set", name, params, "fail",
                           witness={"condition": "letters", "letter": x})
-    induced = _build_generating(structure, gen, strict=False)
-    gen_index = {structure.read(c): i for i, c in enumerate(gen.generators)}
-    from .rewriting import is_normal_form
     reach = reachable_set(structure, max_len)
+    # a rule longer than every reading matches no factorization checked here
+    induced = _build_generating(gen, max(map(len, reach.index))).system
+    row = reach.table.row(structure)
+    empty = row.state(structure.empty)
+    states = [row.state(c) for c in gen.generators]
+    reads = [row.read(s) for s in states]
+
+    def valid(word: tuple[int, ...], d: int) -> bool:
+        # the generators multiply to datum d, and no adjacent two multiply to a generator
+        s = empty
+        for i in word:
+            s = row.walk(s, reads[i])
+        return s == d and all(row.read(row.walk(states[a], reads[b])) not in index
+                              for a, b in zip(word, word[1:]))
+
     max_valid = 1
-    for key in sorted(reach.by_read):
-        d = reach.by_read[key]
-        dec = gen.decompose(d)
-        if not _valid_decomposition(structure, gen_reads, d, dec):
+    for key in sorted(reach.index):
+        d = reach.index[key]
+        dec = gen.word(row.data[d])
+        if dec is None or sum((reads[i] for i in dec), ()) != key or not valid(dec, d):
             return report("generating-set", name, params, "fail",
                           witness={"condition": "decomposition", "reading": list(key)})
-        factorizations = _valid_factorizations(structure, by_read, d, key, gen_reads)
+        factorizations = [w for w in _factorizations(key, index) if valid(w, d)]
         max_valid = max(max_valid, len(factorizations))
-        normal = [f for f in factorizations
-                  if is_normal_form(induced.system,
-                                    tuple(gen_index[structure.read(c)] for c in f))]
+        normal = [w for w in factorizations if is_normal_form(induced, w)]
         if len(normal) != 1 or normal[0] != dec:
             return report("generating-set", name, params, "fail",
                           witness={"condition": "uniqueness", "reading": list(key),
                                    "valid": len(factorizations),
                                    "normal": len(normal)})
     return report("generating-set", name, params, "pass",
-                  data_count=len(reach.by_read), max_valid_factorizations=max_valid)
+                  data_count=len(reach.index), max_valid_factorizations=max_valid)
 
 
-def _valid_decomposition(structure, gen_reads, d, dec) -> bool:
-    if any(structure.read(c) not in gen_reads for c in dec):
-        return False
-    reading = ()
-    product = structure.empty
-    for c in dec:
-        reading += structure.read(c)
-        product = structure.star(product, c)
-    if reading != structure.read(d) or product != d:
-        return False
-    for a, b in zip(dec, dec[1:]):
-        if structure.read(structure.star(a, b)) in gen_reads:
-            return False
-    return True
-
-
-def _valid_factorizations(structure, by_read, d, key, gen_reads) -> list[tuple]:
-    # factorizations of the reading over generator readings, filtered by
-    # the adjacent-product and total-product conditions
+def _factorizations(key: tuple[int, ...], index: dict) -> list[tuple[int, ...]]:
+    """Every cut of the reading `key` into generator readings, as generator ids."""
     out = []
-    stack: list[tuple[int, tuple]] = [(0, ())]
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     while stack:
-        pos, factors = stack.pop()
+        pos, word = stack.pop()
         if pos == len(key):
-            dec = tuple(by_read[r] for r in factors)
-            if _valid_decomposition(structure, gen_reads, d, dec):
-                out.append(dec)
+            out.append(word)
             continue
-        for r in by_read:
+        for r, i in index.items():
             if key[pos:pos + len(r)] == r:
-                stack.append((pos + len(r), factors + (r,)))
+                stack.append((pos + len(r), word + (i,)))
     return out

@@ -29,7 +29,6 @@ from .sds import (
     Presentation,
     StringDataStructure,
     build_srs,
-    datum_label,
     report,
 )
 
@@ -212,20 +211,7 @@ def row_presentation(n: int, max_len: int) -> Presentation:
     """Bounded slice of the (infinite) row presentation: only products that
     stay within the row-length bound contribute rules."""
     gen = row_generating_set(n, max_len)
-    structure = gen.structure
-    index = {structure.read(c): i for i, c in enumerate(gen.generators)}
-    labels = tuple(datum_label(structure, c) for c in gen.generators)
-    pairs = []
-    for i, c in enumerate(gen.generators):
-        for j, e in enumerate(gen.generators):
-            if len(c[0]) + len(e[0]) > max_len:
-                continue
-            product = structure.star(c, e)
-            rhs = tuple(index[structure.read(f)] for f in gen.decompose(product))
-            if (i, j) != rhs:
-                pairs.append(((i, j), rhs))
-    return Presentation(RewritingSystem.from_pairs(Alphabet(labels), pairs),
-                        tuple(gen.generators))
+    return build_srs(gen.structure, GENERATING, bound=max_len, generating=gen)
 
 
 def column_length_less(pres: Presentation):
@@ -243,9 +229,8 @@ def verify_knuth_decomposition(n: int) -> dict:
     Embeds each relation instance as a word of single-letter columns and
     normalizes both sides over the column presentation.
     """
-    pres = column_presentation(n)
-    system = pres.system
-    index = {read_tableau(c): i for i, c in enumerate(pres.generators)}
+    system = column_presentation(n).system
+    index = column_generating_set(n).index
     def embed(letters):
         return tuple(index[(x,)] for x in letters)
     checked = 0
@@ -283,7 +268,7 @@ def schuetzenberger_involution(n: int, max_len: int = 3) -> dict:
     pres = column_presentation(n)
     system = pres.system
     gens = pres.generators
-    index = {read_tableau(c): i for i, c in enumerate(gens)}
+    index = column_generating_set(n).index
 
     def star_letter(i: int) -> tuple[int, ...]:
         image = column_complement(gens[i], n)

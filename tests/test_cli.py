@@ -113,6 +113,47 @@ def test_check_path_bounds_honours_budget(capsys):
     assert 0 < payload["budget_hits"] <= 2 * payload["triples"]
 
 
+def test_check_confluence_reports_budget_hits(capsys):
+    # no step after the branching step: every leg is truncated
+    assert main(["check", "confluence", "--structure", "column", "--n", "3",
+                 "--budget", "0"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "fail"
+    assert payload["budget_hits"] == payload["branchings"] == 42
+    assert main(["check", "confluence", "--structure", "column", "--n", "3",
+                 "--budget", "100"]) == 0
+    assert "budget_hits" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("family", ["young", "chinese"])
+def test_check_cell_shapes_fails_on_budget_hits(family, capsys):
+    assert main(["check", "cell-shapes", "--structure", family, "--n", "3",
+                 "--budget", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] == "fail"
+    assert payload["witness"]["reason"] == "budget exhausted"
+    assert payload["witness"]["source"]
+
+
+def test_cells_budget_hit_is_a_failure_not_a_usage_error(capsys):
+    assert main(["cells", "--structure", "chinese", "--n", "3", "--kind", "strategy",
+                 "--budget", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: budget exhausted on triple")
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the report is larger than a pipe's buffer, so the writer sees the close
+    proc = subprocess.Popen(RUN + ["build", "sylvester", "--n", "4", "--max-len", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), len(head), err) == (1, 10, b"")
+
+
 def test_check_probe_always_exit_zero(capsys):
     assert main(["check", "probe", "--structure", "hypoplactic",
                  "--n", "3", "--max-len", "3"]) == 0
