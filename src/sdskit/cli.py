@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import coherence, registry
 from .rewriting import check_local_confluence, system_to_json, termination_certificate
@@ -26,13 +27,48 @@ from .sds import (
 )
 
 
+def _to_json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for a value nested at
+    `indent`.  With an indent `json` falls back to its pure-Python encoder;
+    writing dicts and lists here, and each all-int list in one join, is
+    about twice as fast on large reports."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_key(k)}: {_to_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = [_to_json(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    # json writes an int, float, bool or None key as the string of its value
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
 def _emit(args, payload: dict | str) -> None:
     if isinstance(payload, str):
         text = payload
     elif args.format == "text":
         text = "\n".join(f"{k}: {json.dumps(v)}" for k, v in payload.items())
     else:
-        text = json.dumps(payload, indent=2)
+        text = _to_json(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -12,7 +12,6 @@ a stated length bound, and every report embeds that bound.
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
@@ -78,11 +77,12 @@ class Table:
 
     A verifier builds one table per call and fills it with the breadth-first
     search of `reachable_set`, which interns exactly the data it reaches
-    within its bound.  An insertion that leaves those data is computed on each request
-    and neither interned nor stored, so the table stays the size of the
-    reachable set.  Rows act on states: an id, or the 1-tuple `(datum,)` for
-    a datum the table does not hold.  Two states are equal exactly when
-    their data are.
+    within its bound (`check_compatibility` interns its rule contexts too).
+    An insertion that leaves the interned data is computed on each request
+    and neither interned nor stored, so the table stays the size of what
+    the searches reached.  Rows act on states: an id, or the 1-tuple
+    `(datum,)` for a datum the table does not hold.  Two states are equal
+    exactly when their data are.
     """
 
     def __init__(self):
@@ -175,9 +175,6 @@ class ReachableSet:
     max_len: int
     table: Table
     index: dict[tuple[int, ...], int]       # reading -> id in `table`
-    # how each reading after the first was reached, in the order of `index`:
-    # position of the reading it extends * n + the letter inserted - 1
-    via: array
 
     @cached_property
     def data(self) -> list[Datum]:
@@ -186,16 +183,6 @@ class ReachableSet:
     @cached_property
     def by_read(self) -> dict[tuple[int, ...], Datum]:
         return {key: self.table.data[i] for key, i in self.index.items()}
-
-    @cached_property
-    def witness(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The first word, in breadth-first order, reaching each reading."""
-        n, append_right = self.structure.n, self.structure.direction == LEFT_TO_RIGHT
-        words: list[tuple[int, ...]] = [()]
-        for link in self.via:
-            p, x = divmod(link, n)
-            words.append(words[p] + (x + 1,) if append_right else (x + 1,) + words[p])
-        return dict(zip(self.index, words))
 
     def __contains__(self, key):
         return key in self.index
@@ -219,20 +206,19 @@ def _search(table: Table, structure: StringDataStructure, max_len: int) -> Reach
     # keep measuring the same calls.
     row, n = table.row(structure), structure.n
     start = table.intern(structure.empty)
-    index, via = {row.read(start): start}, array("q")
-    frontier = [(start, 0)]             # (id, position in index)
+    index = {row.read(start): start}
+    frontier = [start]
     for _ in range(max_len):
         nxt = []
-        for i, p in frontier:
+        for i in frontier:
             for x in range(1, n + 1):
                 j = row.expand(table, i, x)
                 key = row.read(j)
                 if key not in index:
-                    nxt.append((j, len(index)))
+                    nxt.append(j)
                     index[key] = j
-                    via.append(p * n + x - 1)
         frontier = nxt
-    return ReachableSet(structure, max_len, table, index, via)
+    return ReachableSet(structure, max_len, table, index)
 
 
 def report(check: str, structure, params: dict, result: str, **extra) -> dict:
@@ -381,14 +367,23 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """Congruent words insert identically, and read-after-construct is congruent.
 
     Both halves are checked over all reachable data and words up to the
-    bound.
+    bound.  An exact partition is checked rule by rule (`_rules_compatible`);
+    the walk of every class from every datum runs only when that check
+    fails, to find the witness, or when the partition is a lower bound.
     """
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
     reach = reachable_set(structure, max_len)
     row = reach.table.row(structure)
     data = [reach.index[k] for k in sorted(reach.index)]
-    for block in partition.classes():
+    # the rule-level contexts run over the structure's letters, the classes
+    # over the congruence's, so the two checks agree only when those match
+    rule_level = partition.exact and len(congruence.alphabet) == structure.n
+    if rule_level and _rules_compatible(reach.table, row, congruence, data, max_len):
+        blocks = []
+    else:   # a rule-level failure is a class-level one; this loop finds its witness
+        blocks = partition.classes()
+    for block in blocks:
         words = sorted(block)
         if len(words) > 1:
             w_first = tuple(x + 1 for x in words[0])
@@ -409,6 +404,40 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
             return report("compatibility", structure.name, params, "fail",
                           witness={"word": list(word), "reading": list(rc)})
     return report("compatibility", structure.name, params, "pass")
+
+
+def _rules_compatible(table: Table, row: Row, congruence: RewritingSystem,
+                      data: list[int], max_len: int) -> bool:
+    """Whether every rule lhs -> rhs walks alike, `row.walk(e, lhs) ==
+    row.walk(e, rhs)`, from every state e within max_len - |lhs| letters
+    of the data.
+
+    For a length-preserving system this is class-level compatibility on the
+    words of length <= max_len: their partition is generated by single rule
+    applications a.lhs.b ~ a.rhs.b, a walk over a concatenation is a walk of
+    walks, and equal states stay equal, so only the context walked first
+    counts (a for a right structure, b for a left one).  Every state
+    reached is interned, so each (state, letter) is inserted once.
+    """
+    sides = [(tuple(x + 1 for x in rule.lhs), tuple(x + 1 for x in rule.rhs))
+             for rule in congruence.rules if len(rule.lhs) <= max_len]
+    letters = range(1, row.structure.n + 1)
+    levels = [data]         # the states first reached after k letters
+    seen = set(data)
+    for _ in range(max_len - min((len(lhs) for lhs, _ in sides), default=max_len)):
+        level = []
+        for i in levels[-1]:
+            for x in letters:
+                j = row.expand(table, i, x)
+                if j not in seen:
+                    seen.add(j)
+                    level.append(j)
+        levels.append(level)
+    walk = row.walk
+    return all(walk(e, lhs) == walk(e, rhs)
+               for lhs, rhs in sides
+               for level in levels[:max_len - len(lhs) + 1]
+               for e in level)
 
 
 @dataclass(frozen=True)

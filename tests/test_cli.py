@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdskit.cli import CHECKS, main
+from sdskit.cli import CHECKS, _to_json, main
 from sdskit.registry import COMMUTATION_PAIRS, PRESENTATION_NAMES, PROBE_PAIRS, STRUCTURES
 
 RUN = [sys.executable, "-m", "sdskit.cli"]
@@ -186,6 +186,26 @@ def test_out_file_and_text_format(tmp_path):
     assert main(["check", "axioms", "--structure", "lps-right", "--n", "2",
                  "--max-len", "3", "--format", "text", "--out", str(out)]) == 0
     assert "result" in out.read_text()
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(st.integers()) |
+    st.dictionaries(st.text() | st.integers() | st.booleans() | st.none(), inner),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_emitter_matches_json_dumps_indent_2(value):
+    assert _to_json(value) == json.dumps(value, indent=2)
+
+
+def test_emitter_rejects_keys_json_rejects():
+    with pytest.raises(TypeError):
+        json.dumps({(1,): 0}, indent=2)
+    with pytest.raises(TypeError):
+        _to_json({(1,): 0})
 
 
 def test_usage_error_exits_2():
