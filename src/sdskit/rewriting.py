@@ -338,12 +338,17 @@ class CongruencePartition:
 def congruence_classes(system: RewritingSystem, max_len: int) -> CongruencePartition:
     """Partition of all words of length <= max_len under the congruence of the rules.
 
-    Both orientations of every rule are used.  The closure is computed over
-    words of length up to max_len plus one rule-length gap, so that joins
-    through slightly longer internal witnesses are found when rules change
-    length; the reported partition is restricted to length <= max_len.  It
-    is exact when every rule preserves length and flagged as a lower bound
-    otherwise.
+    The closure is computed over words of length up to max_len plus one
+    rule-length gap, so that joins through slightly longer internal
+    witnesses are found when rules change length; the reported partition is
+    restricted to length <= max_len.  It is exact when every rule preserves
+    length and flagged as a lower bound otherwise.
+
+    Each word is joined to every rewrite of one lhs occurrence that stays
+    within the working length, found by looking its factors up by lhs.  The
+    reverse orientation adds no join: if w' holds a rhs at p and its
+    rewrite w by the lhs fits, then w is a working word, and scanning w for
+    that lhs at p joins the same pair.
     """
     gap = max((abs(len(r.lhs) - len(r.rhs)) for r in system.rules), default=0)
     exact = gap == 0
@@ -363,21 +368,17 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    sides = [(r.lhs, r.rhs) for r in system.rules] + [(r.rhs, r.lhs) for r in system.rules if r.rhs]
-    for word in words:
-        i = index[word]
-        for lhs, rhs in sides:
-            if not lhs:
-                continue
-            start = 0
-            while True:
-                p = _find_factor(word, lhs, start)
-                if p < 0:
-                    break
-                other = word[:p] + rhs + word[p + len(lhs):]
-                if len(other) <= work_len:
-                    union(i, index[other])
-                start = p + 1
+    by_lhs: dict[Word, list[Word]] = {}
+    for rule in system.rules:
+        by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
+    lengths = sorted({len(lhs) for lhs in by_lhs})
+    for i, word in enumerate(words):
+        for k in lengths:
+            for p in range(len(word) - k + 1):
+                for rhs in by_lhs.get(word[p:p + k], ()):
+                    other = word[:p] + rhs + word[p + k:]
+                    if len(other) <= work_len:
+                        union(i, index[other])
     rep: dict[Word, Word] = {}
     root_word: dict[int, Word] = {}
     for word in words:  # shortest-first order makes the first-seen root word minimal
@@ -388,13 +389,6 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
             root_word[root] = word
         rep[word] = root_word[root]
     return CongruencePartition(max_len, exact, rep)
-
-
-def _find_factor(word: Word, factor: Word, start: int) -> int:
-    for p in range(start, len(word) - len(factor) + 1):
-        if word[p:p + len(factor)] == factor:
-            return p
-    return -1
 
 
 @dataclass(frozen=True)

@@ -330,18 +330,33 @@ def _letters_to_indices(word: tuple[int, ...]) -> Word:
     return tuple(x - 1 for x in word)
 
 
-def _words(n: int, max_len: int):
-    return itertools.chain.from_iterable(
-        itertools.product(range(1, n + 1), repeat=k) for k in range(max_len + 1))
+def _constructor_walks(row: Row, max_len: int):
+    """(word, state of its constructor) for every word of length <= max_len,
+    shortest first and lexicographic within a length.  Each state is one step
+    from the word a letter shorter: its prefix for a left-to-right structure,
+    its suffix for a right-to-left one."""
+    structure = row.structure
+    n, forward = structure.n, structure.direction == LEFT_TO_RIGHT
+    states = [row.state(structure.empty)]
+    yield (), states[0]
+    for k in range(1, max_len + 1):
+        shorter, states, span = states, [], n ** (k - 1)
+        for j, word in enumerate(itertools.product(range(1, n + 1), repeat=k)):
+            if forward:
+                s = row.step(shorter[j // n], word[-1])
+            else:
+                s = row.step(shorter[j % span], word[0])
+            states.append(s)
+            yield word, s
 
 
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
     table = Table()
     _search(table, structure, max_len)
-    row, empty = table.row(structure), table.ids[structure.empty]
+    row = table.row(structure)
     fibers: dict[tuple[int, ...], set[Word]] = {}
-    for word in _words(structure.n, max_len):
-        key = row.read(row.walk(empty, word))
+    for word, s in _constructor_walks(row, max_len):
+        key = row.read(s)
         fibers.setdefault(key, set()).add(_letters_to_indices(word))
     return {frozenset(v) for v in fibers.values()}
 
@@ -395,9 +410,8 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
                         return report("compatibility", structure.name, params, "fail",
                                       witness={"u": list(w_first), "v": list(w_other),
                                                "datum": list(row.read(d))})
-    empty = reach.table.ids[structure.empty]
-    for word in _words(structure.n, max_len):
-        rc = row.read(row.walk(empty, word))
+    for word, s in _constructor_walks(row, max_len):
+        rc = row.read(s)
         iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
         if irc not in partition.representative or \
                 partition.representative[iw] != partition.representative[irc]:

@@ -164,6 +164,13 @@ def test_check_unknown_name_exits_2():
     assert main(["check", "termination", "--structure", "hypoplactic", "--n", "3"]) == 2
 
 
+def test_lookup_error_message_is_not_quoted(capsys):
+    # str() of the registry's KeyError would wrap the message in quotes
+    assert main(["check", "cross-section", "--structure", "young", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no congruence registered for 'young'\n"
+
+
 def test_cells_deterministic_output():
     a = run_cli("cells", "--structure", "chinese", "--n", "3", "--kind", "strategy")
     b = run_cli("cells", "--structure", "chinese", "--n", "3", "--kind", "strategy")
@@ -359,6 +366,28 @@ def test_check_matrix_covers_every_structure_verifier():
 @pytest.mark.parametrize("line", list(CHECK_MATRIX))
 def test_check_matrix_bytes_are_pinned(line, capsys):
     code, digest = CHECK_MATRIX[line]
+    assert main(line.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# check line -> [exit code, sha256 of stdout] for the word-space checks past
+# the matrix's bound: cross-section and compatibility on every structure at
+# n = 3, --max-len 5 and 6, and on hypoplactic-right at n = 4, --max-len 6,
+# recorded before the congruence closure looked factors up by lhs
+BOUNDS = json.loads(Path(__file__).with_name("bounds_golden.json").read_text())
+
+
+def test_bounds_golden_covers_every_structure():
+    lines = {f"check {c} --structure {s} --n 3 --max-len {L}"
+             for c in ("cross-section", "compatibility") for s in STRUCTURES for L in (5, 6)}
+    lines |= {f"check {c} --structure hypoplactic-right --n 4 --max-len 6"
+              for c in ("cross-section", "compatibility")}
+    assert set(BOUNDS) == lines
+
+
+@pytest.mark.parametrize("line", list(BOUNDS))
+def test_word_space_bytes_are_pinned_past_the_matrix(line, capsys):
+    code, digest = BOUNDS[line]
     assert main(line.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -11,6 +11,7 @@ congruence whose partition is only a lower bound.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -25,13 +26,17 @@ from sdskit.rewriting import (
 from sdskit.sds import (
     StringDataStructure,
     _letters_to_indices,
-    _words,
     reachable_set,
     report,
 )
 from sdskit.young import knuth_srs, young_left, young_right
 
 # --- the class-level check, verbatim ------------------------------------------
+
+
+def _words(n: int, max_len: int):
+    return itertools.chain.from_iterable(
+        itertools.product(range(1, n + 1), repeat=k) for k in range(max_len + 1))
 
 
 def check_compatibility(structure: StringDataStructure, congruence: RewritingSystem,
