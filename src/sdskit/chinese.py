@@ -26,13 +26,12 @@ from .rewriting import (
     normalize,
 )
 from .sds import (
-    GENERATING,
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
     GeneratingSet,
     Presentation,
     StringDataStructure,
-    build_srs,
+    generating_presentation,
     report,
 )
 
@@ -351,7 +350,7 @@ def precolumn_presentation(n: int) -> Presentation:
 
 def completed_presentation(n: int) -> Presentation:
     """All pairwise products of the generators, read back over the generators."""
-    return build_srs(chinese_right(n), GENERATING, generating=qn_generating_set(n))
+    return generating_presentation(qn_generating_set(n))
 
 
 def completed_order_less(n: int):

@@ -80,8 +80,10 @@ def cmd_insert(args) -> int:
     entry = registry.lookup(registry.STRUCTURES, args.structure, "structure")
     word = tuple(int(tok) for tok in args.word.split())
     n = args.n if args.n is not None else max(word, default=0)
-    datum = entry.parse_datum(args.datum, n)
-    _emit(args, entry.format_datum(entry.factory(n).insert_word(datum, word)))
+    datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
+    if not all(1 <= x <= n for x in structure.read(datum)):
+        raise ValueError(f"datum has a letter out of range 1..{n}")
+    _emit(args, entry.format_datum(structure.insert_word(datum, word)))
     return 0
 
 
@@ -141,7 +143,7 @@ CHECKS = {
     "path-bounds": lambda name, n, L, budget:
         registry.lookup(registry.PATH_BOUNDS, name, "path bounds")(n, budget),
     "cell-shapes": lambda name, n, L, budget:
-        registry.lookup(registry.CELLS, name, "cell shapes").verify_shapes(n, budget),
+        registry.lookup(registry.CELLS, name, "cell shapes")(n, budget),
     "probe": lambda name, n, L, budget: registry.probe(name, n, L),
 }
 
@@ -155,12 +157,12 @@ def cmd_check(args) -> int:
 
 def cmd_cells(args) -> int:
     name, n = args.structure, args.n
-    family = registry.lookup(registry.CELLS, name, "cells")
+    registry.lookup(registry.CELLS, name, "cells")     # only registered families have cells
     pres = registry.build_presentation(name, n)
     if args.kind == "squier":
         cells = coherence.squier_cells(pres.system, args.budget)
     else:
-        cells = coherence.strategy_cells(pres, family.generating_set(n), budget=args.budget)
+        cells = coherence.strategy_cells(pres, budget=args.budget)
     _emit(args, {"structure": name, "params": {"n": n, "kind": args.kind},
                  "alphabet": list(pres.system.alphabet.labels),
                  "cells": [coherence.cell_to_json(c) for c in cells]})
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", parents=[output], help="build a presentation")
     p_build.add_argument("name", choices=registry.PRESENTATION_NAMES)
     p_build.add_argument("--n", type=_at_least(1), required=True)
-    p_build.add_argument("--max-len", type=int, default=None,
+    p_build.add_argument("--max-len", type=_at_least(0), default=None,
                          help="bound for the variable-length rule families")
     p_build.set_defaults(fn=cmd_build)
 

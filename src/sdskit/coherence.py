@@ -24,7 +24,7 @@ from .rewriting import (
     critical_branchings,
     normalize,
 )
-from .sds import GeneratingSet, Presentation, report
+from .sds import Presentation, report
 
 
 @dataclass(frozen=True)
@@ -63,15 +63,16 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
     return cells
 
 
-def strategy_cells(presentation: Presentation, gen_set: GeneratingSet, triples=None,
+def strategy_cells(presentation: Presentation, triples=None,
                    budget: int | None = None) -> list[ThreeCell]:
-    """Leftmost-versus-rightmost cells on the critical triples.
+    """Leftmost-versus-rightmost cells on the critical triples of a
+    presentation built from a generating set.
 
     Both paths must reach the canonical decomposition of the folded product
     of the three generators; a mismatch is fatal since it contradicts the
     commutation the presentation was built from.
     """
-    system = presentation.system
+    system, gen_set = presentation.system, presentation.generating
     if triples is None:
         triples = [b.source for b in critical_branchings(system)]
     cells = []
@@ -112,9 +113,9 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
     """Decagon bound for the completed staircase presentation: legs of
     length at most five, and a length-five leg forces the other leg to
     four or less."""
-    from .chinese import completed_presentation, qn_generating_set
+    from .chinese import completed_presentation
     try:
-        cells = strategy_cells(completed_presentation(n), qn_generating_set(n), budget=budget)
+        cells = strategy_cells(completed_presentation(n), budget=budget)
     except BudgetExhausted as exc:
         return _exhausted("chinese", n, exc)
     max_pair = (0, 0)

@@ -1,6 +1,6 @@
 """Name-based registry of structures, presentations, datum formats, and the
-per-family data the verifiers need.  Table entries look their functions up
-when called, so rebinding a module's function (as a tracer does) takes effect."""
+per-family verifiers.  Table entries look their functions up when called,
+so rebinding a module's function (as a tracer does) takes effect."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable
 
 from . import chinese, coherence, extra, young
 from .rewriting import RewritingSystem
-from .sds import GeneratingSet, Presentation, StringDataStructure
+from .sds import Presentation, StringDataStructure
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,9 @@ def _parse_staircase(text: str, n: int):
     if not text.strip():
         return chinese.empty_staircase(n)
     data, rows = _json_rows(text, "rows")
-    return chinese.staircase_from_json({"n": data.get("n"), "rows": rows})
+    if data.get("n") != n:
+        raise ValueError(f"staircase rank {data.get('n')} is not n = {n}")
+    return chinese.staircase_from_json({"n": n, "rows": rows})
 
 
 def _format_qr(t):
@@ -158,20 +160,11 @@ TERMINATION_ORDERS: dict[str, Callable[[Presentation, int], Callable[[int, int],
 }
 
 
-# the generating set behind a presentation's strategy cells, and the
-# verifier of its cell shapes, (n, budget) -> report
-@dataclass(frozen=True)
-class CellFamily:
-    generating_set: Callable[[int], GeneratingSet]
-    verify_shapes: Callable[[int, int | None], dict]
-
-
-CELLS: dict[str, CellFamily] = {
-    "column": CellFamily(lambda n: young.column_generating_set(n),
-                         lambda n, budget: coherence.verify_cell_shapes_young(n, budget)),
-    "chinese-completed": CellFamily(
-        lambda n: chinese.qn_generating_set(n),
-        lambda n, budget: coherence.verify_cell_shapes_chinese(n, budget)),
+# the cell-shape verifier of a presentation built from a generating set,
+# (n, budget) -> report; its strategy cells read that set off the presentation
+CELLS: dict[str, Callable[[int, int | None], dict]] = {
+    "column": lambda n, budget: coherence.verify_cell_shapes_young(n, budget),
+    "chinese-completed": lambda n, budget: coherence.verify_cell_shapes_chinese(n, budget),
 }
 
 

@@ -12,7 +12,7 @@ a stated length bound, and every report embeds that bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
@@ -332,7 +332,8 @@ def _letters_to_indices(word: tuple[int, ...]) -> Word:
 
 def _constructor_walks(row: Row, max_len: int):
     """(word, state of its constructor) for every word of length <= max_len,
-    shortest first and lexicographic within a length.  Each state is one step
+    shortest first and lexicographic within a length, the word as letter
+    indices (letter x is x - 1, as in a congruence).  Each state is one step
     from the word a letter shorter: its prefix for a left-to-right structure,
     its suffix for a right-to-left one."""
     structure = row.structure
@@ -341,11 +342,11 @@ def _constructor_walks(row: Row, max_len: int):
     yield (), states[0]
     for k in range(1, max_len + 1):
         shorter, states, span = states, [], n ** (k - 1)
-        for j, word in enumerate(itertools.product(range(1, n + 1), repeat=k)):
+        for j, word in enumerate(itertools.product(range(n), repeat=k)):
             if forward:
-                s = row.step(shorter[j // n], word[-1])
+                s = row.step(shorter[j // n], word[-1] + 1)
             else:
-                s = row.step(shorter[j % span], word[0])
+                s = row.step(shorter[j % span], word[0] + 1)
             states.append(s)
             yield word, s
 
@@ -356,8 +357,7 @@ def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[fro
     row = table.row(structure)
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word, s in _constructor_walks(row, max_len):
-        key = row.read(s)
-        fibers.setdefault(key, set()).add(_letters_to_indices(word))
+        fibers.setdefault(row.read(s), set()).add(word)
     return {frozenset(v) for v in fibers.values()}
 
 
@@ -410,13 +410,13 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
                         return report("compatibility", structure.name, params, "fail",
                                       witness={"u": list(w_first), "v": list(w_other),
                                                "datum": list(row.read(d))})
+    representative = partition.representative
     for word, s in _constructor_walks(row, max_len):
         rc = row.read(s)
-        iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
-        if irc not in partition.representative or \
-                partition.representative[iw] != partition.representative[irc]:
+        irc = _letters_to_indices(rc)
+        if irc not in representative or representative[word] != representative[irc]:
             return report("compatibility", structure.name, params, "fail",
-                          witness={"word": list(word), "reading": list(rc)})
+                          witness={"word": [x + 1 for x in word], "reading": list(rc)})
     return report("compatibility", structure.name, params, "pass")
 
 
@@ -504,37 +504,33 @@ def datum_label(structure: StringDataStructure, d: Datum) -> str:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A rewriting system together with the data its alphabet letters stand for."""
+    """A rewriting system together with the data its alphabet letters stand for.
+
+    `generating` is the generating set a generating presentation was built
+    from (None for any other).  It takes no part in equality: two builds of
+    one presentation hold distinct generating sets, whose `decompose`
+    closures never compare equal, and must still be equal presentations.
+    """
 
     system: RewritingSystem
     generators: tuple[Datum, ...] | None = None
+    generating: GeneratingSet | None = field(default=None, compare=False)
 
 
 FULL = "full"
 MINIMAL = "minimal"
 READINGS = "readings"
-GENERATING = "generating"
 
 
-def build_srs(structure: StringDataStructure, mode: str, *, bound: int | None = None,
-              generating: GeneratingSet | None = None) -> Presentation:
-    """Build one of the rewriting systems induced by the structure.
+def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Presentation:
+    """Build one of the rewriting systems induced by the structure's data.
 
     full:       rules d.d' -> [d star d'] over all reachable data
     minimal:    rules d.[x] -> [d star x] only
     readings:   rules R(d)R(d') -> R(d star d') over the letter alphabet
-    generating: rules c.c' -> decomposition of c star c' over a generating set
-    The first three are bounded truncations of infinite systems; the bound
-    is the word length feeding the reachable set.  A generating presentation
-    is complete without a bound; with one, it keeps the pairs whose readings
-    have at most `bound` letters in all.
+    All three are bounded truncations of infinite systems; the bound is the
+    word length feeding the reachable set.
     """
-    if mode == GENERATING:
-        if generating is None:
-            raise ValueError("generating mode needs a generating set")
-        return _build_generating(generating, bound)
-    if bound is None:
-        raise ValueError(f"{mode} mode needs a bound")
     if mode not in (FULL, MINIMAL, READINGS):
         raise ValueError(f"unknown mode {mode!r}")
     reach = reachable_set(structure, bound)
@@ -563,8 +559,13 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int | None = 
     return Presentation(RewritingSystem.from_pairs(alphabet, pairs), data)
 
 
-def _build_generating(gen: GeneratingSet, bound: int | None) -> Presentation:
-    # a product that leaves the set raises, unless a bound truncates the set
+def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Presentation:
+    """Rules c.c' -> decomposition of c star c' over the generating set.
+
+    Complete without a bound, where a product that leaves the set raises;
+    with one, it keeps the pairs whose readings have at most `bound` letters
+    in all and skips the products that leave the set.
+    """
     read = gen.structure.read
     sizes = [len(read(c)) for c in gen.generators]
     pairs = []
@@ -580,11 +581,11 @@ def _build_generating(gen: GeneratingSet, bound: int | None) -> Presentation:
             if (i, j) != rhs:
                 pairs.append(((i, j), rhs))
     alphabet = Alphabet(tuple(datum_label(gen.structure, c) for c in gen.generators))
-    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), tuple(gen.generators))
+    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), tuple(gen.generators),
+                        generating=gen)
 
 
-def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
-                            max_len: int) -> dict:
+def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
     """Bounded check of the generating-set conditions.
 
     Single letters must be generators, and every reachable datum must
@@ -597,6 +598,7 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
     generators sharing a letter run can swap), which is why irreducibility
     picks the canonical representative.
     """
+    structure = gen.structure
     params = {"n": structure.n, "max_len": max_len}
     name = structure.name
     index = gen.index
@@ -606,7 +608,7 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
                           witness={"condition": "letters", "letter": x})
     reach = reachable_set(structure, max_len)
     # a rule longer than every reading matches no factorization checked here
-    induced = _build_generating(gen, max(map(len, reach.index))).system
+    induced = generating_presentation(gen, max(map(len, reach.index))).system
     row = reach.table.row(structure)
     empty = row.state(structure.empty)
     states = [row.state(c) for c in gen.generators]

@@ -22,13 +22,12 @@ from .rewriting import (
     words_up_to,
 )
 from .sds import (
-    GENERATING,
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
     GeneratingSet,
     Presentation,
     StringDataStructure,
-    build_srs,
+    generating_presentation,
     report,
 )
 
@@ -203,15 +202,13 @@ def row_generating_set(n: int, max_len: int) -> GeneratingSet:
 
 
 def column_presentation(n: int) -> Presentation:
-    gen = column_generating_set(n)
-    return build_srs(gen.structure, GENERATING, generating=gen)
+    return generating_presentation(column_generating_set(n))
 
 
 def row_presentation(n: int, max_len: int) -> Presentation:
     """Bounded slice of the (infinite) row presentation: only products that
     stay within the row-length bound contribute rules."""
-    gen = row_generating_set(n, max_len)
-    return build_srs(gen.structure, GENERATING, bound=max_len, generating=gen)
+    return generating_presentation(row_generating_set(n, max_len), max_len)
 
 
 def column_length_less(pres: Presentation):
@@ -229,8 +226,8 @@ def verify_knuth_decomposition(n: int) -> dict:
     Embeds each relation instance as a word of single-letter columns and
     normalizes both sides over the column presentation.
     """
-    system = column_presentation(n).system
-    index = column_generating_set(n).index
+    pres = column_presentation(n)
+    system, index = pres.system, pres.generating.index
     def embed(letters):
         return tuple(index[(x,)] for x in letters)
     checked = 0
@@ -268,7 +265,7 @@ def schuetzenberger_involution(n: int, max_len: int = 3) -> dict:
     pres = column_presentation(n)
     system = pres.system
     gens = pres.generators
-    index = column_generating_set(n).index
+    index = pres.generating.index
 
     def star_letter(i: int) -> tuple[int, ...]:
         image = column_complement(gens[i], n)

@@ -269,8 +269,20 @@ def test_shared_parser_carries_no_state_between_calls():
     # left child above its parent
     ["--structure", "lps-right", "--datum", '{"columns_bottom_up": [[3,1]]}', "--word", "2"],
     ["--structure", "sylvester-left", "--datum", "(1 (3 . .) .)", "--word", "1"],
+    # valid data whose letters leave 1..n, and a staircase of another rank
+    ["--structure", "young-right", "--datum", "5", "--n", "3", "--word", "1"],
+    ["--structure", "young-right", "--datum", "0", "--n", "3", "--word", "1"],
+    ["--structure", "young-right", "--datum", "-1", "--n", "3", "--word", "1"],
+    ["--structure", "hypoplactic-right", "--datum", '{"rows":[[7]]}', "--n", "2",
+     "--word", "1"],
+    ["--structure", "lps-right", "--datum", '{"columns_bottom_up":[[8]]}', "--n", "2",
+     "--word", "1"],
+    ["--structure", "chinese-right", "--datum", '{"n":3,"rows":[[0],[0,0],[0,0,0]]}',
+     "--n", "2", "--word", "1"],
 ], ids=["word-junk", "tree-truncated", "staircase-list", "ribbon-list", "patience-list",
-        "ribbon-rows-int", "patience-empty-column", "patience-invalid", "tree-invalid"])
+        "ribbon-rows-int", "patience-empty-column", "patience-invalid", "tree-invalid",
+        "tableau-letter-above-n", "tableau-letter-0", "tableau-letter-negative",
+        "ribbon-letter-above-n", "patience-letter-above-n", "staircase-rank-above-n"])
 def test_malformed_insert_input_exits_2(argv, capsys):
     assert main(["insert", *argv]) == 2
     out, err = capsys.readouterr()
@@ -282,6 +294,8 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     ["check", "commutation", "--structure", "young", "--n", "0"],
     ["cells", "--structure", "young", "--n", "0"],
     ["build", "knuth", "--n", "0"],
+    ["build", "row", "--n", "2", "--max-len", "-1"],
+    ["build", "sylvester", "--n", "2", "--max-len", "-3"],
     ["insert", "--structure", "young-right", "--n", "-1", "--word", ""],
     # a negative budget is refused even where no normalization would run
     ["check", "axioms", "--structure", "young-right", "--n", "2", "--max-len", "3",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sdskit.chinese import completed_presentation, qn_generating_set
+from sdskit.chinese import completed_presentation
 from sdskit.coherence import (
     ThreeCell,
     cell_to_json,
@@ -12,7 +12,7 @@ from sdskit.coherence import (
     verify_cell_shapes_young,
 )
 from sdskit.rewriting import Alphabet, RewritingSystem, critical_branchings, replay
-from sdskit.young import column_generating_set, column_presentation, read_tableau
+from sdskit.young import column_presentation, read_tableau
 
 
 def test_squier_cells_empty_without_branchings():
@@ -50,7 +50,7 @@ def test_three_cell_rejects_mismatched_paths():
 
 def test_strategy_cells_chinese_close():
     pres = completed_presentation(3)
-    cells = strategy_cells(pres, qn_generating_set(3))
+    cells = strategy_cells(pres)
     assert len(cells) == len(critical_branchings(pres.system))
     for cell in cells:
         assert cell.left_path.target == cell.right_path.target
@@ -60,10 +60,9 @@ def test_strategy_cells_young_worked_triple():
     # the three columns of the five-row example reach the same reading on
     # both strategies
     pres = column_presentation(5)
-    gen_set = column_generating_set(5)
     idx = {read_tableau(c): i for i, c in enumerate(pres.generators)}
     triple = (idx[(5, 3, 1)], idx[(5, 4, 3, 1)], idx[(3, 2, 1)])
-    (cell,) = strategy_cells(pres, gen_set, triples=[triple])
+    (cell,) = strategy_cells(pres, triples=[triple])
     labels = [pres.system.alphabet.name(i) for i in cell.left_path.target]
     assert labels == ["c_54321", "c_531", "c_31"]
 
@@ -72,7 +71,7 @@ def test_squier_and_strategy_cells_share_endpoints():
     pres = completed_presentation(3)
     squier = {c.source: c.left_path.target for c in squier_cells(pres.system)}
     strategy = {c.source: c.left_path.target
-                for c in strategy_cells(pres, qn_generating_set(3))}
+                for c in strategy_cells(pres)}
     assert squier == strategy
 
 

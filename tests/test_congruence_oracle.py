@@ -256,6 +256,7 @@ def test_constructor_walks_follow_the_reading_direction():
     for structure in (young_right(3), young_left(3)):
         row = Table().row(structure)
         walks = list(sds._constructor_walks(row, 4))
-        assert [word for word, _ in walks] == list(_words(3, 4))
-        assert all(row.read(s) == row.read(row.walk(row.state(structure.empty), word))
+        assert [word for word, _ in walks] == list(map(_letters_to_indices, _words(3, 4)))
+        assert all(row.read(s) == row.read(row.walk(row.state(structure.empty),
+                                                    tuple(x + 1 for x in word)))
                    for word, s in walks)

@@ -26,7 +26,6 @@ from sdskit.rewriting import (
 )
 from sdskit.sds import (
     FULL,
-    GENERATING,
     MINIMAL,
     READINGS,
     GeneratingSet,
@@ -48,6 +47,8 @@ from sdskit.young import (
 )
 
 # --- the generating-set code before `GeneratingSet.index/word/product`, verbatim ---
+
+GENERATING = "generating"
 
 
 def build_srs(structure: StringDataStructure, mode: str, *, bound: int | None = None,
@@ -260,9 +261,8 @@ def test_reachable_data_modes_match_the_oracle(name):
 
 def test_build_srs_usage_errors_match_the_oracle():
     s = young_right(2)
-    for mode, bound in ((FULL, None), ("bogus", None), ("bogus", 2), (GENERATING, 2)):
-        assert _outcome(sds.build_srs, s, mode, bound=bound) == \
-            _outcome(build_srs, s, mode, bound=bound)
+    assert _outcome(sds.build_srs, s, "bogus", bound=2) == \
+        _outcome(build_srs, s, "bogus", bound=2)
 
 
 def _without(gen, k):
@@ -290,9 +290,9 @@ SETS = {"column": lambda n, L: column_generating_set(n),
 
 def _same_generating(gen, max_len):
     s = gen.structure
-    assert sds.validate_generating_set(s, gen, max_len) == \
+    assert sds.validate_generating_set(gen, max_len) == \
         validate_generating_set(s, gen, max_len)
-    assert _outcome(sds.build_srs, s, GENERATING, generating=gen) == \
+    assert _outcome(sds.generating_presentation, gen) == \
         _outcome(build_srs, s, GENERATING, generating=gen)
     # with a bound: the pairs of at most max_len letters of the truncated
     # (non-strict) presentation, which skips the products that leave the set
@@ -300,7 +300,7 @@ def _same_generating(gen, max_len):
     size = [len(s.read(c)) for c in gen.generators]
     kept = [(r.lhs, r.rhs) for r in old.system.rules
             if size[r.lhs[0]] + size[r.lhs[1]] <= max_len]
-    new = sds.build_srs(s, GENERATING, bound=max_len, generating=gen)
+    new = sds.generating_presentation(gen, max_len)
     assert [(r.lhs, r.rhs) for r in new.system.rules] == kept
     assert (new.system.alphabet, new.generators) == (old.system.alphabet, old.generators)
 
@@ -326,7 +326,7 @@ def test_a_decomposition_that_is_not_irreducible_matches_the_oracle(n):
     gen = _qn_with_swapped_run(n)
     reports = {}
     for max_len in (3, 4, 6):
-        reports[max_len] = sds.validate_generating_set(gen.structure, gen, max_len)
+        reports[max_len] = sds.validate_generating_set(gen, max_len)
         assert reports[max_len] == validate_generating_set(gen.structure, gen, max_len)
     assert reports[3]["result"] == "pass"
     assert reports[4]["witness"] == {"condition": "uniqueness", "reading": [1, 2, 2, 2],
@@ -348,13 +348,13 @@ def test_a_constructor_that_is_no_section_matches_the_oracle():
     for max_len in range(5):
         _same_generating(gen, max_len)
     # only the product of the canonical factorization tells this apart
-    assert sds.validate_generating_set(gen.structure, gen, 4)["witness"] == \
+    assert sds.validate_generating_set(gen, 4)["witness"] == \
         {"condition": "decomposition", "reading": [1, 1, 1, 2]}
 
 
 def test_dropped_generators_reach_the_failure_paths():
     # the comparisons above only mean something if these paths are taken
-    conditions = {sds.validate_generating_set(g.structure, g, 3)
+    conditions = {sds.validate_generating_set(g, 3)
                   .get("witness", {}).get("condition")
                   for name in ("column", "qn") for n in (2, 3)
                   for gen in [SETS[name](n, 3)]
@@ -363,9 +363,9 @@ def test_dropped_generators_reach_the_failure_paths():
     # without the column c_21, the product c_2.c_1 leaves the set: the
     # unbounded build raises, the bounded one skips it
     dropped = _without(column_generating_set(3), 3)
-    s, c_1, c_2 = dropped.structure, 0, 1
-    assert _outcome(sds.build_srs, s, GENERATING, generating=dropped)[0] == "ValueError"
-    lhs = {r.lhs for r in sds.build_srs(s, GENERATING, bound=3, generating=dropped).system.rules}
+    c_1, c_2 = 0, 1
+    assert _outcome(sds.generating_presentation, dropped)[0] == "ValueError"
+    lhs = {r.lhs for r in sds.generating_presentation(dropped, 3).system.rules}
     assert (c_1, c_2) not in lhs and (c_2, c_1) not in lhs
 
 
@@ -379,7 +379,7 @@ def test_row_presentation_matches_the_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_strategy_cells_match_the_oracle(name, n):
     pres = registry.build_presentation(name, n)
-    gen = registry.CELLS[name].generating_set(n)
+    gen = pres.generating
     for budget in (None, 0, 1, 3):
-        assert _outcome(coherence.strategy_cells, pres, gen, budget=budget) == \
+        assert _outcome(coherence.strategy_cells, pres, budget=budget) == \
             _outcome(strategy_cells, pres, gen, budget=budget)

@@ -88,6 +88,13 @@ def test_family_names_resolve_to_their_presentations():
         get_structure("young", 3)  # families are not structures
 
 
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_cells_presentations_carry_their_generating_set(name):
+    # strategy cells read the generating set off the presentation
+    for n in (1, 2, 3, 4):
+        assert build_presentation(name, n).generating is not None
+
+
 def test_presentation_names_follow_the_table():
     assert PRESENTATION_NAMES == tuple(PRESENTATIONS)
 
@@ -96,4 +103,4 @@ def test_tables_resolve_functions_when_called(monkeypatch):
     # a rebound module function (as a tracer installs) must be the one used
     from sdskit import coherence
     monkeypatch.setattr(coherence, "verify_cell_shapes_chinese", lambda n, budget: {"n": n})
-    assert CELLS["chinese-completed"].verify_shapes(2, None) == {"n": 2}
+    assert CELLS["chinese-completed"](2, None) == {"n": 2}

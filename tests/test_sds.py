@@ -17,7 +17,6 @@ from sdskit.registry import COMMUTATION_PAIRS, get_structure
 from sdskit.rewriting import normalize, words_up_to
 from sdskit.sds import (
     FULL,
-    GENERATING,
     MINIMAL,
     READINGS,
     StringDataStructure,
@@ -28,6 +27,7 @@ from sdskit.sds import (
     check_compatibility,
     check_cross_section,
     datum_label,
+    generating_presentation,
     reachable_set,
     validate_generating_set,
 )
@@ -234,7 +234,7 @@ def test_build_srs_readings_rules_are_congruent_rearrangements():
 
 
 def test_build_srs_generating_no_identity_rules():
-    pres = build_srs(young_right(3), GENERATING, generating=column_generating_set(3))
+    pres = generating_presentation(column_generating_set(3))
     for rule in pres.system.rules:
         assert rule.lhs != rule.rhs
         assert len(rule.lhs) == 2 and len(rule.rhs) <= 2
@@ -244,7 +244,7 @@ def test_generating_normal_forms_are_canonical_readings():
     # leftmost normalization of any generator word reaches the canonical
     # decomposition of the folded product
     gen = qn_generating_set(3)
-    pres = build_srs(chinese_right(3), GENERATING, generating=gen)
+    pres = generating_presentation(gen)
     s = gen.structure
     index = {s.read(c): i for i, c in enumerate(gen.generators)}
     for word in words_up_to(len(gen.generators), 3):
@@ -256,10 +256,10 @@ def test_generating_normal_forms_are_canonical_readings():
 
 
 def test_validate_generating_sets():
-    assert validate_generating_set(young_right(3), column_generating_set(3), 6)["result"] == "pass"
+    assert validate_generating_set(column_generating_set(3), 6)["result"] == "pass"
     rows = row_generating_set(3, 6)
-    assert validate_generating_set(rows.structure, rows, 6)["result"] == "pass"
-    report = validate_generating_set(chinese_right(3), qn_generating_set(3), 6)
+    assert validate_generating_set(rows, 6)["result"] == "pass"
+    report = validate_generating_set(qn_generating_set(3), 6)
     assert report["result"] == "pass"
     # a diagonal run of an inner letter factors in more than one valid way;
     # only the canonical factorization is irreducible
@@ -269,7 +269,7 @@ def test_validate_generating_sets():
 def test_validate_generating_set_rejects_missing_letters():
     gen = column_generating_set(3)
     pruned = type(gen)(gen.structure, gen.generators[1:], gen.decompose)
-    assert validate_generating_set(young_right(3), pruned, 3)["result"] == "fail"
+    assert validate_generating_set(pruned, 3)["result"] == "fail"
 
 
 def test_bistructure_star_exchange_and_shared_constructor():
