@@ -106,6 +106,9 @@ def _with_congruence(name: str, n: int, L: int):
 
 def _confluence(name: str, n: int, L: int, budget) -> dict:
     result = check_local_confluence(registry.build_presentation(name, n, L).system, budget)
+    if not result.checks:   # a pass would rest on nothing examined
+        raise ValueError(f"{name} at n={n}, --max-len {L} has no critical branching: "
+                         "nothing to check")
     witness = None
     if not result.confluent:
         bad = result.failures[0]

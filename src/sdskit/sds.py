@@ -12,6 +12,7 @@ a stated length bound, and every report embeds that bound.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
@@ -75,29 +76,18 @@ class Table:
     """Data interned to ids by equality, with one `Row` of memoised
     insertions and readings per structure.
 
-    A verifier builds one table per call and fills it with the breadth-first
-    search of `reachable_set`, which interns exactly the data it reaches
-    within its bound (`check_compatibility` interns its rule contexts too).
-    An insertion that leaves the interned data is computed on each request
-    and neither interned nor stored, so the table stays the size of what
-    the searches reached.  Rows act on states: an id, or the 1-tuple
-    `(datum,)` for a datum the table does not hold.  Two states are equal
-    exactly when their data are.
+    A verifier builds one table per call.  The breadth-first search of
+    `reachable_set` interns the data it reaches within its bound, and every
+    insertion made from an id is interned too, so the table holds what the
+    verifiers walked, not only what the searches reached: each (structure,
+    datum, letter) is inserted at most once per table, also past the bound.
+    Rows act on ids, and two ids are equal exactly when their data are.
     """
 
     def __init__(self):
         self.data: list[Datum] = []
         self.ids: dict[Datum, int] = {}
         self.rows: dict[int, Row] = {}
-
-    def intern(self, d: Datum) -> int:
-        i = self.ids.get(d)
-        if i is None:
-            i = self.ids[d] = len(self.data)
-            self.data.append(d)
-            for row in self.rows.values():
-                row.grow()
-        return i
 
     def row(self, structure: StringDataStructure) -> Row:
         row = self.rows.get(id(structure))
@@ -107,63 +97,52 @@ class Table:
 
 
 class Row:
-    """One structure's insertions and readings over the states of a table."""
+    """One structure's insertions and readings over the ids of a table, each
+    computed once.  `delta` and `reads` grow to cover the table's ids only
+    when an id past their end is asked for, so interning touches no row."""
 
     def __init__(self, table: Table, structure: StringDataStructure):
         # the table's lists, not the table: a cycle would keep every table
         # alive until the cyclic collector runs
         self.data, self.ids, self.structure = table.data, table.ids, structure
-        self.blank = [None] * structure.n
-        self.delta: list = []       # state after letter x from id i, at i * n + x - 1
+        self.n = structure.n
+        self.delta: list = []       # id after letter x from id i, at i * n + x - 1
         self.reads: list = []       # id -> reading
-        for _ in table.data:
-            self.grow()
 
-    def grow(self):
-        self.delta += self.blank
-        self.reads.append(None)
-
-    def state(self, d: Datum):
-        """The id of datum d, or (d,) if the table does not hold it."""
+    def state(self, d: Datum) -> int:
+        """The id of datum d, interning it."""
         i = self.ids.get(d)
-        return (d,) if i is None else i
+        if i is None:
+            i = self.ids[d] = len(self.data)
+            self.data.append(d)
+        return i
 
-    def step(self, s, x: int):
-        """The state after inserting letter x (unchecked) into state s.
-        Only a result the table holds is memoised."""
-        if type(s) is not int:
-            return self.state(self.structure.insert_one(s[0], x))
-        k = s * self.structure.n + x - 1
-        t = self.delta[k]
-        if t is None:
-            t = self.state(self.structure.insert_one(self.data[s], x))
-            if type(t) is int:
-                self.delta[k] = t
-        return t
-
-    def expand(self, table: Table, i: int, x: int) -> int:
-        """The id after inserting letter x into id i, interning the result."""
-        k = i * self.structure.n + x - 1
-        j = self.delta[k]
+    def step(self, i: int, x: int) -> int:
+        """The id after inserting letter x (unchecked) into id i."""
+        delta, k = self.delta, i * self.n + x - 1
+        if k >= len(delta):
+            delta += [None] * (len(self.data) * self.n - len(delta))
+        j = delta[k]
         if j is None:
-            j = self.delta[k] = table.intern(self.structure.insert_one(self.data[i], x))
+            j = delta[k] = self.state(self.structure.insert_one(self.data[i], x))
         return j
 
-    def read(self, s) -> tuple[int, ...]:
-        if type(s) is not int:
-            return self.structure.read(s[0])
-        key = self.reads[s]
+    def read(self, i: int) -> tuple[int, ...]:
+        reads = self.reads
+        if i >= len(reads):
+            reads += [None] * (len(self.data) - len(reads))
+        key = reads[i]
         if key is None:
-            key = self.reads[s] = self.structure.read(self.data[s])
+            key = reads[i] = self.structure.read(self.data[i])
         return key
 
-    def walk(self, s, word: tuple[int, ...]):
-        """`insert_word` from state s: each letter checked, in reading order."""
+    def walk(self, i: int, word: tuple[int, ...]) -> int:
+        """`insert_word` from id i: each letter checked, in reading order."""
         structure = self.structure
         for x in word if structure.direction == LEFT_TO_RIGHT else reversed(word):
             structure._check_letter(x)
-            s = self.step(s, x)
-        return s
+            i = self.step(i, x)
+        return i
 
 
 @dataclass
@@ -205,14 +184,14 @@ def _search(table: Table, structure: StringDataStructure, max_len: int) -> Reach
     # call this directly, so the traced benchmark's counts of reachable_set
     # keep measuring the same calls.
     row, n = table.row(structure), structure.n
-    start = table.intern(structure.empty)
+    start = row.state(structure.empty)
     index = {row.read(start): start}
     frontier = [start]
     for _ in range(max_len):
         nxt = []
         for i in frontier:
             for x in range(1, n + 1):
-                j = row.expand(table, i, x)
+                j = row.step(i, x)
                 key = row.read(j)
                 if key not in index:
                     nxt.append(j)
@@ -394,7 +373,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     # the rule-level contexts run over the structure's letters, the classes
     # over the congruence's, so the two checks agree only when those match
     rule_level = partition.exact and len(congruence.alphabet) == structure.n
-    if rule_level and _rules_compatible(reach.table, row, congruence, data, max_len):
+    if rule_level and _rules_compatible(row, congruence, data, max_len):
         blocks = []
     else:   # a rule-level failure is a class-level one; this loop finds its witness
         blocks = partition.classes()
@@ -420,8 +399,8 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     return report("compatibility", structure.name, params, "pass")
 
 
-def _rules_compatible(table: Table, row: Row, congruence: RewritingSystem,
-                      data: list[int], max_len: int) -> bool:
+def _rules_compatible(row: Row, congruence: RewritingSystem, data: list[int],
+                      max_len: int) -> bool:
     """Whether every rule lhs -> rhs walks alike, `row.walk(e, lhs) ==
     row.walk(e, rhs)`, from every state e within max_len - |lhs| letters
     of the data.
@@ -430,28 +409,62 @@ def _rules_compatible(table: Table, row: Row, congruence: RewritingSystem,
     words of length <= max_len: their partition is generated by single rule
     applications a.lhs.b ~ a.rhs.b, a walk over a concatenation is a walk of
     walks, and equal states stay equal, so only the context walked first
-    counts (a for a right structure, b for a left one).  Every state
-    reached is interned, so each (state, letter) is inserted once.
+    counts (a for a right structure, b for a left one).
+
+    The sides of the rules that fit after k context letters form a trie in
+    reading order, walked once from each state first reached after k
+    letters, so a prefix that several sides share is inserted once; a rule
+    holds at a state when its two sides end on one id.  The rules go into
+    the trie shortest lhs first, so for every cut c the trie of the rules
+    with |lhs| <= c is a prefix of its nodes.
     """
-    sides = [(tuple(x + 1 for x in rule.lhs), tuple(x + 1 for x in rule.rhs))
-             for rule in congruence.rules if len(rule.lhs) <= max_len]
+    forward = row.structure.direction == LEFT_TO_RIGHT
+    rules = sorted((rule for rule in congruence.rules if len(rule.lhs) <= max_len),
+                   key=lambda rule: len(rule.lhs))
+    # node t > 0 is letter x past an earlier node u, with edges[t - 1] ==
+    # (t, u, x); node 0 is the state walked from
+    edges: list[tuple[int, int, int]] = []
+    child: dict[tuple[int, int], int] = {}
+
+    def end(word: Word) -> int:
+        t = 0
+        for x in word if forward else reversed(word):
+            x += 1          # a rule's letter indices are letters - 1
+            u = child.get((t, x))
+            if u is None:
+                u = child[t, x] = len(edges) + 1
+                edges.append((u, t, x))
+            t = u
+        return t
+
+    ends, used = [], [0]    # each rule's two end nodes; the edges of the first r rules
+    for rule in rules:
+        ends.append((end(rule.lhs), end(rule.rhs)))
+        used.append(len(edges))
+    lengths = [len(rule.lhs) for rule in rules]
     letters = range(1, row.structure.n + 1)
+    step = row.step
     levels = [data]         # the states first reached after k letters
     seen = set(data)
-    for _ in range(max_len - min((len(lhs) for lhs, _ in sides), default=max_len)):
+    for _ in range(max_len - (lengths[0] if rules else max_len)):
         level = []
         for i in levels[-1]:
             for x in letters:
-                j = row.expand(table, i, x)
+                j = step(i, x)
                 if j not in seen:
                     seen.add(j)
                     level.append(j)
         levels.append(level)
-    walk = row.walk
-    return all(walk(e, lhs) == walk(e, rhs)
-               for lhs, rhs in sides
-               for level in levels[:max_len - len(lhs) + 1]
-               for e in level)
+    for k, level in enumerate(levels):
+        r = bisect_right(lengths, max_len - k)
+        walk, pairs, nodes = edges[:used[r]], ends[:r], [0] * (used[r] + 1)
+        for e in level:
+            nodes[0] = e
+            for t, u, x in walk:
+                nodes[t] = step(nodes[u], x)
+            if any(nodes[a] != nodes[b] for a, b in pairs):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

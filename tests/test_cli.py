@@ -303,12 +303,25 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     ["check", "path-bounds", "--n", "2", "--budget", "-5"],
     ["check", "confluence", "--structure", "column", "--n", "2", "--budget", "-5"],
     ["cells", "--structure", "young", "--n", "2", "--budget", "-1"],
+    # bounded presentations with no critical branching, so confluence would
+    # pass with nothing examined: row has no rules at these bounds (nor
+    # letters at --max-len 0), and sylvester has one rule that overlaps nothing
+    ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "0"],
+    ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "1"],
+    ["check", "confluence", "--structure", "sylvester", "--n", "2", "--max-len", "0"],
 ])
 def test_degenerate_bounds_exit_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    # the parser exits on a bound it refuses; a bound it accepts but that
+    # leaves nothing to check makes main return 2 with a message
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if argv[1] == "confluence" and "--max-len" in argv:
+        assert "n=2" in err and f"--max-len {argv[-1]}" in err
 
 
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched
@@ -384,10 +397,13 @@ def test_check_matrix_bytes_are_pinned(line, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# check line -> [exit code, sha256 of stdout] for the word-space checks past
-# the matrix's bound: cross-section and compatibility on every structure at
+# check line -> [exit code, sha256 of stdout] for the checks past the
+# matrix's bound: cross-section and compatibility on every structure at
 # n = 3, --max-len 5 and 6, and on hypoplactic-right at n = 4, --max-len 6,
-# recorded before the congruence closure looked factors up by lhs
+# recorded before the congruence closure looked factors up by lhs; then
+# compatibility on the long-rule families at --max-len 7, and commutation
+# and probes past the matrix, recorded before every insertion from an id
+# was interned
 BOUNDS = json.loads(Path(__file__).with_name("bounds_golden.json").read_text())
 
 
@@ -396,6 +412,12 @@ def test_bounds_golden_covers_every_structure():
              for c in ("cross-section", "compatibility") for s in STRUCTURES for L in (5, 6)}
     lines |= {f"check {c} --structure hypoplactic-right --n 4 --max-len 6"
               for c in ("cross-section", "compatibility")}
+    lines |= {f"check compatibility --structure {s} --n 3 --max-len 7"
+              for s in ("sylvester-left", "lps-right", "rps-right")}
+    lines |= {f"check commutation --structure {s} --n 4 --max-len 8"
+              for s in ("young", "chinese", "hypoplactic")}
+    lines |= {"check probe --structure hypoplactic --n 4 --max-len 7",
+              "check probe --structure sylvester --n 3 --max-len 8"}
     assert set(BOUNDS) == lines
 
 

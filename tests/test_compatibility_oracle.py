@@ -1,4 +1,4 @@
-"""Test-only oracle for the rule-level compatibility check.
+"""Test-only oracles for the rule-level compatibility check.
 
 `check_compatibility` below is the class-level check as it was before the
 rule-level test, copied verbatim: it walks every member of every
@@ -7,6 +7,13 @@ JSON text, with `sdskit.sds.check_compatibility` on every registered
 structure at small bounds, on structures whose fault shows only when a
 rule is applied inside a context at the very end of the bound, and on a
 congruence whose partition is only a lower bound.
+
+`_rules_compatible` below is the rule-level check as it was before the
+trie walk: it walks both sides of every rule from every context state.
+Its verdict must agree with `sdskit.sds._rules_compatible` on every
+registered congruence, on the same fault structures, and on drawn systems
+with shared prefixes, nested and duplicate lhs, and sides of unequal
+length.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdskit import registry, sds
 from sdskit.rewriting import (
@@ -24,6 +32,7 @@ from sdskit.rewriting import (
     congruence_classes,
 )
 from sdskit.sds import (
+    LEFT_TO_RIGHT,
     StringDataStructure,
     _letters_to_indices,
     reachable_set,
@@ -72,6 +81,34 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
             return report("compatibility", structure.name, params, "fail",
                           witness={"word": list(word), "reading": list(rc)})
     return report("compatibility", structure.name, params, "pass")
+
+
+# --- the rule-level check before the trie walk, verbatim but for one call -------
+# (`row.expand(table, i, x)`, which interned its result, is `row.step(i, x)`
+# now that every step interns, so the table argument is gone)
+
+
+def _rules_compatible(row, congruence: RewritingSystem, data: list[int],
+                      max_len: int) -> bool:
+    sides = [(tuple(x + 1 for x in rule.lhs), tuple(x + 1 for x in rule.rhs))
+             for rule in congruence.rules if len(rule.lhs) <= max_len]
+    letters = range(1, row.structure.n + 1)
+    levels = [data]         # the states first reached after k letters
+    seen = set(data)
+    for _ in range(max_len - min((len(lhs) for lhs, _ in sides), default=max_len)):
+        level = []
+        for i in levels[-1]:
+            for x in letters:
+                j = row.step(i, x)
+                if j not in seen:
+                    seen.add(j)
+                    level.append(j)
+        levels.append(level)
+    walk = row.walk
+    return all(walk(e, lhs) == walk(e, rhs)
+               for lhs, rhs in sides
+               for level in levels[:max_len - len(lhs) + 1]
+               for e in level)
 
 
 # --- comparisons ----------------------------------------------------------------
@@ -140,3 +177,83 @@ def test_a_lower_bound_partition_takes_the_class_level_path(monkeypatch):
     for max_len in range(5):
         result = _same_report(young_right(1), congruence, max_len)
     assert result["result"] == "fail"
+
+
+# --- the trie walk against the walk per rule ------------------------------------
+
+
+def _same_verdict(structure, congruence, max_len) -> bool:
+    """Both rule-level verdicts, each from a table of its own, must agree."""
+    verdicts = []
+    for rules_compatible in (sds._rules_compatible, _rules_compatible):
+        reach = reachable_set(structure, max_len)
+        data = [reach.index[k] for k in sorted(reach.index)]
+        verdicts.append(rules_compatible(reach.table.row(structure), congruence, data,
+                                         max_len))
+    assert verdicts[0] == verdicts[1], (structure.name, congruence.rules, max_len)
+    return verdicts[0]
+
+
+@pytest.mark.parametrize("name", sorted(registry.DEFAULT_CONGRUENCE))
+def test_registered_congruences_match_the_walk_per_rule(name):
+    for n in (1, 2, 3):
+        for max_len in range(7):
+            assert _same_verdict(registry.get_structure(name, n),
+                                 registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+
+
+@pytest.mark.parametrize("name", ["young-right", "young-left", "sylvester-left", "lps-right",
+                                  "rps-right", "hypoplactic-right"])
+@pytest.mark.parametrize("max_len", [4, 5])
+def test_fault_structures_match_the_walk_per_rule(name, max_len):
+    # the fault seen through the deepest context, and one letter past it,
+    # where only a rule walked from a level its lhs does not fit would see
+    # it (the last four congruences have lhs of several lengths)
+    base = registry.get_structure(name, 3)
+    congruence = registry.DEFAULT_CONGRUENCE[name](3, max_len)
+    assert not _same_verdict(_dropping(base, 2 * max_len - 1), congruence, max_len)
+    assert _same_verdict(_dropping(base, 2 * max_len), congruence, max_len)
+
+
+def _support(n: int) -> StringDataStructure:
+    """The set of letters inserted: idempotent and commutative, so rules
+    that permute or repeat letters hold even when their sides differ in
+    length."""
+    return StringDataStructure("support", n, (), lambda d, x: tuple(sorted({*d, x})),
+                               lambda d: d, LEFT_TO_RIGHT)
+
+
+@st.composite
+def _rule_systems(draw):
+    """(structure, system, max_len): a registered structure or `_support`,
+    perhaps dropping letters at some size, with some rules of its congruence
+    and rules around one stem, so that lhs share prefixes, nest, repeat with
+    another rhs and have rhs of another length."""
+    n, max_len = draw(st.integers(2, 3)), draw(st.integers(0, 5))
+    name = draw(st.sampled_from([*sorted(registry.DEFAULT_CONGRUENCE), "support"]))
+    if name == "support":
+        structure, known = _support(n), []
+    else:
+        structure = registry.get_structure(name, n)
+        known = [(r.lhs, r.rhs) for r in registry.DEFAULT_CONGRUENCE[name](n, max_len).rules]
+    if draw(st.booleans()):
+        # 2 * max_len is the first size that no walk within the bound reaches
+        size = st.integers(0, 2 * max_len + 1) | st.just(2 * max_len)
+        structure = _dropping(structure, draw(size))
+    pairs = draw(st.lists(st.sampled_from(known), max_size=8)) if known else []
+    letter = st.integers(0, n - 1)
+    stem = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 6))):
+        lhs = stem[:draw(st.integers(1, len(stem)))] + tuple(draw(st.lists(letter, max_size=2)))
+        variants = [tuple(sorted(lhs)), lhs[::-1], lhs[1:], lhs + lhs[-1:], lhs[:1] + lhs]
+        for rhs in draw(st.lists(st.sampled_from(variants), min_size=1, max_size=2)):
+            pairs.append((lhs, rhs))
+    pairs = [p for p in dict.fromkeys(pairs) if p[0] != p[1]]
+    alphabet = Alphabet(tuple(str(x) for x in range(1, n + 1)))
+    return structure, RewritingSystem.from_pairs(alphabet, pairs), max_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_systems())
+def test_drawn_systems_match_the_walk_per_rule(case):
+    _same_verdict(*case)

@@ -137,7 +137,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     # the rule-level contexts run over the structure's letters, the classes
     # over the congruence's, so the two checks agree only when those match
     rule_level = partition.exact and len(congruence.alphabet) == structure.n
-    if rule_level and _rules_compatible(reach.table, row, congruence, data, max_len):
+    if rule_level and _rules_compatible(row, congruence, data, max_len):
         blocks = []
     else:   # a rule-level failure is a class-level one; this loop finds its witness
         blocks = partition.classes()

@@ -1,5 +1,6 @@
 """Framework-level tests: insertion, products, reachability, and bounded verifiers."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -163,10 +164,18 @@ def test_check_commutation_witness_on_broken_pair():
 
 
 @pytest.mark.parametrize("family", ["young", "chinese"])
-def test_commutation_tables_hold_only_the_reachable_data(family, monkeypatch):
-    right, left = (get_structure(name, 3) for name in COMMUTATION_PAIRS[family])
-    reachable = {d for s in (right, left) for d in reachable_set(s, 4).data}
-    tables = []
+def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
+    # every insertion made from an id is interned, also past the bound, so
+    # one verifier call inserts no (structure, datum, letter) twice
+    pair = [get_structure(name, 3) for name in COMMUTATION_PAIRS[family]]
+    reachable = {d for s in pair for d in reachable_set(s, 4).data}
+    calls, tables = [], []
+
+    def counted(structure):
+        def insert_one(d, x):
+            calls.append((structure.name, d, x))
+            return structure.insert_one(d, x)
+        return dataclasses.replace(structure, insert_one=insert_one)
 
     class Recorded(sds.Table):
         def __init__(self):
@@ -174,13 +183,16 @@ def test_commutation_tables_hold_only_the_reachable_data(family, monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(sds, "Table", Recorded)
-    reports = [check_commutation(right, left, 4), commutation_probe(right, left, 3, 4)]
-    assert [r["data_count"] for r in reports] == [len(reachable)] * 2
+    right, left = map(counted, pair)
+    for run in (lambda: check_commutation(right, left, 4),
+                lambda: commutation_probe(right, left, 3, 4)):
+        calls.clear()
+        assert run()["data_count"] == len(reachable)
+        assert calls and len(set(calls)) == len(calls)
     assert len(tables) == 2
     for table in tables:
-        # insertions from data of length 4 leave the bound: computed and
-        # compared, but neither interned nor memoised
-        assert set(table.data) == reachable and len(table.ids) == len(reachable)
+        # insertions from data of length 4 leave the bound and are interned
+        assert reachable < set(table.data) and len(table.ids) == len(table.data)
         assert len(table.rows) == 2
         assert all(t is None or type(t) is int for row in table.rows.values() for t in row.delta)
 
