@@ -46,10 +46,6 @@ def empty_staircase(n: int) -> Staircase:
     return tuple((0,) * i for i in range(1, n + 1))
 
 
-def rank(t: Staircase) -> int:
-    return len(t)
-
-
 def is_staircase(t: Staircase) -> bool:
     return all(len(row) == i + 1 for i, row in enumerate(t)) and \
         all(v >= 0 for row in t for v in row)

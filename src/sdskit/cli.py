@@ -123,12 +123,25 @@ def _confluence(name: str, n: int, L: int, budget) -> dict:
 def _termination(name: str, n: int, L: int, budget) -> dict:
     order = registry.lookup(registry.TERMINATION_ORDERS, name, "termination order")
     pres = registry.build_presentation(name, n, L)
+    if not pres.system.rules:   # a pass would rest on no rule
+        raise ValueError(f"{name} at n={n} has no rules: nothing to check")
     cert = termination_certificate(pres.system, len, order(pres, n))
     witness = None
     if cert.witness is not None:
         witness = {"lhs": list(cert.witness.lhs), "rhs": list(cert.witness.rhs)}
     return report("termination", name, {"n": n}, "pass" if cert.passes else "fail",
                   witness=witness)
+
+
+def _counted(table: dict, what: str, count: str):
+    """The check of `table`'s verifier for a name at (n, budget), refusing a
+    pass whose report counts no `count` examined."""
+    def check(name: str, n: int, L: int, budget) -> dict:
+        result = registry.lookup(table, name, what)(n, budget)
+        if result.get(count) == 0:
+            raise ValueError(f"{name} at n={n} has no {count}: nothing to check")
+        return result
+    return check
 
 
 # check name -> (structure name, n, max_len, budget) -> report
@@ -143,10 +156,8 @@ CHECKS = {
         check_compatibility(*_with_congruence(name, n, L), L),
     "confluence": _confluence,
     "termination": _termination,
-    "path-bounds": lambda name, n, L, budget:
-        registry.lookup(registry.PATH_BOUNDS, name, "path bounds")(n, budget),
-    "cell-shapes": lambda name, n, L, budget:
-        registry.lookup(registry.CELLS, name, "cell shapes")(n, budget),
+    "path-bounds": _counted(registry.PATH_BOUNDS, "path bounds", "triples"),
+    "cell-shapes": _counted(registry.CELLS, "cell shapes", "cells"),
     "probe": lambda name, n, L, budget: registry.probe(name, n, L),
 }
 

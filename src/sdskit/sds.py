@@ -72,40 +72,23 @@ class StringDataStructure:
         return self.insert_word(d, self.read(e))
 
 
-class Table:
-    """Data interned to ids by equality, with one `Row` of memoised
-    insertions and readings per structure.
+class Row:
+    """One structure's insertions and readings over data interned to ids,
+    each computed once.
 
-    A verifier builds one table per call.  The breadth-first search of
-    `reachable_set` interns the data it reaches within its bound, and every
-    insertion made from an id is interned too, so the table holds what the
-    verifiers walked, not only what the searches reached: each (structure,
-    datum, letter) is inserted at most once per table, also past the bound.
-    Rows act on ids, and two ids are equal exactly when their data are.
+    Two ids are equal exactly when their data are.  Every insertion made
+    from an id is interned too, so a row holds what the verifiers walked,
+    not only what `reachable_set` reached: each (structure, datum, letter)
+    is inserted at most once per row, also past the bound.  A row built
+    `like` another shares its data and ids, so the two structures' ids
+    agree.  `delta` and `reads` grow to cover the ids only when an id past
+    their end is asked for, so interning through one row touches no other.
     """
 
-    def __init__(self):
-        self.data: list[Datum] = []
-        self.ids: dict[Datum, int] = {}
-        self.rows: dict[int, Row] = {}
-
-    def row(self, structure: StringDataStructure) -> Row:
-        row = self.rows.get(id(structure))
-        if row is None:
-            row = self.rows[id(structure)] = Row(self, structure)
-        return row
-
-
-class Row:
-    """One structure's insertions and readings over the ids of a table, each
-    computed once.  `delta` and `reads` grow to cover the table's ids only
-    when an id past their end is asked for, so interning touches no row."""
-
-    def __init__(self, table: Table, structure: StringDataStructure):
-        # the table's lists, not the table: a cycle would keep every table
-        # alive until the cyclic collector runs
-        self.data, self.ids, self.structure = table.data, table.ids, structure
-        self.n = structure.n
+    def __init__(self, structure: StringDataStructure, like: Row | None = None):
+        self.data: list[Datum] = [] if like is None else like.data
+        self.ids: dict[Datum, int] = {} if like is None else like.ids
+        self.structure, self.n = structure, structure.n
         self.delta: list = []       # id after letter x from id i, at i * n + x - 1
         self.reads: list = []       # id -> reading
 
@@ -148,42 +131,34 @@ class Row:
 @dataclass
 class ReachableSet:
     """The data a structure reaches from words of length <= max_len, one per
-    reading, as ids of `table`."""
+    reading, as ids of `row`."""
 
     structure: StringDataStructure
     max_len: int
-    table: Table
-    index: dict[tuple[int, ...], int]       # reading -> id in `table`
+    row: Row
+    index: dict[tuple[int, ...], int]       # reading -> id in `row`
 
     @cached_property
     def data(self) -> list[Datum]:
-        return [self.table.data[i] for i in self.index.values()]
+        return [self.row.data[i] for i in self.index.values()]
 
     @cached_property
     def by_read(self) -> dict[tuple[int, ...], Datum]:
-        return {key: self.table.data[i] for key, i in self.index.items()}
+        return {key: self.row.data[i] for key, i in self.index.items()}
 
     def __contains__(self, key):
         return key in self.index
 
 
 def reachable_set(structure: StringDataStructure, max_len: int,
-                  table: Table | None = None) -> ReachableSet:
+                  like: Row | None = None) -> ReachableSet:
     """All data obtainable from words of length <= max_len, keyed by reading.
 
-    The search interns what it reaches in `table` (a new one if none is
-    given), whose row for the structure then holds every insertion made.
+    Breadth first from the empty datum, in a new row (built `like` the
+    given one); every datum met is interned, but only one with a new
+    reading is kept and expanded.
     """
-    return _search(Table() if table is None else table, structure, max_len)
-
-
-def _search(table: Table, structure: StringDataStructure, max_len: int) -> ReachableSet:
-    # breadth first from the empty datum; every datum met is interned, but
-    # only one with a new reading is kept and expanded.  check_axioms and the
-    # cross-section fibers, which ran searches of their own before the table,
-    # call this directly, so the traced benchmark's counts of reachable_set
-    # keep measuring the same calls.
-    row, n = table.row(structure), structure.n
+    row, n = Row(structure, like), structure.n
     start = row.state(structure.empty)
     index = {row.read(start): start}
     frontier = [start]
@@ -197,7 +172,7 @@ def _search(table: Table, structure: StringDataStructure, max_len: int) -> Reach
                     nxt.append(j)
                     index[key] = j
         frontier = nxt
-    return ReachableSet(structure, max_len, table, index)
+    return ReachableSet(structure, max_len, row, index)
 
 
 def report(check: str, structure, params: dict, result: str, **extra) -> dict:
@@ -224,12 +199,12 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
     if structure.read(structure.empty) != ():
         return report("axioms", structure.name, params, "fail",
                       witness={"axiom": "empty_reading"})
-    table = Table()
-    index = _search(table, structure, max_len).index
-    row, empty = table.row(structure), table.ids[structure.empty]
+    reach = reachable_set(structure, max_len)
+    row, index = reach.row, reach.index
+    empty = row.ids[structure.empty]
     # the search interns every datum it meets, so a reading collision is an
     # id that lost its reading to an earlier one
-    for i in range(len(table.data)):
+    for i in range(len(row.data)):
         key = row.read(i)
         if index[key] != i:
             return report("axioms", structure.name, params, "fail",
@@ -245,7 +220,7 @@ def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
     """Exhaustively compare the two bracketings of the internal product."""
     params = {"n": structure.n, "max_len": max_len}
     reach = reachable_set(structure, max_len)
-    row = reach.table.row(structure)
+    row = reach.row
     by_weight: dict[int, list[int]] = {}
     for key, i in reach.index.items():
         by_weight.setdefault(len(key), []).append(i)
@@ -271,13 +246,11 @@ def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
     """The data reachable by either insertion within the bound, keyed by reading,
     and the first (reading, x, y), in sorted order, on which inserting x on the
     right and y on the left depends on the order; None if there is none."""
-    table = Table()
-    ids: dict[tuple[int, ...], int] = {}
-    for s in (right, left):
-        for key, i in reachable_set(s, max_len, table).index.items():
-            ids.setdefault(key, i)
-    data = {key: table.data[i] for key, i in ids.items()}
-    r, l = table.row(right), table.row(left)
+    reach_r = reachable_set(right, max_len)
+    reach_l = reachable_set(left, max_len, like=reach_r.row)
+    r, l = reach_r.row, reach_l.row
+    ids = {**reach_l.index, **reach_r.index}    # a shared reading keeps the right's id
+    data = {key: r.data[i] for key, i in ids.items()}
     letters = range(1, right.n + 1)
     for key in sorted(ids):
         i = ids[key]
@@ -331,9 +304,7 @@ def _constructor_walks(row: Row, max_len: int):
 
 
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
-    table = Table()
-    _search(table, structure, max_len)
-    row = table.row(structure)
+    row = reachable_set(structure, max_len).row
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word, s in _constructor_walks(row, max_len):
         fibers.setdefault(row.read(s), set()).add(word)
@@ -368,7 +339,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
     reach = reachable_set(structure, max_len)
-    row = reach.table.row(structure)
+    row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     # the rule-level contexts run over the structure's letters, the classes
     # over the congruence's, so the two checks agree only when those match
@@ -497,8 +468,8 @@ class GeneratingSet:
 
     def product(self, word: tuple[int, ...]) -> Datum:
         """The product of a nonempty generator word, folded from its first
-        generator.  Products generally leave every bounded table, so this is
-        a plain fold of the structure's product."""
+        generator.  A generating set holds no row to memoise insertions in,
+        so this is a plain fold of the structure's product."""
         gens = self.generators
         d = gens[word[0]]
         for i in word[1:]:
@@ -547,7 +518,7 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
     if mode not in (FULL, MINIMAL, READINGS):
         raise ValueError(f"unknown mode {mode!r}")
     reach = reachable_set(structure, bound)
-    row = reach.table.row(structure)
+    row = reach.row
     keys = {key: k for k, key in enumerate(k for k in reach.index if k)}  # no unit
     if mode == MINIMAL:     # the right factor is a single letter
         rights = [((x,), row.state(structure.iota(x))) for x in range(1, structure.n + 1)]
@@ -567,7 +538,7 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
         letter_alphabet = Alphabet(tuple(str(x) for x in range(1, structure.n + 1)))
         pairs = sorted((_letters_to_indices(l), _letters_to_indices(r)) for l, r in seen)
         return Presentation(RewritingSystem.from_pairs(letter_alphabet, pairs), None)
-    data = tuple(reach.table.data[reach.index[key]] for key in keys)
+    data = tuple(row.data[reach.index[key]] for key in keys)
     alphabet = Alphabet(tuple(datum_label(structure, d) for d in data))
     return Presentation(RewritingSystem.from_pairs(alphabet, pairs), data)
 
@@ -622,7 +593,7 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
     reach = reachable_set(structure, max_len)
     # a rule longer than every reading matches no factorization checked here
     induced = generating_presentation(gen, max(map(len, reach.index))).system
-    row = reach.table.row(structure)
+    row = reach.row
     empty = row.state(structure.empty)
     states = [row.state(c) for c in gen.generators]
     reads = [row.read(s) for s in states]

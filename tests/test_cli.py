@@ -309,6 +309,14 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "0"],
     ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "1"],
     ["check", "confluence", "--structure", "sylvester", "--n", "2", "--max-len", "0"],
+    # at n=1 these presentations have no rules, so no cell, path triple or
+    # rule would be examined
+    ["check", "cell-shapes", "--structure", "young", "--n", "1"],
+    ["check", "cell-shapes", "--structure", "chinese", "--n", "1"],
+    ["check", "path-bounds", "--n", "1"],
+    ["check", "termination", "--structure", "young", "--n", "1"],
+    ["check", "termination", "--structure", "chinese", "--n", "1"],
+    ["check", "termination", "--structure", "chinese-precolumn", "--n", "1"],
 ])
 def test_degenerate_bounds_exit_2(argv, capsys):
     # the parser exits on a bound it refuses; a bound it accepts but that
@@ -322,6 +330,8 @@ def test_degenerate_bounds_exit_2(argv, capsys):
     assert out == ""
     if argv[1] == "confluence" and "--max-len" in argv:
         assert "n=2" in err and f"--max-len {argv[-1]}" in err
+    if argv[-2:] == ["--n", "1"]:
+        assert "n=1" in err
 
 
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched

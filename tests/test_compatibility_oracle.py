@@ -58,7 +58,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
     reach = reachable_set(structure, max_len)
-    row = reach.table.row(structure)
+    row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     for block in partition.classes():
         words = sorted(block)
@@ -72,7 +72,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
                         return report("compatibility", structure.name, params, "fail",
                                       witness={"u": list(w_first), "v": list(w_other),
                                                "datum": list(row.read(d))})
-    empty = reach.table.ids[structure.empty]
+    empty = reach.row.ids[structure.empty]
     for word in _words(structure.n, max_len):
         rc = row.read(row.walk(empty, word))
         iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
@@ -183,13 +183,12 @@ def test_a_lower_bound_partition_takes_the_class_level_path(monkeypatch):
 
 
 def _same_verdict(structure, congruence, max_len) -> bool:
-    """Both rule-level verdicts, each from a table of its own, must agree."""
+    """Both rule-level verdicts, each from a row of its own, must agree."""
     verdicts = []
     for rules_compatible in (sds._rules_compatible, _rules_compatible):
         reach = reachable_set(structure, max_len)
         data = [reach.index[k] for k in sorted(reach.index)]
-        verdicts.append(rules_compatible(reach.table.row(structure), congruence, data,
-                                         max_len))
+        verdicts.append(rules_compatible(reach.row, congruence, data, max_len))
     assert verdicts[0] == verdicts[1], (structure.name, congruence.rules, max_len)
     return verdicts[0]
 

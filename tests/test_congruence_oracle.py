@@ -28,11 +28,10 @@ from sdskit.rewriting import (
     words_up_to,
 )
 from sdskit.sds import (
+    Row,
     StringDataStructure,
-    Table,
     _letters_to_indices,
     _rules_compatible,
-    _search,
     reachable_set,
     report,
 )
@@ -110,9 +109,8 @@ def _words(n: int, max_len: int):
 
 
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
-    table = Table()
-    _search(table, structure, max_len)
-    row, empty = table.row(structure), table.ids[structure.empty]
+    row = reachable_set(structure, max_len).row
+    empty = row.ids[structure.empty]
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word in _words(structure.n, max_len):
         key = row.read(row.walk(empty, word))
@@ -132,7 +130,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
     reach = reachable_set(structure, max_len)
-    row = reach.table.row(structure)
+    row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     # the rule-level contexts run over the structure's letters, the classes
     # over the congruence's, so the two checks agree only when those match
@@ -153,7 +151,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
                         return report("compatibility", structure.name, params, "fail",
                                       witness={"u": list(w_first), "v": list(w_other),
                                                "datum": list(row.read(d))})
-    empty = reach.table.ids[structure.empty]
+    empty = reach.row.ids[structure.empty]
     for word in _words(structure.n, max_len):
         rc = row.read(row.walk(empty, word))
         iw, irc = _letters_to_indices(word), _letters_to_indices(rc)
@@ -254,7 +252,7 @@ def test_fault_structures_match_the_walk_per_word(base, max_len):
 
 def test_constructor_walks_follow_the_reading_direction():
     for structure in (young_right(3), young_left(3)):
-        row = Table().row(structure)
+        row = Row(structure)
         walks = list(sds._constructor_walks(row, 4))
         assert [word for word, _ in walks] == list(map(_letters_to_indices, _words(3, 4)))
         assert all(row.read(s) == row.read(row.walk(row.state(structure.empty),

@@ -1,7 +1,9 @@
 """Framework-level tests: insertion, products, reachability, and bounded verifiers."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from sdskit.chinese import (
     chinese_right,
     qn_generating_set,
 )
-from sdskit import sds
+from sdskit import registry, sds
 from sdskit.extra import commutation_probe
 from sdskit.registry import COMMUTATION_PAIRS, get_structure
 from sdskit.rewriting import normalize, words_up_to
@@ -169,7 +171,7 @@ def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
     # one verifier call inserts no (structure, datum, letter) twice
     pair = [get_structure(name, 3) for name in COMMUTATION_PAIRS[family]]
     reachable = {d for s in pair for d in reachable_set(s, 4).data}
-    calls, tables = [], []
+    calls, rows = [], []
 
     def counted(structure):
         def insert_one(d, x):
@@ -177,24 +179,54 @@ def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
             return structure.insert_one(d, x)
         return dataclasses.replace(structure, insert_one=insert_one)
 
-    class Recorded(sds.Table):
-        def __init__(self):
-            super().__init__()
-            tables.append(self)
+    class Recorded(sds.Row):
+        def __init__(self, structure, like=None):
+            super().__init__(structure, like)
+            rows.append(self)
 
-    monkeypatch.setattr(sds, "Table", Recorded)
+    monkeypatch.setattr(sds, "Row", Recorded)
     right, left = map(counted, pair)
     for run in (lambda: check_commutation(right, left, 4),
                 lambda: commutation_probe(right, left, 3, 4)):
         calls.clear()
         assert run()["data_count"] == len(reachable)
         assert calls and len(set(calls)) == len(calls)
-    assert len(tables) == 2
-    for table in tables:
+    assert [row.structure for row in rows] == [right, left, right, left]
+    for r, l in (rows[:2], rows[2:]):
+        # the two rows of one call intern into the same data and ids
+        assert l.data is r.data and l.ids is r.ids
         # insertions from data of length 4 leave the bound and are interned
-        assert reachable < set(table.data) and len(table.ids) == len(table.data)
-        assert len(table.rows) == 2
-        assert all(t is None or type(t) is int for row in table.rows.values() for t in row.delta)
+        assert reachable < set(r.data) and len(r.ids) == len(r.data)
+        assert all(t is None or type(t) is int for row in (r, l) for t in row.delta)
+
+
+def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
+    # a row caught in a reference cycle, with every datum it interned, would
+    # live until the cyclic collector ran and raise the peak memory of a
+    # batch of verifier calls
+    refs = []
+
+    class Recorded(sds.Row):
+        def __init__(self, structure, like=None):
+            super().__init__(structure, like)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(sds, "Row", Recorded)
+    calls = [lambda: check_axioms(young_right(3), 4),
+             lambda: check_commutation(young_right(3), young_left(3), 4),
+             lambda: check_compatibility(young_right(3), knuth_srs(3), 4),
+             lambda: validate_generating_set(column_generating_set(3), 4),
+             lambda: registry.probe("sylvester", 3, 4)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            refs.clear()
+            call()
+            assert refs and all(ref() is None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_cross_section_young_and_chinese():
