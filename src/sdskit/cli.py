@@ -249,8 +249,9 @@ def main(argv=None) -> int:
     except coherence.BudgetExhausted as exc:     # a truncated run, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
+    except (KeyError, ValueError, OSError) as exc:
+        # bad input, or an --out path that cannot be written; str() of a
+        # KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -63,8 +63,7 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
     return cells
 
 
-def strategy_cells(presentation: Presentation, triples=None,
-                   budget: int | None = None) -> list[ThreeCell]:
+def strategy_cells(presentation: Presentation, budget: int | None = None) -> list[ThreeCell]:
     """Leftmost-versus-rightmost cells on the critical triples of a
     presentation built from a generating set.
 
@@ -73,10 +72,8 @@ def strategy_cells(presentation: Presentation, triples=None,
     commutation the presentation was built from.
     """
     system, gen_set = presentation.system, presentation.generating
-    if triples is None:
-        triples = [b.source for b in critical_branchings(system)]
     cells = []
-    for word in triples:
+    for word in (b.source for b in critical_branchings(system)):
         expected = gen_set.word(gen_set.product(word))
         top = normalize(system, word, LEFTMOST, budget)
         bottom = normalize(system, word, RIGHTMOST, budget)

@@ -146,9 +146,6 @@ class ReachableSet:
     def by_read(self) -> dict[tuple[int, ...], Datum]:
         return {key: self.row.data[i] for key, i in self.index.items()}
 
-    def __contains__(self, key):
-        return key in self.index
-
 
 def reachable_set(structure: StringDataStructure, max_len: int,
                   like: Row | None = None) -> ReachableSet:
@@ -444,9 +441,10 @@ class GeneratingSet:
 
     `decompose` must return the canonical factorization of a datum whose
     adjacent products leave the generating set and whose readings
-    concatenate to the datum's reading.  Generators are indexed by their
-    readings (`index`), words over the generators are tuples of those ids,
-    and `word`/`product` translate between data and such words.
+    concatenate to the datum's reading.  Generator i is id i of the set's
+    `row`, and of the validator's row, built `like` it; words over the
+    generators are tuples of those ids, `index` maps readings to them, and
+    `word`/`product` translate between data and such words.
     """
 
     structure: StringDataStructure
@@ -454,27 +452,33 @@ class GeneratingSet:
     decompose: Callable[[Datum], tuple[Datum, ...]]
 
     @cached_property
+    def row(self) -> Row:
+        """The generators interned in order; a repeated one would shift the
+        ids, so it raises."""
+        row = Row(self.structure)
+        if len({row.state(c) for c in self.generators}) < len(self.generators):
+            raise ValueError("a generating set repeats a generator")
+        return row
+
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         """Reading -> generator id."""
-        read = self.structure.read
-        return {read(c): i for i, c in enumerate(self.generators)}
+        read = self.row.read
+        return {read(i): i for i in range(len(self.generators))}
 
     def word(self, d: Datum) -> tuple[int, ...] | None:
         """The generator ids of d's canonical factorization; None if a factor
         is not a generator."""
-        index, read = self.index, self.structure.read
-        word = tuple(index.get(read(f)) for f in self.decompose(d))
+        index, row = self.index, self.row
+        word = tuple(index.get(row.read(row.state(f))) for f in self.decompose(d))
         return None if None in word else word
 
     def product(self, word: tuple[int, ...]) -> Datum:
-        """The product of a nonempty generator word, folded from its first
-        generator.  A generating set holds no row to memoise insertions in,
-        so this is a plain fold of the structure's product."""
-        gens = self.generators
-        d = gens[word[0]]
-        for i in word[1:]:
-            d = self.structure.star(d, gens[i])
-        return d
+        """The product of a nonempty generator word, walked in the set's row."""
+        row, i = self.row, word[0]
+        for j in word[1:]:
+            i = row.walk(i, row.read(j))
+        return row.data[i]
 
 
 def datum_label(structure: StringDataStructure, d: Datum) -> str:
@@ -550,8 +554,8 @@ def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Pre
     with one, it keeps the pairs whose readings have at most `bound` letters
     in all and skips the products that leave the set.
     """
-    read = gen.structure.read
-    sizes = [len(read(c)) for c in gen.generators]
+    read = gen.row.read
+    sizes = [len(read(i)) for i in range(len(gen.generators))]
     pairs = []
     for i, a in enumerate(sizes):
         for j, b in enumerate(sizes):
@@ -590,27 +594,25 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
         if structure.read(structure.iota(x)) not in index:
             return report("generating-set", name, params, "fail",
                           witness={"condition": "letters", "letter": x})
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(structure, max_len, like=gen.row)
     # a rule longer than every reading matches no factorization checked here
     induced = generating_presentation(gen, max(map(len, reach.index))).system
     row = reach.row
-    empty = row.state(structure.empty)
-    states = [row.state(c) for c in gen.generators]
-    reads = [row.read(s) for s in states]
+    read, empty = row.read, row.ids[structure.empty]
 
     def valid(word: tuple[int, ...], d: int) -> bool:
         # the generators multiply to datum d, and no adjacent two multiply to a generator
         s = empty
         for i in word:
-            s = row.walk(s, reads[i])
-        return s == d and all(row.read(row.walk(states[a], reads[b])) not in index
+            s = row.walk(s, read(i))
+        return s == d and all(read(row.walk(a, read(b))) not in index
                               for a, b in zip(word, word[1:]))
 
     max_valid = 1
     for key in sorted(reach.index):
         d = reach.index[key]
         dec = gen.word(row.data[d])
-        if dec is None or sum((reads[i] for i in dec), ()) != key or not valid(dec, d):
+        if dec is None or sum(map(read, dec), ()) != key or not valid(dec, d):
             return report("generating-set", name, params, "fail",
                           witness={"condition": "decomposition", "reading": list(key)})
         factorizations = [w for w in _factorizations(key, index) if valid(w, d)]

@@ -438,6 +438,18 @@ def test_word_space_bytes_are_pinned_past_the_matrix(line, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["check", "axioms", "--structure", "young-right", "--n", "2", "--max-len", "2"],
+     "missing/x.json"),
+    (["build", "knuth", "--n", "2"], "."),
+], ids=["out-in-missing-dir", "out-is-a-dir"])
+def test_unwritable_out_exits_2(argv, out, tmp_path, capsys):
+    # an --out that cannot be opened is a usage error, not a verified failure
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
+
+
 def run_in_process(argv) -> tuple[int, str]:
     """Exit code and stderr of one invocation; an escaping exception is
     written to stderr as the interpreter would, with exit code 1."""

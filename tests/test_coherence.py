@@ -11,7 +11,15 @@ from sdskit.coherence import (
     verify_cell_shapes_chinese,
     verify_cell_shapes_young,
 )
-from sdskit.rewriting import Alphabet, RewritingSystem, critical_branchings, replay
+from sdskit.rewriting import (
+    LEFTMOST,
+    RIGHTMOST,
+    Alphabet,
+    RewritingSystem,
+    critical_branchings,
+    normalize,
+    replay,
+)
 from sdskit.young import column_presentation, read_tableau
 
 
@@ -60,11 +68,14 @@ def test_strategy_cells_young_worked_triple():
     # the three columns of the five-row example reach the same reading on
     # both strategies
     pres = column_presentation(5)
+    gen = pres.generating
     idx = {read_tableau(c): i for i, c in enumerate(pres.generators)}
     triple = (idx[(5, 3, 1)], idx[(5, 4, 3, 1)], idx[(3, 2, 1)])
-    (cell,) = strategy_cells(pres, triples=[triple])
-    labels = [pres.system.alphabet.name(i) for i in cell.left_path.target]
-    assert labels == ["c_54321", "c_531", "c_31"]
+    targets = {normalize(pres.system, triple, strategy).target
+               for strategy in (LEFTMOST, RIGHTMOST)}
+    assert targets == {gen.word(gen.product(triple))}
+    (target,) = targets
+    assert [pres.system.alphabet.name(i) for i in target] == ["c_54321", "c_531", "c_31"]
 
 
 def test_squier_and_strategy_cells_share_endpoints():

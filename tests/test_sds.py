@@ -12,9 +12,11 @@ from sdskit.chinese import (
     chinese_left,
     chinese_relations,
     chinese_right,
+    completed_presentation,
     qn_generating_set,
 )
 from sdskit import registry, sds
+from sdskit.coherence import strategy_cells
 from sdskit.extra import commutation_probe
 from sdskit.registry import COMMUTATION_PAIRS, get_structure
 from sdskit.rewriting import normalize, words_up_to
@@ -36,6 +38,7 @@ from sdskit.sds import (
 )
 from sdskit.young import (
     column_generating_set,
+    column_presentation,
     knuth_srs,
     read_tableau,
     row_generating_set,
@@ -200,6 +203,31 @@ def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
         assert all(t is None or type(t) is int for row in (r, l) for t in row.delta)
 
 
+@pytest.mark.parametrize("make", [column_generating_set, qn_generating_set])
+def test_generating_layer_inserts_each_datum_and_letter_once(make):
+    # products walk the set's row, which interns every insertion, so the
+    # presentation and its strategy cells insert no (datum, letter) twice
+    gen = make(4)
+    calls = []
+
+    def insert_one(d, x):
+        calls.append((d, x))
+        return gen.structure.insert_one(d, x)
+
+    counted = dataclasses.replace(
+        gen, structure=dataclasses.replace(gen.structure, insert_one=insert_one))
+    strategy_cells(generating_presentation(counted))
+    assert calls and len(set(calls)) == len(calls)
+
+
+def test_a_repeated_generator_raises():
+    # generator i is id i of the set's row; a repeat would shift the ids
+    gen = column_generating_set(2)
+    repeated = dataclasses.replace(gen, generators=gen.generators + gen.generators[:1])
+    with pytest.raises(ValueError, match="repeats a generator"):
+        generating_presentation(repeated)
+
+
 def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
     # a row caught in a reference cycle, with every datum it interned, would
     # live until the cyclic collector ran and raise the peak memory of a
@@ -216,6 +244,8 @@ def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
              lambda: check_commutation(young_right(3), young_left(3), 4),
              lambda: check_compatibility(young_right(3), knuth_srs(3), 4),
              lambda: validate_generating_set(column_generating_set(3), 4),
+             lambda: column_presentation(3),
+             lambda: strategy_cells(completed_presentation(3)),
              lambda: registry.probe("sylvester", 3, 4)]
     enabled = gc.isenabled()
     gc.disable()
