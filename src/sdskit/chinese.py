@@ -16,15 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .rewriting import (
-    LEFTMOST,
-    RIGHTMOST,
-    Alphabet,
-    RewritingSystem,
-    Word,
-    critical_branchings,
-    normalize,
-)
+from .coherence import strategy_paths
+from .rewriting import Alphabet, RewritingSystem, Word
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -442,9 +435,9 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     these words are the sources of its critical branchings, one branching
     each.  The report carries both outcomes separately; (b) does not hold
     in general (see the witness list), so the overall result reflects (a)
-    and (b) independently.  Paths stop after `budget` steps (the
-    normalization default when None); the result also fails when a path
-    hit that budget, and `budget_hits` then counts those paths.
+    and (b) independently.  The paths are `coherence.strategy_paths`: they
+    stop after `budget` steps (the normalization default when None), and a
+    path that hit it fails the result and counts in `budget_hits`.
     """
     system = completed_presentation(n).system
     gens = qn_generators(n)
@@ -456,11 +449,9 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     max_right_square = 0
     bound_witness = None
     late_witnesses = []
-    budget_hits = 0
-    triples = [b.source for b in critical_branchings(system)]
-    for word in triples:
-        left = normalize(system, word, LEFTMOST, budget)
-        right = normalize(system, word, RIGHTMOST, budget)
+    budget_hits = triples = 0
+    for word, left, right in strategy_paths(system, budget):
+        triples += 1
         budget_hits += (not left.reached_normal_form) + (not right.reached_normal_form)
         ll, lr = len(left.path.steps), len(right.path.steps)
         max_left, max_right = max(max_left, ll), max(max_right, lr)
@@ -485,7 +476,7 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
                   "pass" if bounds_ok and late_ok and not budget_hits else "fail",
                   length_bounds="pass" if bounds_ok else "fail",
                   late_steps_commutation="pass" if late_ok else "fail",
-                  triples=len(triples), max_left=max_left, max_right=max_right,
+                  triples=triples, max_left=max_left, max_right=max_right,
                   max_right_square_led=max_right_square, witness=bound_witness,
                   late_step_witnesses=late_witnesses[:5] or None,
                   late_step_violations=len(late_witnesses) or None,

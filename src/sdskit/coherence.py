@@ -1,10 +1,11 @@
 """Coherence witnesses: pairs of parallel reduction paths per critical branching.
 
 A three-cell records two rewriting paths with the same source and target.
-Squier cells follow each branching leg with leftmost normalization; the
-strategy cells pair the full leftmost path against the full rightmost one,
-which for the presentations built from a generating set realises the two
-insertion orders.  Shape verifiers bound the leg lengths for the column
+Squier cells follow each branching leg with leftmost normalization.  The
+strategy walk normalizes each critical-branching source leftmost and
+rightmost; strategy cells pair the two paths (for a presentation built
+from a generating set, the two insertion orders) and the staircase path
+bounds measure them.  Shape verifiers bound the leg lengths for the column
 presentation of tableaux (hexagons) and the completed staircase
 presentation (decagons).
 """
@@ -12,11 +13,13 @@ presentation (decagons).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .rewriting import (
     LEFTMOST,
     RIGHTMOST,
     Branching,
+    NormalizeResult,
     RewritePath,
     RewritingSystem,
     Word,
@@ -63,6 +66,16 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
     return cells
 
 
+def strategy_paths(system: RewritingSystem, budget: int | None = None
+                   ) -> Iterator[tuple[Word, NormalizeResult, NormalizeResult]]:
+    """Each critical branching's source with its leftmost and rightmost
+    normalizations, in `critical_branchings` order; one that hit `budget`
+    stops there.  Lazy, so a caller may stop at the first hit."""
+    for word in (b.source for b in critical_branchings(system)):
+        yield (word, normalize(system, word, LEFTMOST, budget),
+               normalize(system, word, RIGHTMOST, budget))
+
+
 def strategy_cells(presentation: Presentation, budget: int | None = None) -> list[ThreeCell]:
     """Leftmost-versus-rightmost cells on the critical triples of a
     presentation built from a generating set.
@@ -71,12 +84,10 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
     of the three generators; a mismatch is fatal since it contradicts the
     commutation the presentation was built from.
     """
-    system, gen_set = presentation.system, presentation.generating
+    gen_set = presentation.generating
     cells = []
-    for word in (b.source for b in critical_branchings(system)):
+    for word, top, bottom in strategy_paths(presentation.system, budget):
         expected = gen_set.word(gen_set.product(word))
-        top = normalize(system, word, LEFTMOST, budget)
-        bottom = normalize(system, word, RIGHTMOST, budget)
         if not (top.reached_normal_form and bottom.reached_normal_form):
             raise BudgetExhausted("triple", word)
         if top.target != expected or bottom.target != expected:

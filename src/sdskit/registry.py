@@ -38,7 +38,7 @@ def _parse_staircase(text: str, n: int):
     if not text.strip():
         return chinese.empty_staircase(n)
     data, rows = _json_rows(text, "rows")
-    if data.get("n") != n:
+    if type(data.get("n")) is not int or data["n"] != n:
         raise ValueError(f"staircase rank {data.get('n')} is not n = {n}")
     return chinese.staircase_from_json({"n": n, "rows": rows})
 

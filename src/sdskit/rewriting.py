@@ -37,9 +37,6 @@ class Alphabet:
     def __len__(self):
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def name(self, letter: int) -> str:
         return self.labels[letter]
 
@@ -321,10 +318,6 @@ class CongruencePartition:
     exact: bool
     representative: dict[Word, Word]
 
-    def class_of(self, word: Word) -> frozenset[Word]:
-        rep = self.representative[word]
-        return frozenset(w for w, r in self.representative.items() if r == rep)
-
     def classes(self) -> list[frozenset[Word]]:
         by_rep: dict[Word, set[Word]] = {}
         for word, rep in self.representative.items():
@@ -511,21 +504,3 @@ def system_to_json(system: RewritingSystem) -> dict:
         "alphabet": list(system.alphabet.labels),
         "rules": [{"lhs": list(r.lhs), "rhs": list(r.rhs)} for r in system.rules],
     }
-
-
-def system_from_json(data: dict) -> RewritingSystem:
-    alphabet = Alphabet(tuple(data["alphabet"]))
-    pairs = [(tuple(r["lhs"]), tuple(r["rhs"])) for r in data["rules"]]
-    return RewritingSystem.from_pairs(alphabet, pairs)
-
-
-def parse_word(alphabet: Alphabet, text: str) -> Word:
-    """Parse the space-separated generator-name format."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(alphabet.index(name) for name in text.split())
-
-
-def format_word(alphabet: Alphabet, word: Word) -> str:
-    return " ".join(alphabet.name(letter) for letter in word)

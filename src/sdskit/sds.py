@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable
 
@@ -442,9 +442,10 @@ class GeneratingSet:
     `decompose` must return the canonical factorization of a datum whose
     adjacent products leave the generating set and whose readings
     concatenate to the datum's reading.  Generator i is id i of the set's
-    `row`, and of the validator's row, built `like` it; words over the
-    generators are tuples of those ids, `index` maps readings to them, and
-    `word`/`product` translate between data and such words.
+    `row`, and of the validator's own row, which interns the generators in
+    the same order; words over the generators are tuples of those ids,
+    `index` maps readings to them, and `word`/`product` translate between
+    data and such words.
     """
 
     structure: StringDataStructure
@@ -594,7 +595,8 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
         if structure.read(structure.iota(x)) not in index:
             return report("generating-set", name, params, "fail",
                           witness={"condition": "letters", "letter": x})
-    reach = reachable_set(structure, max_len, like=gen.row)
+    # a twin set's row: generator i is id i there too, and the set's row stays as it was
+    reach = reachable_set(structure, max_len, like=replace(gen).row)
     # a rule longer than every reading matches no factorization checked here
     induced = generating_presentation(gen, max(map(len, reach.index))).system
     row = reach.row

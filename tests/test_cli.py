@@ -279,10 +279,16 @@ def test_shared_parser_carries_no_state_between_calls():
      "--word", "1"],
     ["--structure", "chinese-right", "--datum", '{"n":3,"rows":[[0],[0,0],[0,0,0]]}',
      "--n", "2", "--word", "1"],
+    # a rank that equals n only as a bool or a float
+    ["--structure", "chinese-right", "--n", "1", "--datum", '{"n": true, "rows": [[1]]}',
+     "--word", "1"],
+    ["--structure", "chinese-right", "--n", "1", "--datum", '{"n": 1.0, "rows": [[1]]}',
+     "--word", "1"],
 ], ids=["word-junk", "tree-truncated", "staircase-list", "ribbon-list", "patience-list",
         "ribbon-rows-int", "patience-empty-column", "patience-invalid", "tree-invalid",
         "tableau-letter-above-n", "tableau-letter-0", "tableau-letter-negative",
-        "ribbon-letter-above-n", "patience-letter-above-n", "staircase-rank-above-n"])
+        "ribbon-letter-above-n", "patience-letter-above-n", "staircase-rank-above-n",
+        "staircase-rank-bool", "staircase-rank-float"])
 def test_malformed_insert_input_exits_2(argv, capsys):
     assert main(["insert", *argv]) == 2
     out, err = capsys.readouterr()
@@ -363,6 +369,16 @@ GOLDEN = [
      "67633c18d098a6bf3401c5353455e005578d4ccf3aaa9685a7d6bda42174096f"),
     ("check cell-shapes --structure chinese --n 3", 0,
      "eb808e7f7f4620da3b961ec988c68b08e7acd9fd01e499d34551842465938444"),
+    ("check cell-shapes --structure young --n 4", 0,
+     "8357493df4240da4bc50518d883b2f1eddd294358b7797669104f8f727e702c3"),
+    ("check cell-shapes --structure young --n 3 --budget 0", 1,
+     "1ed6afafdae4f954bbe77e14d382fe5838e739468c10fe3ef316ef3192ff5038"),
+    ("check cell-shapes --structure chinese --n 3 --budget 1", 1,
+     "12e039b32b23710a66a75e74a5f587d9688379dc81de696f5d34ac0e5a055a7a"),
+    ("check path-bounds --n 3 --budget 1", 1,
+     "289f122407da78534c65658ba75ed95b7eb85b33f7ee16b15ff5a53758d434b4"),
+    ("cells --structure young --n 3 --kind strategy", 0,
+     "6db968cc16c7557f2c86fe582d2536da0a4d872fdb4d8abb89fb278e12c29a39"),
     ("check probe --structure sylvester --n 3 --max-len 4", 0,
      "90f95877cf089c56e818a1dbe495b80820ea2b7ff8ecce7684bf5c78f241ec74"),
     ("cells --structure young --n 3 --kind squier", 0,

@@ -16,13 +16,10 @@ from sdskit.rewriting import (
     congruence_classes,
     critical_branchings,
     enumerate_steps,
-    format_word,
     is_normal_form,
     knuth_bendix_pass,
     normalize,
-    parse_word,
     replay,
-    system_from_json,
     system_to_json,
     termination_certificate,
     words_up_to,
@@ -200,7 +197,7 @@ def test_congruence_classes_chinese_321():
     from sdskit.chinese import chinese_relations
     part = congruence_classes(chinese_relations(3), 4)
     assert part.exact
-    block = part.class_of((2, 1, 0))  # the word 3 2 1
+    block, = (c for c in part.classes() if (2, 1, 0) in c)  # the word 3 2 1
     assert block == frozenset({(2, 1, 0), (2, 0, 1), (1, 2, 0)})
 
 
@@ -290,14 +287,6 @@ def test_json_round_trip():
     assert data["alphabet"] == ["1", "2"]
     assert {(tuple(r["lhs"]), tuple(r["rhs"])) for r in data["rules"]} == \
         {((1, 0, 0), (0, 1, 0)), ((1, 1, 0), (1, 0, 1))}
-    back = system_from_json(data)
-    assert back.pairs == rs.pairs
-
-
-def test_word_text_format():
-    assert parse_word(ABC, "a c b") == (0, 2, 1)
-    assert parse_word(ABC, "") == ()
-    assert format_word(ABC, (2, 0)) == "c a"
 
 
 def test_words_up_to_order():

@@ -228,6 +228,17 @@ def test_a_repeated_generator_raises():
         generating_presentation(repeated)
 
 
+@pytest.mark.parametrize("make", [column_generating_set, qn_generating_set])
+def test_the_validator_leaves_the_sets_row_as_its_presentation_does(make):
+    # the validator searches in a row of its own, so the set's row keeps
+    # only what the induced presentation at the longest reading interned
+    gen, twin = make(3), make(3)
+    report = validate_generating_set(gen, 6)
+    generating_presentation(twin, 6)
+    assert report["result"] == "pass"
+    assert gen.row.data == twin.row.data
+
+
 def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
     # a row caught in a reference cycle, with every datum it interned, would
     # live until the cyclic collector ran and raise the peak memory of a
