@@ -500,7 +500,9 @@ def termination_certificate(system: RewritingSystem, measure: Callable[[Word], i
 
 
 def system_to_json(system: RewritingSystem) -> dict:
+    """The system as JSON data; its rules are an iterator that makes one
+    dict per rule as it is consumed, so a writer need not hold them all."""
     return {
         "alphabet": list(system.alphabet.labels),
-        "rules": [{"lhs": list(r.lhs), "rhs": list(r.rhs)} for r in system.rules],
+        "rules": ({"lhs": list(r.lhs), "rhs": list(r.rhs)} for r in system.rules),
     }

@@ -467,12 +467,20 @@ class GeneratingSet:
         read = self.row.read
         return {read(i): i for i in range(len(self.generators))}
 
+    @cached_property
+    def _words(self) -> dict[Datum, tuple[int, ...] | None]:
+        """Datum -> `word` of it, for the data asked for so far."""
+        return {}
+
     def word(self, d: Datum) -> tuple[int, ...] | None:
         """The generator ids of d's canonical factorization; None if a factor
-        is not a generator."""
-        index, row = self.index, self.row
-        word = tuple(index.get(row.read(row.state(f))) for f in self.decompose(d))
-        return None if None in word else word
+        is not a generator.  Each datum is decomposed once."""
+        words = self._words
+        if d not in words:
+            index, row = self.index, self.row
+            word = tuple(index.get(row.read(row.state(f))) for f in self.decompose(d))
+            words[d] = None if None in word else word
+        return words[d]
 
     def product(self, word: tuple[int, ...]) -> Datum:
         """The product of a nonempty generator word, walked in the set's row."""
@@ -595,8 +603,10 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
         if structure.read(structure.iota(x)) not in index:
             return report("generating-set", name, params, "fail",
                           witness={"condition": "letters", "letter": x})
-    # a twin set's row: generator i is id i there too, and the set's row stays as it was
-    reach = reachable_set(structure, max_len, like=replace(gen).row)
+    # a twin set: generator i is id i in its row too, and the set's row and
+    # memo of words stay as they were, with no reachable datum kept in them
+    twin = replace(gen)
+    reach = reachable_set(structure, max_len, like=twin.row)
     # a rule longer than every reading matches no factorization checked here
     induced = generating_presentation(gen, max(map(len, reach.index))).system
     row = reach.row
@@ -613,7 +623,7 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
     max_valid = 1
     for key in sorted(reach.index):
         d = reach.index[key]
-        dec = gen.word(row.data[d])
+        dec = twin.word(row.data[d])
         if dec is None or sum(map(read, dec), ()) != key or not valid(dec, d):
             return report("generating-set", name, params, "fail",
                           witness={"condition": "decomposition", "reading": list(key)})

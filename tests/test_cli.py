@@ -202,17 +202,50 @@ REPORT_VALUES = st.recursive(
     max_leaves=30)
 
 
+def one_shot(value, rng):
+    """`value` with each list, at random, given as a one-shot iterator."""
+    if isinstance(value, dict):
+        return {k: one_shot(v, rng) for k, v in value.items()}
+    if isinstance(value, list):
+        items = [one_shot(x, rng) for x in value]
+        return iter(items) if rng.random() < 0.5 else items
+    return value
+
+
 @settings(max_examples=300, deadline=None)
-@given(REPORT_VALUES)
-def test_emitter_matches_json_dumps_indent_2(value):
-    assert _to_json(value) == json.dumps(value, indent=2)
+@given(REPORT_VALUES, st.randoms(use_true_random=False))
+def test_emitter_matches_json_dumps_indent_2(value, rng):
+    assert "".join(_to_json(one_shot(value, rng))) == json.dumps(value, indent=2)
 
 
 def test_emitter_rejects_keys_json_rejects():
     with pytest.raises(TypeError):
         json.dumps({(1,): 0}, indent=2)
     with pytest.raises(TypeError):
-        _to_json({(1,): 0})
+        "".join(_to_json({(1,): 0}))
+
+
+class RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_reports_are_written_in_chunks():
+    # a report is never held whole: no single write carries much of it
+    stream = RecordingStream()
+    with contextlib.redirect_stdout(stream):
+        assert main(["build", "sylvester", "--n", "4", "--max-len", "3"]) == 0
+    text = "".join(stream.writes)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8520063570b50da07af4a172e2a2a567dc2423a06fd69a27d6779e28fa393bd0"
+    assert max(map(len, stream.writes)) <= len(text) / 8
 
 
 def test_usage_error_exits_2():
@@ -389,6 +422,17 @@ GOLDEN = [
      "f9dd5d7f9803e1d409acaa2e2e192bd42137f64b99be78e532b30b23224d107e"),
     ("insert --structure chinese-right --n 3 --word 2_3_1_3_2", 0,
      "0d7e09d0465bcfb861a02538231170c3bdb48eeca165e219e816174ea3c1b584"),
+    # the output paths of streamed reports, recorded while reports were
+    # still built whole: a text report, an empty rules array, a larger build
+    # and the cells of a text report
+    ("build knuth --n 2 --format text", 0,
+     "70e1b710b4ef0cb4c2893dc8c604963c6c3c99167abd60db8fa680dd584aff3b"),
+    ("build row --n 2 --max-len 0", 0,
+     "39f4c6ee11544d0ced6f6add3b479b8ffa8f2d4f479f7e23c8317974f8662c65"),
+    ("build sylvester --n 4 --max-len 2", 0,
+     "6f5ccac06245d29a9859ed3c6bc48c06da53e3e37bd824b3f0d20377a726abc5"),
+    ("cells --structure chinese --n 3 --kind squier --format text", 0,
+     "3dc247b028b09ab18066f936d9c93f5c7d73c6f336460396863668a44a246051"),
 ]
 
 
@@ -400,6 +444,14 @@ def test_golden_covers_every_check():
 def test_report_bytes_are_pinned(line, code, digest, capsys):
     assert main([arg.replace("_", " ") for arg in line.split()]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_out_file_holds_the_pinned_stdout(tmp_path, capsys):
+    out = tmp_path / "rules.json"
+    assert main(["build", "row", "--n", "3", "--max-len", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f9dd5d7f9803e1d409acaa2e2e192bd42137f64b99be78e532b30b23224d107e"
 
 
 # check name -> [exit code, sha256 of stdout] for every structure verifier
@@ -462,6 +514,14 @@ def test_word_space_bytes_are_pinned_past_the_matrix(line, capsys):
 def test_unwritable_out_exits_2(argv, out, tmp_path, capsys):
     # an --out that cannot be opened is a usage error, not a verified failure
     assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_out_write_error_part_way_exits_2(capsys):
+    # the file opens, and the streamed writes fail with "no space left"
+    assert main(["build", "sylvester", "--n", "4", "--max-len", "3", "--out", "/dev/full"]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.startswith("error: ")
 

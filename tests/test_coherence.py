@@ -1,5 +1,7 @@
 """Three-cells: boundary invariants, counts, strategy pairs, and leg shapes."""
 
+from dataclasses import replace
+
 import pytest
 
 from sdskit.chinese import completed_presentation
@@ -20,7 +22,8 @@ from sdskit.rewriting import (
     normalize,
     replay,
 )
-from sdskit.young import column_presentation, read_tableau
+from sdskit.sds import generating_presentation
+from sdskit.young import column_generating_set, column_presentation, read_tableau
 
 
 def test_squier_cells_empty_without_branchings():
@@ -107,3 +110,19 @@ def test_cell_json_shape():
     data = cell_to_json(cell)
     assert set(data) == {"source_word", "left", "right"}
     assert all(set(step) == {"rule", "pos"} for step in data["left"] + data["right"])
+
+
+def test_each_datum_is_decomposed_once():
+    # the presentation asks for the word of every generator pair's product,
+    # and the strategy cells for that of every critical triple's product;
+    # many of them are the same datum
+    gen = column_generating_set(5)
+    seen = []
+
+    def decompose(d):
+        seen.append(d)
+        return gen.decompose(d)
+
+    counted = replace(gen, decompose=decompose)
+    assert strategy_cells(generating_presentation(counted))
+    assert seen and len(seen) == len(set(seen))

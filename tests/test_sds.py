@@ -230,13 +230,15 @@ def test_a_repeated_generator_raises():
 
 @pytest.mark.parametrize("make", [column_generating_set, qn_generating_set])
 def test_the_validator_leaves_the_sets_row_as_its_presentation_does(make):
-    # the validator searches in a row of its own, so the set's row keeps
-    # only what the induced presentation at the longest reading interned
+    # the validator searches in a row of its own, so the set's row and its
+    # memo of words keep only what the induced presentation at the longest
+    # reading interned and decomposed
     gen, twin = make(3), make(3)
     report = validate_generating_set(gen, 6)
     generating_presentation(twin, 6)
     assert report["result"] == "pass"
     assert gen.row.data == twin.row.data
+    assert gen._words == twin._words
 
 
 def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
