@@ -26,6 +26,7 @@ from .sds import (
     StringDataStructure,
     generating_presentation,
     report,
+    rows_kernel,
 )
 
 Staircase = tuple[tuple[int, ...], ...]
@@ -59,9 +60,15 @@ def chinese_right_insert(t: Staircase, x: int) -> Staircase:
     after being observed non-zero.
     """
     rows = [list(row) for row in t]
+    if not 1 <= x <= len(rows):
+        raise ValueError(f"letter {x} out of range 1..{len(rows)}")
+    _right_insert(rows, x)
+    return tuple(tuple(row) for row in rows)
+
+
+def _right_insert(rows: list[list[int]], x: int) -> None:
+    """The right insertion of x in 1..n, changing the rows in place."""
     r = len(rows)
-    if not 1 <= x <= r:
-        raise ValueError(f"letter {x} out of range 1..{r}")
     while True:
         row = rows[r - 1]
         if x == r:
@@ -85,7 +92,6 @@ def chinese_right_insert(t: Staircase, x: int) -> Staircase:
             row[r - 1] -= 1
             row[x - 1] += 1
             break
-    return tuple(tuple(row) for row in rows)
 
 
 def chinese_left_insert(x: int, t: Staircase) -> Staircase:
@@ -99,6 +105,12 @@ def chinese_left_insert(x: int, t: Staircase) -> Staircase:
     rows = [list(row) for row in t]
     if not 1 <= x <= len(rows):
         raise ValueError(f"letter {x} out of range 1..{len(rows)}")
+    _left_insert(rows, x)
+    return tuple(tuple(row) for row in rows)
+
+
+def _left_insert(rows: list[list[int]], x: int) -> None:
+    """The left insertion of x in 1..n, changing the rows in place."""
     y = 0  # marker; 0 plays the empty value
     for i in range(1, x):
         row = rows[i - 1]
@@ -125,7 +137,6 @@ def chinese_left_insert(x: int, t: Staircase) -> Staircase:
         row[x - 1] += 1
     else:
         row[y - 1] += 1
-    return tuple(tuple(row) for row in rows)
 
 
 def read_rr(t: Staircase) -> tuple[int, ...]:
@@ -192,13 +203,14 @@ def qn_generators(n: int) -> list[Gen]:
 
 def chinese_right(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-right", n, empty_staircase(n),
-                               chinese_right_insert, read_rr, LEFT_TO_RIGHT)
+                               chinese_right_insert, read_rr, LEFT_TO_RIGHT,
+                               rows_kernel(_right_insert))
 
 
 def chinese_left(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-left", n, empty_staircase(n),
                                lambda t, x: chinese_left_insert(x, t),
-                               read_rr, RIGHT_TO_LEFT)
+                               read_rr, RIGHT_TO_LEFT, rows_kernel(_left_insert))
 
 
 def qn_generating_set(n: int) -> GeneratingSet:

@@ -106,8 +106,7 @@ def _emit(args, payload: dict | str) -> None:
     if isinstance(payload, str):
         pieces = (payload,)
     elif args.format == "text":
-        # default=list writes an iterator as the list of its items
-        pieces = ("\n".join(f"{k}: {json.dumps(v, default=list)}" for k, v in payload.items()),)
+        pieces = _text_pieces(payload)
     else:
         pieces = _to_json(payload)
     if args.out:
@@ -115,6 +114,25 @@ def _emit(args, payload: dict | str) -> None:
             _write(fh, pieces)
     else:
         _write(sys.stdout, pieces)
+
+
+def _text_pieces(payload: dict):
+    """The pieces of one "key: value" line per field, each value as
+    `json.dumps(value, default=list)` writes it: an iterator or a set is
+    written as the list of its items, and an iterator field one item at a
+    time, so that its items are never held together."""
+    encode, sep = json.JSONEncoder(default=list).encode, ""
+    for key, value in payload.items():
+        if isinstance(value, Iterator):
+            yield f"{sep}{key}: ["
+            comma = ""
+            for item in value:
+                yield comma + encode(item)
+                comma = ", "
+            yield "]"
+        else:
+            yield f"{sep}{key}: {encode(value)}"
+        sep = "\n"
 
 
 def _write(stream, pieces) -> None:
@@ -136,7 +154,7 @@ def cmd_insert(args) -> int:
     datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
     if not all(1 <= x <= n for x in structure.read(datum)):
         raise ValueError(f"datum has a letter out of range 1..{n}")
-    _emit(args, entry.format_datum(structure.insert_word(datum, word)))
+    _emit(args, entry.format_datum(structure.insert_long(datum, word)))
     return 0
 
 

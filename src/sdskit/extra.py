@@ -131,6 +131,62 @@ def sylvester_insert(x: int, t: Tree) -> Tree:
     return t
 
 
+def sylvester_insert_word(t: Tree, letters) -> Tree:
+    """`sylvester_insert` of each letter in turn, on nodes copied once to
+    mutable [label, left, right] lists and frozen once.
+
+    Leaf insertion puts x just before, in symmetric order, every node
+    labelled x or more.  So its leaf hangs off one of its two neighbours
+    there: as the right child of `before`, the last node labelled below x,
+    when that slot is free, and otherwise as the left child of `after`,
+    the first node labelled x or more, whose slot is then free.  Keeping
+    each label's first and last node in that order finds them with one
+    bisection, without walking down the tree; no step recurses, so a tree
+    of any depth is fine.
+    """
+    root = None if t is None else list(t)
+    nodes = [] if root is None else [root]      # every node, each after its parent
+    for node in nodes:
+        for side in (1, 2):
+            if node[side] is not None:
+                node[side] = child = list(node[side])
+                nodes.append(child)
+    # label -> its first node, and its last, in symmetric order
+    first: dict[int, list] = {}
+    last: dict[int, list] = {}
+    stack, node = [], root
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = node[1]
+        node = stack.pop()
+        first.setdefault(node[0], node)
+        last[node[0]] = node
+        node = node[2]
+    labels = sorted(first)
+    for x in letters:
+        leaf = [x, None, None]
+        nodes.append(leaf)
+        i = bisect_left(labels, x)
+        before = last[labels[i - 1]] if i else None
+        if before is not None and before[2] is None:
+            before[2] = leaf
+        elif i < len(labels):
+            first[labels[i]][1] = leaf
+        else:
+            root = leaf
+        if i == len(labels) or labels[i] != x:
+            labels.insert(i, x)
+            last[x] = leaf
+        first[x] = leaf
+    # each node is frozen into a fourth slot after its children, which come
+    # later in `nodes`
+    for node in reversed(nodes):
+        left, right = node[1], node[2]
+        node.append((node[0], left and left[3], right and right[3]))
+    return None if root is None else root[3]
+
+
 def is_search_tree(t: Tree) -> bool:
     stack = [(t, float("-inf"), float("inf"))]
     while stack:
@@ -165,7 +221,7 @@ def tree_read(t: Tree) -> tuple[int, ...]:
 def sylvester_left(n: int) -> StringDataStructure:
     return StringDataStructure("sylvester-left", n, None,
                                lambda t, x: sylvester_insert(x, t),
-                               tree_read, RIGHT_TO_LEFT)
+                               tree_read, RIGHT_TO_LEFT, sylvester_insert_word)
 
 
 def format_tree(t: Tree) -> str:

@@ -39,6 +39,13 @@ class StringDataStructure:
     produces the datum's word.  `direction` fixes how `insert_word` orders
     the letters of a word: left-to-right structures fold from the first
     letter, right-to-left structures from the last.
+
+    `insert_many(d, letters)`, where a structure has one, is its word
+    kernel: given letters already checked and in reading order, it returns
+    what folding `insert_one` over them returns, but works on a mutable
+    copy of d made once and frozen once.  Only `insert_long` calls it;
+    `insert_one` stays persistent, since the verifiers insert one letter at
+    a time into small shared data, where such a copy costs more than it saves.
     """
 
     name: str
@@ -47,6 +54,7 @@ class StringDataStructure:
     insert_one: Callable[[Datum, int], Datum]
     read: Callable[[Datum], tuple[int, ...]]
     direction: str = LEFT_TO_RIGHT
+    insert_many: Callable[[Datum, tuple[int, ...]], Datum] | None = None
 
     def _check_letter(self, x: int):
         if not 1 <= x <= self.n:
@@ -60,6 +68,19 @@ class StringDataStructure:
             d = self.insert_one(d, x)
         return d
 
+    def insert_long(self, d: Datum, word: tuple[int, ...]) -> Datum:
+        """`insert_word`, by the word kernel where the structure has one.
+
+        Every letter is checked first, in reading order, so a word with a
+        letter out of range raises on the same letter as the fold."""
+        if self.insert_many is None:
+            return self.insert_word(d, word)
+        letters = word if self.direction == LEFT_TO_RIGHT else tuple(reversed(word))
+        if letters and not 1 <= min(letters) <= max(letters) <= self.n:
+            for x in letters:
+                self._check_letter(x)
+        return self.insert_many(d, letters)
+
     def constructor(self, word: tuple[int, ...]) -> Datum:
         return self.insert_word(self.empty, word)
 
@@ -70,6 +91,18 @@ class StringDataStructure:
     def star(self, d: Datum, e: Datum) -> Datum:
         """Internal product: insert the reading of `e` into `d`."""
         return self.insert_word(d, self.read(e))
+
+
+def rows_kernel(step: Callable[[list[list[int]], int], None]):
+    """The word kernel of a structure whose data are tuples of int tuples:
+    the rows are copied to lists once, `step(rows, x)` inserts each letter
+    in place, and the rows are frozen once."""
+    def insert_many(d, letters):
+        rows = [list(row) for row in d]
+        for x in letters:
+            step(rows, x)
+        return tuple(map(tuple, rows))
+    return insert_many
 
 
 class Row:

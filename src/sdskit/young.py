@@ -29,6 +29,7 @@ from .sds import (
     StringDataStructure,
     generating_presentation,
     report,
+    rows_kernel,
 )
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -100,6 +101,39 @@ def schensted_left(x: int, t: Tableau) -> Tableau:
         limit = i + 1
 
 
+def _row_bump(rows: list[list[int]], cur: int) -> None:
+    """The bumps of `schensted_right`, changing the rows in place."""
+    for row in rows:
+        if cur >= row[-1]:
+            row.append(cur)
+            return
+        k = bisect_right(row, cur)
+        row[k], cur = cur, row[k]
+    rows.append([cur])
+
+
+def _column_bump(rows: list[list[int]], cur: int) -> None:
+    """The walk of `schensted_left`, changing the rows in place."""
+    k, limit = 0, len(rows)
+    while True:
+        for i in range(limit):
+            row = rows[i]
+            if len(row) == k:
+                row.append(cur)
+                return
+            if row[k] >= cur:
+                break
+        else:
+            rows.append([cur])
+            return
+        if row[k] == cur:
+            k = bisect_right(row, cur, k)
+        else:
+            row[k], cur = cur, row[k]
+            k += 1
+        limit = i + 1
+
+
 def columns(t: Tableau) -> list[tuple[int, ...]]:
     if not t:
         return []
@@ -126,14 +160,14 @@ def read_tableau(t: Tableau, mode: str = READ_COL) -> tuple[int, ...]:
 def young_right(n: int) -> StringDataStructure:
     """Right structure: row insertion with the column reading."""
     return StringDataStructure("young-right", n, EMPTY, schensted_right,
-                               read_tableau, LEFT_TO_RIGHT)
+                               read_tableau, LEFT_TO_RIGHT, rows_kernel(_row_bump))
 
 
 def young_left(n: int) -> StringDataStructure:
     """Left structure: column insertion with the column reading."""
     return StringDataStructure("young-left", n, EMPTY,
                                lambda t, x: schensted_left(x, t),
-                               read_tableau, RIGHT_TO_LEFT)
+                               read_tableau, RIGHT_TO_LEFT, rows_kernel(_column_bump))
 
 
 def young_right_mirror(n: int) -> StringDataStructure:

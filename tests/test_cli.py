@@ -237,15 +237,33 @@ class RecordingStream:
         pass
 
 
-def test_reports_are_written_in_chunks():
+@pytest.mark.parametrize("args,digest", [
+    ("--n 4 --max-len 3", "8520063570b50da07af4a172e2a2a567dc2423a06fd69a27d6779e28fa393bd0"),
+    ("--n 5 --max-len 3 --format text",
+     "c316ab2244d5ba33aef7c553fd2e79956827abede7170c9cd950ceecef824166"),
+])
+def test_reports_are_written_in_chunks(args, digest):
     # a report is never held whole: no single write carries much of it
     stream = RecordingStream()
     with contextlib.redirect_stdout(stream):
-        assert main(["build", "sylvester", "--n", "4", "--max-len", "3"]) == 0
+        assert main(["build", "sylvester", *args.split()]) == 0
     text = "".join(stream.writes)
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "8520063570b50da07af4a172e2a2a567dc2423a06fd69a27d6779e28fa393bd0"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert max(map(len, stream.writes)) <= len(text) / 8
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--structure", "young-right", "--n", "2", "--word", "3 0"], "letter 3"),
+    (["--structure", "chinese-right", "--n", "2", "--word", "1 3 2 0 1"], "letter 3"),
+    (["--structure", "sylvester-left", "--n", "2", "--word", "3 0"], "letter 0"),
+    (["--structure", "chinese-left", "--n", "2", "--word", "1 3 2 0 1"], "letter 0"),
+    (["--structure", "young-left", "--n", "3", "--word", "1 4 2 -1 1"], "letter -1"),
+])
+def test_insert_rejects_the_first_bad_letter_in_reading_order(argv, err, capsys):
+    # a right-to-left structure reads the word from its last letter
+    assert main(["insert", *argv]) == 2
+    n = argv[argv.index("--n") + 1]
+    assert capsys.readouterr() == ("", f"error: {err} out of range 1..{n}\n")
 
 
 def test_usage_error_exits_2():
@@ -373,6 +391,21 @@ def test_degenerate_bounds_exit_2(argv, capsys):
         assert "n=1" in err
 
 
+def _word(n: int, length: int, seed: int) -> str:
+    """A fixed word of `length` letters in 1..n, "_"-joined for a GOLDEN line."""
+    letters, x = [], seed
+    for _ in range(length):
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        letters.append(str(1 + (x >> 16) % n))
+    return "_".join(letters)
+
+
+# starting data for the word insertions, in each structure's text format
+YOUNG_DATUM = "1_1_2_3_5_8;2_3_4_6_9;4_5_7;6_8;9"
+STAIRCASE_DATUM = ('{"n":9,"rows":[[2],[1,3],[0,2,1],[3,0,0,1],[1,1,0,2,0],[0,0,4,0,1,2],'
+                   '[2,1,0,0,0,3,1],[0,1,1,0,2,0,0,1],[1,0,0,3,0,1,0,2,1]]}')
+TREE_DATUM = "(5_(2_(1_·_·)_(4_(3_·_·)_·))_(8_(6_·_(7_·_·))_(9_·_·)))"
+
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched
 # through the registry tables; "_" stands for a space inside an argument
 GOLDEN = [
@@ -433,6 +466,35 @@ GOLDEN = [
      "6f5ccac06245d29a9859ed3c6bc48c06da53e3e37bd824b3f0d20377a726abc5"),
     ("cells --structure chinese --n 3 --kind squier --format text", 0,
      "3dc247b028b09ab18066f936d9c93f5c7d73c6f336460396863668a44a246051"),
+    # text reports, recorded while they were still built whole
+    ("build sylvester --n 4 --max-len 2 --format text", 0,
+     "82268ee279d388f0adf4b72c129d8a25588a120e0dcf74312153ab0b53e590aa"),
+    ("cells --structure young --n 3 --kind strategy --format text", 0,
+     "d83b8113ca2f69b33ec88bc6d4630263ef5459524cb311bfb7ad01f40ac15e61"),
+    # long words on the structures with a word kernel, from the empty datum
+    # and from a given one, recorded while every letter was folded in
+    (f"insert --structure young-right --n 9 --word {_word(9, 320, 1)}", 0,
+     "78cad1b6502c194be83964acf9426be4a42699cbdb1c44ce3380c86afe904844"),
+    (f"insert --structure young-left --n 4 --word {_word(4, 360, 2)}", 0,
+     "97528b5887414dc1fcefe9dc2e3e46679a2e66baea956247d8591a282fead0ca"),
+    (f"insert --structure chinese-right --n 9 --word {_word(9, 340, 3)}", 0,
+     "31e44913805311671da1261fdf3760ed395198114dd1b2a0f4be92ba786ade7a"),
+    (f"insert --structure chinese-left --n 5 --word {_word(5, 310, 4)}", 0,
+     "3cde8eb7526cba4eec36814b420fe0a1a9670e243f65da523fbf621481d39241"),
+    (f"insert --structure sylvester-left --n 3 --word {_word(3, 380, 5)}", 0,
+     "6ea8d01205f6f65cd889c6754ea1673743f23dbd1465d27aef633083fc6aa015"),
+    (f"insert --structure young-right --n 9 --datum {YOUNG_DATUM} --word {_word(9, 330, 6)}",
+     0, "7be988476b92ceb0373afc0c86b7d829431f92230521481abf9fa0b4aa8babec"),
+    (f"insert --structure young-left --n 9 --datum {YOUNG_DATUM} --word {_word(9, 350, 7)}",
+     0, "1e0763c5f94b70ff37fe5346262bcbd0e3233f2e89600a3c52eb8bc19fda2989"),
+    (f"insert --structure chinese-right --n 9 --datum {STAIRCASE_DATUM} "
+     f"--word {_word(9, 305, 8)}",
+     0, "331e863e4964c9036a393d0b66c257bc646d37b06dc2577e95777420dc76d429"),
+    (f"insert --structure chinese-left --n 9 --datum {STAIRCASE_DATUM} "
+     f"--word {_word(9, 315, 9)}",
+     0, "977beaadae77d90a31d4f16657393f3f28661480d2804d4cf30a14e3c2c8fe94"),
+    (f"insert --structure sylvester-left --n 9 --datum {TREE_DATUM} --word {_word(9, 345, 10)}",
+     0, "9ace9a03d1f17d4a5f8f18f60fa99a62d2b468e9c7ed279fcc0278c8288a1338"),
 ]
 
 
@@ -440,7 +502,7 @@ def test_golden_covers_every_check():
     assert {line.split()[1] for line, _, _ in GOLDEN if line.startswith("check")} == set(CHECKS)
 
 
-@pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0][:80] for g in GOLDEN])
 def test_report_bytes_are_pinned(line, code, digest, capsys):
     assert main([arg.replace("_", " ") for arg in line.split()]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -7,6 +7,9 @@ code), copied verbatim, are compared letter by letter with the ones in
 `sdskit`: exhaustively on every word of length <= 6 over n <= 3 letters,
 and on random words of up to 300 letters over n <= 9, which are long
 enough to hold the long runs of equal entries that column bumping jumps.
+
+The word kernels behind `insert_long` are compared with the fold of the
+one-letter insertions, `insert_word`, on long random words.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit import extra, young
+from sdskit.registry import STRUCTURES, get_structure
+from sdskit.sds import LEFT_TO_RIGHT, RIGHT_TO_LEFT, StringDataStructure
 
 # --- the functions before the change, verbatim ---------------------------------
 
@@ -294,3 +299,72 @@ def test_tree_helpers_handle_a_chain_deeper_than_the_recursion_limit():
     assert extra.is_search_tree(t)
     # compare through the text: == on tuples this deep recurses in C
     assert extra.format_tree(extra.parse_tree(text)) == text
+
+
+# --- word kernels ----------------------------------------------------------------
+
+KERNELS = ("young-right", "young-left", "chinese-right", "chinese-left", "sylvester-left")
+
+
+def test_the_kernels_are_where_they_were_measured_to_pay():
+    assert {name for name in STRUCTURES if get_structure(name, 3).insert_many} == set(KERNELS)
+
+
+def _outcome(insert, d, word):
+    try:
+        return "datum", insert(d, word)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_insert_long_is_the_fold(data):
+    # from the empty datum or one built from a random word, over every
+    # registered structure: those without a kernel fold too
+    name = data.draw(st.sampled_from(sorted(STRUCTURES)), label="name")
+    n = data.draw(st.integers(1, 9), label="n")
+    structure = get_structure(name, n)
+    letters = st.integers(1, n)
+    d = structure.constructor(tuple(data.draw(st.lists(letters, max_size=300), label="v")))
+    word = data.draw(st.lists(letters, max_size=300), label="u")
+    # a letter out of range is reported first in reading order, as the fold does
+    for _ in range(data.draw(st.integers(0, 2), label="bad letters") if word else 0):
+        i = data.draw(st.integers(0, len(word) - 1), label="at")
+        word[i] = data.draw(st.sampled_from([0, -1, n + 1]), label="bad")
+    word = tuple(word)
+    assert _outcome(structure.insert_long, d, word) == \
+        _outcome(structure.insert_word, d, word)
+
+
+def test_the_tree_kernel_builds_a_chain_deeper_than_the_recursion_limit():
+    s = get_structure("sylvester-left", 2)
+    chain = s.insert_long(None, (1,) * 3000)
+    text = "(1 " * 3000 + "·" + " ·)" * 3000
+    # compare through the text: == on tuples this deep recurses in C
+    assert extra.format_tree(chain) == text
+    # and the chain as a starting datum: the 2, inserted first, hangs right
+    # of the root, and the 1 at the bottom of the chain
+    longer = extra.format_tree(s.insert_long(chain, (1, 2)))
+    assert longer == "(1 " + text + " (2 · ·))"
+    assert longer == extra.format_tree(s.insert_word(chain, (1, 2)))
+
+
+def test_the_row_kernel_builds_one_long_row():
+    s = get_structure("young-right", 3)
+    word = (1,) * 1000 + (2,) * 1000 + (3,) * 1000
+    assert s.insert_long((), word) == (word,) == s.insert_word((), word)
+
+
+@pytest.mark.parametrize("direction", [LEFT_TO_RIGHT, RIGHT_TO_LEFT])
+def test_a_structure_without_a_kernel_calls_the_fold(direction):
+    calls = []
+
+    def insert_one(d, x):
+        calls.append((d, x))
+        return d + (x,)
+
+    s = StringDataStructure("recording", 3, (), insert_one, lambda d: d, direction)
+    assert s.insert_many is None
+    got, fold = s.insert_long((), (1, 2, 3)), s.insert_word((), (1, 2, 3))
+    assert got == fold and calls[:3] == calls[3:]
