@@ -149,7 +149,7 @@ def _write(stream, pieces) -> None:
 
 def cmd_insert(args) -> int:
     entry = registry.lookup(registry.STRUCTURES, args.structure, "structure")
-    word = tuple(int(tok) for tok in args.word.split())
+    word = tuple(map(int, args.word.split()))
     n = args.n if args.n is not None else max(word, default=0)
     datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
     if not all(1 <= x <= n for x in structure.read(datum)):

@@ -20,6 +20,7 @@ from .sds import (
     StringDataStructure,
     first_noncommuting,
     report,
+    rows_kernel,
 )
 
 _first, _last = itemgetter(0), itemgetter(-1)
@@ -76,30 +77,72 @@ def hypoplactic_insert(t: QuasiRibbon, x: int, side: str = "right") -> QuasiRibb
     raise ValueError(f"unknown side {side!r}")
 
 
+def _ribbon_right(rows: list[list[int]], x: int) -> None:
+    """`hypoplactic_insert(t, x, "right")` in place: x is appended to the
+    last row starting <= x, once the row's entries greater than x have split
+    off into a row of their own below it.  Rows never merge and each holds
+    at least one letter the others lack, so a ribbon over n letters splits
+    at most n - 1 times in all; every other letter is a bisection and an
+    append."""
+    i = bisect_right(rows, x, key=_first) - 1
+    if i < 0:
+        rows.insert(0, [x])
+        return
+    row = rows[i]
+    if row[-1] > x:
+        j = bisect_right(row, x)
+        rows.insert(i + 1, row[j:])
+        del row[j:]
+    row.append(x)
+
+
+def _ribbon_left(rows: list[list[int]], x: int) -> None:
+    """`hypoplactic_insert(t, x, "left")` in place, the mirror of
+    `_ribbon_right`: x goes to the head of the first row ending >= x, once
+    the row's entries less than x have split off into a row above it."""
+    i = bisect_left(rows, x, key=_last)
+    if i == len(rows):
+        rows.append([x])
+        return
+    row = rows[i]
+    if row[0] < x:
+        j = bisect_left(row, x)
+        rows.insert(i, row[:j])
+        del row[:j]
+    row.insert(0, x)
+
+
 def qr_read(t: QuasiRibbon) -> tuple[int, ...]:
-    """Column reading: columns left to right, each bottom to top."""
-    offsets = qr_offsets(t)
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(t):
-        for j, x in enumerate(row):
-            cols.setdefault(offsets[i] + j, []).append((i, x))
-    out = []
-    for c in sorted(cols):
-        for _, x in sorted(cols[c], reverse=True):
-            out.append(x)
+    """Column reading: columns left to right, each bottom to top.
+
+    Each row starts under the last box of the row above, so a column holds
+    the last box of one row and the first boxes of the rows below it, down
+    to the next row of two or more boxes; a row's middle boxes stand alone.
+    So one walk keeps the open column, top to bottom, and a row of two or
+    more boxes closes it, emits its middle and opens the next column with
+    its last box."""
+    out: list[int] = []
+    column: list[int] = []
+    for row in t:
+        column.append(row[0])
+        if len(row) > 1:
+            out += reversed(column)
+            out += row[1:-1]
+            column = [row[-1]]
+    out += reversed(column)
     return tuple(out)
 
 
 def hypoplactic_right(n: int) -> StringDataStructure:
     return StringDataStructure("hypoplactic-right", n, (),
                                lambda t, x: hypoplactic_insert(t, x, "right"),
-                               qr_read, LEFT_TO_RIGHT)
+                               qr_read, LEFT_TO_RIGHT, rows_kernel(_ribbon_right))
 
 
 def hypoplactic_left(n: int) -> StringDataStructure:
     return StringDataStructure("hypoplactic-left", n, (),
                                lambda t, x: hypoplactic_insert(t, x, "left"),
-                               qr_read, RIGHT_TO_LEFT)
+                               qr_read, RIGHT_TO_LEFT, rows_kernel(_ribbon_left))
 
 
 def qr_to_json(t: QuasiRibbon) -> dict:
@@ -295,6 +338,18 @@ def patience_insert(t: PatienceTableau, x: int, variant: str) -> PatienceTableau
     return t[:k] + ((x,) + t[k],) + t[k + 1:]
 
 
+def _pile(bisect):
+    """`patience_insert` in place, for the variant whose column search is
+    `bisect`: x starts a new column or goes to the bottom of column k."""
+    def step(columns: list[list[int]], x: int) -> None:
+        k = bisect(columns, x, key=_first)
+        if k == len(columns):
+            columns.append([x])
+        else:
+            columns[k].insert(0, x)
+    return step
+
+
 def is_patience_tableau(t: PatienceTableau, variant: str) -> bool:
     bottoms = [c[0] for c in t if c]
     if variant == LPS:
@@ -314,13 +369,13 @@ def ps_read(t: PatienceTableau) -> tuple[int, ...]:
 def lps_right(n: int) -> StringDataStructure:
     return StringDataStructure("lps-right", n, (),
                                lambda t, x: patience_insert(t, x, LPS),
-                               ps_read, LEFT_TO_RIGHT)
+                               ps_read, LEFT_TO_RIGHT, rows_kernel(_pile(bisect_right)))
 
 
 def rps_right(n: int) -> StringDataStructure:
     return StringDataStructure("rps-right", n, (),
                                lambda t, x: patience_insert(t, x, RPS),
-                               ps_read, LEFT_TO_RIGHT)
+                               ps_read, LEFT_TO_RIGHT, rows_kernel(_pile(bisect_left)))
 
 
 def ps_to_json(t: PatienceTableau) -> dict:

@@ -40,10 +40,10 @@ class StringDataStructure:
     the letters of a word: left-to-right structures fold from the first
     letter, right-to-left structures from the last.
 
-    `insert_many(d, letters)`, where a structure has one, is its word
-    kernel: given letters already checked and in reading order, it returns
-    what folding `insert_one` over them returns, but works on a mutable
-    copy of d made once and frozen once.  Only `insert_long` calls it;
+    `insert_many(d, letters)` is the word kernel, and every registered
+    structure has one: given letters already checked and in reading order,
+    it returns what folding `insert_one` over them returns, but works on a
+    mutable copy of d made once and frozen once.  Only `insert_long` calls it;
     `insert_one` stays persistent, since the verifiers insert one letter at
     a time into small shared data, where such a copy costs more than it saves.
     """

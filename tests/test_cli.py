@@ -258,6 +258,10 @@ def test_reports_are_written_in_chunks(args, digest):
     (["--structure", "sylvester-left", "--n", "2", "--word", "3 0"], "letter 0"),
     (["--structure", "chinese-left", "--n", "2", "--word", "1 3 2 0 1"], "letter 0"),
     (["--structure", "young-left", "--n", "3", "--word", "1 4 2 -1 1"], "letter -1"),
+    (["--structure", "hypoplactic-right", "--n", "2", "--word", "1 3 2 0 1"], "letter 3"),
+    (["--structure", "hypoplactic-left", "--n", "2", "--word", "1 3 2 0 1"], "letter 0"),
+    (["--structure", "lps-right", "--n", "2", "--word", "3 0"], "letter 3"),
+    (["--structure", "rps-right", "--n", "3", "--word", "1 4 2 -1 1"], "letter 4"),
 ])
 def test_insert_rejects_the_first_bad_letter_in_reading_order(argv, err, capsys):
     # a right-to-left structure reads the word from its last letter
@@ -346,6 +350,14 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("word,token", [("1 x", "x"), ("1 2.5 3", "2.5"), ("1 4 x", "x")])
+def test_a_word_token_that_is_not_an_integer_is_named(word, token, capsys):
+    # recorded before the word was parsed with map(int, ...)
+    assert main(["insert", "--structure", "hypoplactic-left", "--n", "3", "--word", word]) == 2
+    assert capsys.readouterr() == ("", f"error: invalid literal for int() with base 10: "
+                                       f"'{token}'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "axioms", "--structure", "young-right", "--n", "3", "--max-len", "-1"],
     ["check", "commutation", "--structure", "young", "--n", "0"],
@@ -405,6 +417,11 @@ YOUNG_DATUM = "1_1_2_3_5_8;2_3_4_6_9;4_5_7;6_8;9"
 STAIRCASE_DATUM = ('{"n":9,"rows":[[2],[1,3],[0,2,1],[3,0,0,1],[1,1,0,2,0],[0,0,4,0,1,2],'
                    '[2,1,0,0,0,3,1],[0,1,1,0,2,0,0,1],[1,0,0,3,0,1,0,2,1]]}')
 TREE_DATUM = "(5_(2_(1_·_·)_(4_(3_·_·)_·))_(8_(6_·_(7_·_·))_(9_·_·)))"
+RIBBON_DATUM = '{"rows":[[1,1,3],[4,4,6],[7],[8,9]]}'
+# JSON's \u005f escape spells the underscores of the key, since "_" in a
+# GOLDEN line stands for a space
+LPS_DATUM = r'{"columns\u005fbottom\u005fup":[[1,3,6],[1,2],[2,5,7,9],[4],[4,8]]}'
+RPS_DATUM = r'{"columns\u005fbottom\u005fup":[[1,1,3,6],[2,2,5],[4,7,7,9],[8]]}'
 
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched
 # through the registry tables; "_" stands for a space inside an argument
@@ -495,6 +512,26 @@ GOLDEN = [
      0, "977beaadae77d90a31d4f16657393f3f28661480d2804d4cf30a14e3c2c8fe94"),
     (f"insert --structure sylvester-left --n 9 --datum {TREE_DATUM} --word {_word(9, 345, 10)}",
      0, "9ace9a03d1f17d4a5f8f18f60fa99a62d2b468e9c7ed279fcc0278c8288a1338"),
+    # the same on the quasi-ribbon and patience structures, recorded while
+    # they still folded every letter in
+    (f"insert --structure hypoplactic-right --n 9 --word {_word(9, 325, 11)}", 0,
+     "0011d0857fb6a878bc9703b0426d4fd4fc91080b1a53170444dd5df4a72c315f"),
+    (f"insert --structure hypoplactic-left --n 6 --word {_word(6, 355, 12)}", 0,
+     "574447acdf6fd6fef46e44313fd61a54d2760a16ab87b0326710b21b2b10650a"),
+    (f"insert --structure lps-right --n 9 --word {_word(9, 390, 13)}", 0,
+     "5af133c22600e8a31795dc3873c6201354cd920b5ada6b0ec1b21c720e93e7f1"),
+    (f"insert --structure rps-right --n 5 --word {_word(5, 335, 14)}", 0,
+     "59b77bf0888a8b407eb4f367a9c3bf2e535e76b4a5127027d488eab78ea808c9"),
+    (f"insert --structure hypoplactic-right --n 9 --datum {RIBBON_DATUM} "
+     f"--word {_word(9, 340, 15)}",
+     0, "e51fdc6680f4a8ea1f1b57b18f6eb71363ac55d7a7a02040f4d849e3fe8c3fc4"),
+    (f"insert --structure hypoplactic-left --n 9 --datum {RIBBON_DATUM} "
+     f"--word {_word(9, 310, 16)}",
+     0, "c514d269333d47de70fa11eff41b7a04537591910fa505214f62d1366c203148"),
+    (f"insert --structure lps-right --n 9 --datum {LPS_DATUM} --word {_word(9, 375, 17)}",
+     0, "b840618a9aaeb9b385cf234e49cf3d43ff7719a9c16eb77af2945cc305dc5338"),
+    (f"insert --structure rps-right --n 9 --datum {RPS_DATUM} --word {_word(9, 360, 18)}",
+     0, "261b111cfd8b9907a3a77d083c8bb03b04bfa6ceda29191bfc62402afb22e65e"),
 ]
 
 

@@ -8,6 +8,9 @@ code), copied verbatim, are compared letter by letter with the ones in
 and on random words of up to 300 letters over n <= 9, which are long
 enough to hold the long runs of equal entries that column bumping jumps.
 
+The quasi-ribbon column reading as it was before it became one walk over
+the rows is compared with `extra.qr_read` on random ribbons.
+
 The word kernels behind `insert_long` are compared with the fold of the
 one-letter insertions, `insert_word`, on long random words.
 """
@@ -105,6 +108,29 @@ def _locate(rows, flat_index):
             return i, flat_index
         flat_index -= len(row)
     raise IndexError(flat_index)
+
+
+def qr_offsets(t) -> tuple[int, ...]:
+    offsets = []
+    pos = 0
+    for row in t:
+        offsets.append(pos)
+        pos += len(row) - 1
+    return tuple(offsets)
+
+
+def qr_read(t) -> tuple[int, ...]:
+    """Column reading: columns left to right, each bottom to top."""
+    offsets = qr_offsets(t)
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(t):
+        for j, x in enumerate(row):
+            cols.setdefault(offsets[i] + j, []).append((i, x))
+    out = []
+    for c in sorted(cols):
+        for _, x in sorted(cols[c], reverse=True):
+            out.append(x)
+    return tuple(out)
 
 
 def sylvester_insert(x: int, t):
@@ -260,6 +286,20 @@ def test_insertions_match_the_oracle_on_long_words(data):
             _same_tree_helpers(d)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_qr_read_matches_the_oracle(data):
+    # ribbons built by right and left insertion mixed letter by letter; a
+    # falling run inserted on the right builds a chain of one-box rows
+    n = data.draw(st.integers(1, 9), label="n")
+    steps = data.draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from(["right", "left"])),
+                               max_size=80), label="steps")
+    t = ()
+    for x, side in steps:
+        t = extra.hypoplactic_insert(t, x, side)
+        assert extra.qr_read(t) == qr_read(t), t
+
+
 def _any_tree(labels):
     # binary trees whose labels need not respect the search order
     return st.recursive(st.none(), lambda sub: st.tuples(labels, sub, sub), max_leaves=12)
@@ -303,11 +343,13 @@ def test_tree_helpers_handle_a_chain_deeper_than_the_recursion_limit():
 
 # --- word kernels ----------------------------------------------------------------
 
-KERNELS = ("young-right", "young-left", "chinese-right", "chinese-left", "sylvester-left")
+KERNELS = ("young-right", "young-left", "chinese-right", "chinese-left", "sylvester-left",
+           "hypoplactic-right", "hypoplactic-left", "lps-right", "rps-right")
 
 
-def test_the_kernels_are_where_they_were_measured_to_pay():
-    assert {name for name in STRUCTURES if get_structure(name, 3).insert_many} == set(KERNELS)
+def test_every_registered_structure_has_a_kernel():
+    assert {name for name in STRUCTURES if get_structure(name, 3).insert_many} == \
+        set(KERNELS) == set(STRUCTURES)
 
 
 def _outcome(insert, d, word):
@@ -354,6 +396,43 @@ def test_the_row_kernel_builds_one_long_row():
     s = get_structure("young-right", 3)
     word = (1,) * 1000 + (2,) * 1000 + (3,) * 1000
     assert s.insert_long((), word) == (word,) == s.insert_word((), word)
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("lps-right", ((1,),) * 3000),
+    ("rps-right", ((1,) * 3000,)),
+    ("hypoplactic-right", ((1,) * 3000,)),
+    ("hypoplactic-left", ((1,) * 3000,)),
+])
+def test_equal_letters_build_one_long_row_or_column(name, expected):
+    # lps starts a column at every equal letter, rps stacks them all in one,
+    # and a quasi-ribbon keeps them in one row from either side
+    s = get_structure(name, 1)
+    word = (1,) * 3000
+    assert s.insert_long((), word) == expected == s.insert_word((), word)
+
+
+def _zigzag(n: int, runs: int, shift: int) -> tuple[int, ...]:
+    """Rising and falling runs between troughs and peaks that move from run
+    to run: a falling run after a rising one splits quasi-ribbon rows."""
+    word: list[int] = []
+    for k in range(shift, shift + runs):
+        low, high = 1 + k % (n - 1), n - k % 3
+        word += range(low, high + 1)
+        word += range(high - 1, low, -1)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("name", ["hypoplactic-right", "hypoplactic-left", "lps-right",
+                                  "rps-right"])
+@pytest.mark.parametrize("start", ["empty", "zigzag"])
+def test_zigzag_words_split_rows_as_the_fold_does(name, start):
+    s = get_structure(name, 9)
+    # a datum over 1..5 leaves the pairs of the letters above 5 new, and the
+    # word's first trough is 4, so later troughs bring new least letters
+    d = s.empty if start == "empty" else s.constructor(_zigzag(5, 40, 0))
+    word = _zigzag(9, 60, 3)
+    assert s.insert_long(d, word) == s.insert_word(d, word)
 
 
 @pytest.mark.parametrize("direction", [LEFT_TO_RIGHT, RIGHT_TO_LEFT])
