@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .coherence import strategy_paths
-from .rewriting import Alphabet, RewritingSystem, Word
+from .rewriting import Alphabet, RewritingSystem, Word, strategy_paths
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -250,7 +249,6 @@ def qword_less(u: Word, v: Word, gens: list[Gen]) -> bool:
 
 def chinese_relations(n: int) -> RewritingSystem:
     """The defining relations on single letters, as four oriented families."""
-    alphabet = Alphabet(tuple(str(x) for x in range(1, n + 1)))
     pairs = []
     for x, y, z in itertools.combinations(range(1, n + 1), 3):
         pairs.append(((z - 1, y - 1, x - 1), (y - 1, z - 1, x - 1)))
@@ -258,7 +256,7 @@ def chinese_relations(n: int) -> RewritingSystem:
     for x, y in itertools.combinations(range(1, n + 1), 2):
         pairs.append(((y - 1, y - 1, x - 1), (y - 1, x - 1, y - 1)))
         pairs.append(((y - 1, x - 1, x - 1), (x - 1, y - 1, x - 1)))
-    return RewritingSystem.from_pairs(alphabet, pairs)
+    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 
 def _qn_alphabet(n: int) -> tuple[Alphabet, dict[Gen, int], list[Gen]]:
@@ -447,7 +445,7 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     these words are the sources of its critical branchings, one branching
     each.  The report carries both outcomes separately; (b) does not hold
     in general (see the witness list), so the overall result reflects (a)
-    and (b) independently.  The paths are `coherence.strategy_paths`: they
+    and (b) independently.  The paths are `rewriting.strategy_paths`: they
     stop after `budget` steps (the normalization default when None), and a
     path that hit it fails the result and counts in `budget_hits`.
     """

@@ -1,33 +1,30 @@
 """Coherence witnesses: pairs of parallel reduction paths per critical branching.
 
 A three-cell records two rewriting paths with the same source and target.
-Squier cells follow each branching leg with leftmost normalization.  The
-strategy walk normalizes each critical-branching source leftmost and
-rightmost; strategy cells pair the two paths (for a presentation built
-from a generating set, the two insertion orders) and the staircase path
-bounds measure them.  Shape verifiers bound the leg lengths for the column
-presentation of tableaux (hexagons) and the completed staircase
-presentation (decagons).
+Squier cells follow each branching leg with leftmost normalization.
+Strategy cells pair the leftmost and rightmost normalizations of each
+critical-branching source (`rewriting.strategy_paths`; for a presentation
+built from a generating set, the two insertion orders).  Shape verifiers
+bound the leg lengths for the column presentation of tableaux (hexagons)
+and the completed staircase presentation (decagons).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
+from .chinese import completed_presentation
 from .rewriting import (
-    LEFTMOST,
-    RIGHTMOST,
     Branching,
-    NormalizeResult,
     RewritePath,
     RewritingSystem,
     Word,
     branching_legs,
     critical_branchings,
-    normalize,
+    strategy_paths,
 )
 from .sds import Presentation, report
+from .young import column_presentation
 
 
 @dataclass(frozen=True)
@@ -66,16 +63,6 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
     return cells
 
 
-def strategy_paths(system: RewritingSystem, budget: int | None = None
-                   ) -> Iterator[tuple[Word, NormalizeResult, NormalizeResult]]:
-    """Each critical branching's source with its leftmost and rightmost
-    normalizations, in `critical_branchings` order; one that hit `budget`
-    stops there.  Lazy, so a caller may stop at the first hit."""
-    for word in (b.source for b in critical_branchings(system)):
-        yield (word, normalize(system, word, LEFTMOST, budget),
-               normalize(system, word, RIGHTMOST, budget))
-
-
 def strategy_cells(presentation: Presentation, budget: int | None = None) -> list[ThreeCell]:
     """Leftmost-versus-rightmost cells on the critical triples of a
     presentation built from a generating set.
@@ -100,7 +87,6 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
 def verify_cell_shapes_young(n: int, budget: int | None = None) -> dict:
     """Hexagon bound for the column presentation: at most three further
     steps per leg after the branching step."""
-    from .young import column_presentation
     try:
         cells = squier_cells(column_presentation(n).system, budget)
     except BudgetExhausted as exc:
@@ -121,7 +107,6 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
     """Decagon bound for the completed staircase presentation: legs of
     length at most five, and a length-five leg forces the other leg to
     four or less."""
-    from .chinese import completed_presentation
     try:
         cells = strategy_cells(completed_presentation(n), budget=budget)
     except BudgetExhausted as exc:

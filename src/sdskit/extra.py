@@ -22,6 +22,7 @@ from .sds import (
     report,
     rows_kernel,
 )
+from .young import knuth_srs
 
 _first, _last = itemgetter(0), itemgetter(-1)
 
@@ -385,13 +386,8 @@ def ps_to_json(t: PatienceTableau) -> dict:
 # --- congruences -----------------------------------------------------------
 
 
-def _letter_alphabet(n: int) -> Alphabet:
-    return Alphabet(tuple(str(x) for x in range(1, n + 1)))
-
-
 def hypoplactic_srs(n: int) -> RewritingSystem:
     """Knuth relations plus the two quartic exchange families."""
-    from .young import knuth_srs
     base = knuth_srs(n)
     pairs = [(r.lhs, r.rhs) for r in base.rules]
     for x in range(1, n + 1):
@@ -419,7 +415,7 @@ def sylvester_srs(n: int, max_w: int) -> RewritingSystem:
                     for z in range(y + 1, n + 1):
                         pairs.append(((z - 1, x - 1) + w + (y - 1,),
                                       (x - 1, z - 1) + w + (y - 1,)))
-    return RewritingSystem.from_pairs(_letter_alphabet(n), pairs)
+    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 
 def _ps_pairs(n: int, max_p: int, strict_head: bool):
@@ -447,12 +443,12 @@ def _chains(values, length, strict):
 
 def lps_srs(n: int, max_p: int) -> RewritingSystem:
     """Rules y x_p..x_1 x -> y x x_p..x_1 for x < y <= x_1 < ... < x_p."""
-    return RewritingSystem.from_pairs(_letter_alphabet(n), _ps_pairs(n, max_p, True))
+    return RewritingSystem.from_pairs(Alphabet.letters(n), _ps_pairs(n, max_p, True))
 
 
 def rps_srs(n: int, max_p: int) -> RewritingSystem:
     """Rules y x_p..x_1 x -> y x x_p..x_1 for x <= y < x_1 <= ... <= x_p."""
-    return RewritingSystem.from_pairs(_letter_alphabet(n), _ps_pairs(n, max_p, False))
+    return RewritingSystem.from_pairs(Alphabet.letters(n), _ps_pairs(n, max_p, False))
 
 
 def commutation_probe(right: StringDataStructure, left: StringDataStructure,

@@ -4,9 +4,10 @@ Words are tuples of indices into a finite ordered alphabet.  A rewriting
 system is a finite list of oriented rules lhs -> rhs; one-step reduction
 replaces an occurrence of a lhs by the corresponding rhs.  On top of that
 this module provides deterministic normalization strategies (leftmost and
-rightmost), critical-branching enumeration, local-confluence checking,
-bounded congruence closure, a single Knuth-Bendix completion pass, and a
-lexicographic termination certificate.
+rightmost), critical-branching enumeration with its two walks (each leg
+normalized leftmost, and each source normalized by both strategies),
+local-confluence checking, bounded congruence closure, a single
+Knuth-Bendix completion pass, and a lexicographic termination certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -39,6 +40,11 @@ class Alphabet:
 
     def name(self, letter: int) -> str:
         return self.labels[letter]
+
+    @classmethod
+    def letters(cls, n: int) -> "Alphabet":
+        """The letters 1..n, labelled "1".."n"; letter x is index x - 1."""
+        return cls(tuple(str(x) for x in range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -94,9 +100,6 @@ class RewritePath:
     source: Word
     steps: tuple[RewriteStep, ...]
     target: Word
-
-    def __len__(self):
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,16 @@ def branching_legs(system: RewritingSystem, branching: Branching,
     return legs[0], legs[1]
 
 
+def strategy_paths(system: RewritingSystem, budget: int | None = None
+                   ) -> Iterator[tuple[Word, NormalizeResult, NormalizeResult]]:
+    """Each critical branching's source with its leftmost and rightmost
+    normalizations, in `critical_branchings` order; one that hit `budget`
+    stops there.  Lazy, so a caller may stop at the first hit."""
+    for word in (b.source for b in critical_branchings(system)):
+        yield (word, normalize(system, word, LEFTMOST, budget),
+               normalize(system, word, RIGHTMOST, budget))
+
+
 @dataclass(frozen=True)
 class BranchingCheck:
     branching: Branching
@@ -405,18 +418,15 @@ def knuth_bendix_pass(system: RewritingSystem, order_less: Callable[[Word, Word]
     """
     branchings = critical_branchings(system)
     pairs: list[tuple[Word, Word]] = [(r.lhs, r.rhs) for r in system.rules]
+    given = len(pairs)
     pair_set = set(pairs)
-    added: list[tuple[Word, Word]] = []
     unorientable: list[tuple[Word, Word]] = []
     exhausted = False
 
-    def current_system():
-        return RewritingSystem.from_pairs(system.alphabet, pairs)
-
+    cur = RewritingSystem.from_pairs(system.alphabet, pairs)
     changed = True
     while changed:
         changed = False
-        cur = current_system()
         for branching in branchings:
             left, right = branching_legs(cur, branching, budget)
             if not (left.reached_normal_form and right.reached_normal_form):
@@ -436,17 +446,15 @@ def knuth_bendix_pass(system: RewritingSystem, order_less: Callable[[Word, Word]
             if new not in pair_set:
                 pairs.append(new)
                 pair_set.add(new)
-                added.append(new)
                 changed = True
-                cur = current_system()
+                cur = RewritingSystem.from_pairs(system.alphabet, pairs)
 
-    # normalize added right-hand sides against the final set
-    final = current_system()
-    cleaned: list[tuple[Word, Word]] = [(r.lhs, r.rhs) for r in system.rules]
+    # normalize added right-hand sides against the final set, which `cur` is
+    cleaned = pairs[:given]
     cleaned_added = []
     seen = set(cleaned)
-    for lhs, rhs in added:
-        nf = normalize(final, rhs, LEFTMOST, budget)
+    for lhs, rhs in pairs[given:]:
+        nf = normalize(cur, rhs, LEFTMOST, budget)
         if not nf.reached_normal_form:
             exhausted = True
         new = (lhs, nf.target)

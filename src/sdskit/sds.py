@@ -559,34 +559,29 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
     minimal:    rules d.[x] -> [d star x] only
     readings:   rules R(d)R(d') -> R(d star d') over the letter alphabet
     All three are bounded truncations of infinite systems; the bound is the
-    word length feeding the reachable set.
+    word length feeding the reachable set.  The non-unit reachable data
+    generate themselves, so full is their generating presentation, minimal
+    keeps its rules whose right factor is a letter, and readings reads every
+    product of two of them in their set's row, also past the bound.
     """
     if mode not in (FULL, MINIMAL, READINGS):
         raise ValueError(f"unknown mode {mode!r}")
     reach = reachable_set(structure, bound)
-    row = reach.row
-    keys = {key: k for k, key in enumerate(k for k in reach.index if k)}  # no unit
-    if mode == MINIMAL:     # the right factor is a single letter
-        rights = [((x,), row.state(structure.iota(x))) for x in range(1, structure.n + 1)]
-    else:
-        rights = [(key, reach.index[key]) for key in keys]
-    pairs, seen = [], set()
-    for left in keys:
-        s = reach.index[left]
-        for right, t in rights:
-            key = row.read(row.walk(s, row.read(t)))
-            if mode == READINGS:
-                if left + right != key:
-                    seen.add((left + right, key))
-            elif key in keys:
-                pairs.append(((keys[left], keys[right]), (keys[key],)))
+    data = tuple(reach.row.data[i] for key, i in reach.index.items() if key)
+    gen = GeneratingSet(structure, data, lambda d: (d,))
+    row = gen.row
     if mode == READINGS:
-        letter_alphabet = Alphabet(tuple(str(x) for x in range(1, structure.n + 1)))
-        pairs = sorted((_letters_to_indices(l), _letters_to_indices(r)) for l, r in seen)
-        return Presentation(RewritingSystem.from_pairs(letter_alphabet, pairs), None)
-    data = tuple(row.data[reach.index[key]] for key in keys)
-    alphabet = Alphabet(tuple(datum_label(structure, d) for d in data))
-    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), data)
+        words = [row.read(i) for i in range(len(data))]
+        seen = {(u + v, row.read(row.walk(i, v))) for i, u in enumerate(words) for v in words}
+        pairs = sorted((_letters_to_indices(l), _letters_to_indices(r))
+                       for l, r in seen if l != r)
+        return Presentation(RewritingSystem.from_pairs(Alphabet.letters(structure.n), pairs))
+    full = generating_presentation(gen, bound)
+    if mode == FULL:
+        return full
+    system = full.system
+    pairs = [(r.lhs, r.rhs) for r in system.rules if len(row.read(r.lhs[1])) == 1]
+    return Presentation(RewritingSystem.from_pairs(system.alphabet, pairs), full.generators)
 
 
 def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Presentation:

@@ -178,7 +178,6 @@ def young_right_mirror(n: int) -> StringDataStructure:
 
 def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
     """The Knuth relations (or their reversed pairing) as oriented rules."""
-    alphabet = Alphabet(tuple(str(x) for x in range(1, n + 1)))
     pairs = []
     if variant == "standard":
         xi = [(x, y, z) for x in range(1, n + 1) for y in range(x, n + 1)
@@ -196,7 +195,7 @@ def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
         pairs.append(((z - 1, x - 1, y - 1), (x - 1, z - 1, y - 1)))
     for x, y, z in zeta:
         pairs.append(((y - 1, z - 1, x - 1), (y - 1, x - 1, z - 1)))
-    return RewritingSystem.from_pairs(alphabet, pairs)
+    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 
 def enumerate_columns(n: int) -> list[Tableau]:
