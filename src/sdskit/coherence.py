@@ -49,6 +49,17 @@ class BudgetExhausted(ValueError):
         self.source = source
 
 
+class StrategyMismatch(ValueError):
+    """A normalization of the critical triple `source` missed the canonical
+    decomposition `expected` of its product: a verified failure of the
+    presentation, not bad input."""
+
+    def __init__(self, source: Word, left: Word, right: Word, expected: Word):
+        super().__init__(f"strategy targets disagree on {source}: "
+                         f"{left} / {right} / expected {expected}")
+        self.source, self.left, self.right, self.expected = source, left, right, expected
+
+
 def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[ThreeCell]:
     """One cell per critical branching: each leg is the branching step
     followed by leftmost normalization.  The system must be convergent."""
@@ -68,8 +79,8 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
     presentation built from a generating set.
 
     Both paths must reach the canonical decomposition of the folded product
-    of the three generators; a mismatch is fatal since it contradicts the
-    commutation the presentation was built from.
+    of the three generators; a mismatch raises `StrategyMismatch`, since it
+    contradicts the commutation the presentation was built from.
     """
     gen_set = presentation.generating
     cells = []
@@ -78,8 +89,7 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
         if not (top.reached_normal_form and bottom.reached_normal_form):
             raise BudgetExhausted("triple", word)
         if top.target != expected or bottom.target != expected:
-            raise ValueError(f"strategy targets disagree on {word}: "
-                             f"{top.target} / {bottom.target} / expected {expected}")
+            raise StrategyMismatch(word, top.target, bottom.target, expected)
         cells.append(ThreeCell(word, top.path, bottom.path))
     return cells
 
@@ -111,6 +121,10 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
         cells = strategy_cells(completed_presentation(n), budget=budget)
     except BudgetExhausted as exc:
         return _exhausted("chinese", n, exc)
+    except StrategyMismatch as exc:
+        return report("cell-shapes", "chinese", {"n": n}, "fail",
+                      witness={"source": list(exc.source), "left": list(exc.left),
+                               "right": list(exc.right), "expected": list(exc.expected)})
     max_pair = (0, 0)
     for cell in cells:
         ll, lr = len(cell.left_path.steps), len(cell.right_path.steps)

@@ -270,50 +270,58 @@ def sylvester_left(n: int) -> StringDataStructure:
 
 def format_tree(t: Tree) -> str:
     """Nested parenthesized form "(label left right)" with "·" for empty."""
+    # every subtree is written with a leading space, cut off the root's at
+    # the end; each left spine is walked at once, leaving on the stack what
+    # follows its nodes' left subtrees, innermost last
     parts, stack = [], [t]
+    append, push, pop = parts.append, stack.append, stack.pop
     while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            parts.append(t)
-        elif t is None:
-            parts.append("·")
-        else:
-            root, left, right = t
-            parts.append(f"({root} ")
-            stack += (")", right, " ", left)
-    return "".join(parts)
+        t = pop()
+        if t.__class__ is str:
+            append(t)
+            continue
+        while t is not None:
+            root, t, right = t
+            append(f" ({root}")
+            if right is None:
+                push(" ·)")
+            else:
+                push(")")
+                push(right)
+        append(" ·")
+    return "".join(parts)[1:]
 
 
 def parse_tree(text: str) -> Tree:
     """Inverse of `format_tree` ("." also marks an empty subtree); raises ValueError."""
-    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
-
-    def take() -> str:
-        tok = next(tokens, None)
-        if tok is None:
-            raise ValueError("unexpected end of tree")
-        return tok
-
-    open_nodes: list[tuple[int, list[Tree]]] = []   # (label, subtrees so far)
-    while True:
-        tok = take()
-        if tok == "(":
-            open_nodes.append((int(take()), []))
-            continue
-        if tok not in ("·", "."):
-            raise ValueError(f"unexpected token {tok!r}")
-        tree = None
-        # a finished subtree closes every open node it completes
-        while open_nodes and len(open_nodes[-1][1]) == 1:
-            root, (left,) = open_nodes.pop()
-            if take() != ")":
-                raise ValueError("expected ')'")
-            tree = (root, left, tree)
-        if not open_nodes:
-            if next(tokens, None) is not None:
-                raise ValueError("trailing input")
-            return tree
-        open_nodes[-1][1].append(tree)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    open_nodes: list[list] = []     # [label], then [label, left subtree]
+    i = 0
+    try:        # reading past the last token is the only IndexError
+        while True:
+            tok = tokens[i]
+            if tok == "(":
+                open_nodes.append([int(tokens[i + 1])])
+                i += 2
+                continue
+            i += 1
+            if tok != "·" and tok != ".":
+                raise ValueError(f"unexpected token {tok!r}")
+            tree = None
+            # a finished subtree closes every open node it completes
+            while open_nodes and len(open_nodes[-1]) == 2:
+                if tokens[i] != ")":
+                    raise ValueError("expected ')'")
+                i += 1
+                root, left = open_nodes.pop()
+                tree = (root, left, tree)
+            if not open_nodes:
+                if i < len(tokens):
+                    raise ValueError("trailing input")
+                return tree
+            open_nodes[-1].append(tree)
+    except IndexError:
+        raise ValueError("unexpected end of tree") from None
 
 
 # --- patience sorting tableaux ---------------------------------------------

@@ -11,7 +11,8 @@ the column complement involution.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, zip_longest
+from operator import le, lt
 
 from .rewriting import (
     LEFTMOST,
@@ -40,14 +41,11 @@ EMPTY: Tableau = ()
 def is_tableau(t: Tableau) -> bool:
     """Rows weakly increase, columns strictly increase, lengths weakly decrease."""
     for i, row in enumerate(t):
-        if not row:
-            return False
-        if any(a > b for a, b in zip(row, row[1:])):
+        if not row or not all(map(le, row, row[1:])):
             return False
         if i > 0:
-            if len(t[i - 1]) < len(row):
-                return False
-            if any(t[i - 1][j] >= row[j] for j in range(len(row))):
+            above = t[i - 1]
+            if len(above) < len(row) or not all(map(lt, above, row)):
                 return False
     return True
 
@@ -112,28 +110,6 @@ def _row_bump(rows: list[list[int]], cur: int) -> None:
     rows.append([cur])
 
 
-def _column_bump(rows: list[list[int]], cur: int) -> None:
-    """The walk of `schensted_left`, changing the rows in place."""
-    k, limit = 0, len(rows)
-    while True:
-        for i in range(limit):
-            row = rows[i]
-            if len(row) == k:
-                row.append(cur)
-                return
-            if row[k] >= cur:
-                break
-        else:
-            rows.append([cur])
-            return
-        if row[k] == cur:
-            k = bisect_right(row, cur, k)
-        else:
-            row[k], cur = cur, row[k]
-            k += 1
-        limit = i + 1
-
-
 def columns(t: Tableau) -> list[tuple[int, ...]]:
     if not t:
         return []
@@ -149,7 +125,8 @@ def read_tableau(t: Tableau, mode: str = READ_COL) -> tuple[int, ...]:
     """col: columns left to right, bottom to top; row: rows bottom to top;
     col_op: columns right to left, top to bottom."""
     if mode == READ_COL:
-        return tuple(x for col in columns(t) for x in reversed(col))
+        # the rows bottom first: a column's missing entries lead its tuple
+        return tuple([x for col in zip_longest(*reversed(t)) for x in col if x is not None])
     if mode == READ_ROW:
         return tuple(x for row in reversed(t) for x in row)
     if mode == READ_COL_OP:
@@ -157,17 +134,32 @@ def read_tableau(t: Tableau, mode: str = READ_COL) -> tuple[int, ...]:
     raise ValueError(f"unknown reading {mode!r}")
 
 
+_row_insert_many = rows_kernel(_row_bump)
+
+
 def young_right(n: int) -> StringDataStructure:
     """Right structure: row insertion with the column reading."""
     return StringDataStructure("young-right", n, EMPTY, schensted_right,
-                               read_tableau, LEFT_TO_RIGHT, rows_kernel(_row_bump))
+                               read_tableau, LEFT_TO_RIGHT, _row_insert_many)
+
+
+def _left_insert_many(t: Tableau, letters: tuple[int, ...]) -> Tableau:
+    # letters are x_k, ..., x_1: the word x_1 ... x_k row-inserted, then t's reading
+    return _row_insert_many(EMPTY, letters[::-1] + read_tableau(t))
 
 
 def young_left(n: int) -> StringDataStructure:
-    """Left structure: column insertion with the column reading."""
+    """Left structure: column insertion with the column reading.
+
+    Its word kernel uses the duality of the two insertions, which share the
+    plactic monoid (Schensted; Knuth): column-inserting x_k, ..., x_1 into
+    P(w) gives P(x_1 ... x_k w), the row insertion of x_1 ... x_k followed
+    by the column reading of P(w).  Row insertion bumps along at most one
+    entry per row, where column insertion walks the columns.
+    """
     return StringDataStructure("young-left", n, EMPTY,
                                lambda t, x: schensted_left(x, t),
-                               read_tableau, RIGHT_TO_LEFT, rows_kernel(_column_bump))
+                               read_tableau, RIGHT_TO_LEFT, _left_insert_many)
 
 
 def young_right_mirror(n: int) -> StringDataStructure:
@@ -364,17 +356,13 @@ def format_tableau(t: Tableau) -> str:
     """One row per line, entries space-separated, top row first."""
     if not t:
         return "(empty)"
-    return "\n".join(" ".join(str(x) for x in row) for row in t)
+    return "\n".join([" ".join(map(str, row)) for row in t])
 
 
 def parse_tableau(text: str) -> Tableau:
-    rows = []
-    for line in text.replace(";", "\n").splitlines():
-        line = line.strip()
-        if not line or line == "(empty)":
-            continue
-        rows.append(tuple(int(tok) for tok in line.split()))
-    t = tuple(rows)
+    t = tuple([tuple(map(int, tokens))
+               for tokens in map(str.split, text.replace(";", "\n").splitlines())
+               if tokens and tokens != ["(empty)"]])
     if not is_tableau(t) and t:
         raise ValueError("not a valid tableau")
     return t

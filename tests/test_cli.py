@@ -422,6 +422,17 @@ RIBBON_DATUM = '{"rows":[[1,1,3],[4,4,6],[7],[8,9]]}'
 # GOLDEN line stands for a space
 LPS_DATUM = r'{"columns\u005fbottom\u005fup":[[1,3,6],[1,2],[2,5,7,9],[4],[4,8]]}'
 RPS_DATUM = r'{"columns\u005fbottom\u005fup":[[1,1,3,6],[2,2,5],[4,7,7,9],[8]]}'
+TALL_DATUM = "1_1;2_3;3;4;5;6;7;8;9"
+EMPTY_DIGEST = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+JUNK_TABLEAU_LINE = "insert --structure young-left --n 2 --datum 1_x;2 --word 1"
+# malformed trees (truncated, a stray token, a subtree too many, trailing
+# input), each insert line with its stderr
+TREE_ERROR_LINES = {
+    f"insert --structure sylvester-left --n 3 --datum {tree} --word 1": f"error: {message}\n"
+    for tree, message in [("(2_(1_·_·)", "unexpected end of tree"),
+                          ("(2_x_·)", "unexpected token 'x'"),
+                          ("(2_·_·_3)", "expected ')'"),
+                          ("(1_·_·)_·", "trailing input")]}
 
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched
 # through the registry tables; "_" stands for a space inside an argument
@@ -532,7 +543,18 @@ GOLDEN = [
      0, "b840618a9aaeb9b385cf234e49cf3d43ff7719a9c16eb77af2945cc305dc5338"),
     (f"insert --structure rps-right --n 9 --datum {RPS_DATUM} --word {_word(9, 360, 18)}",
      0, "261b111cfd8b9907a3a77d083c8bb03b04bfa6ceda29191bfc62402afb22e65e"),
+    # a tall tableau and 2,000 equal letters into the left structure, a
+    # datum with a non-integer entry, and four malformed trees, each with the
+    # stderr in GOLDEN_STDERR; recorded while young-left bumped column by
+    # column and parse_tree read its tokens through a closure
+    (f"insert --structure young-left --n 9 --datum {TALL_DATUM} --word {'_'.join(['5'] * 2000)}",
+     0, "3e5babbe339f8b0ebf7ec1ce6589a7ebd963a3a1053e4f08c53bfc490fb06309"),
+    (JUNK_TABLEAU_LINE, 2, EMPTY_DIGEST),
+    *[(line, 2, EMPTY_DIGEST) for line in TREE_ERROR_LINES],
 ]
+
+GOLDEN_STDERR = {JUNK_TABLEAU_LINE: "error: invalid literal for int() with base 10: 'x'\n",
+                 **TREE_ERROR_LINES}
 
 
 def test_golden_covers_every_check():
@@ -542,7 +564,9 @@ def test_golden_covers_every_check():
 @pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0][:80] for g in GOLDEN])
 def test_report_bytes_are_pinned(line, code, digest, capsys):
     assert main([arg.replace("_", " ") for arg in line.split()]) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == GOLDEN_STDERR.get(line, "")
 
 
 def test_out_file_holds_the_pinned_stdout(tmp_path, capsys):

@@ -11,8 +11,14 @@ enough to hold the long runs of equal entries that column bumping jumps.
 The quasi-ribbon column reading as it was before it became one walk over
 the rows is compared with `extra.qr_read` on random ribbons.
 
+The tableau readings as they were before the column reading became one
+pass over the rows are compared with `young.read_tableau` on random
+tableaux.
+
 The word kernels behind `insert_long` are compared with the fold of the
-one-letter insertions, `insert_word`, on long random words.
+one-letter insertions, `insert_word`, on long random words; the young-left
+kernel, which row-inserts by the plactic duality, also on words made of
+long runs of one letter and of strictly decreasing runs.
 """
 
 from __future__ import annotations
@@ -67,6 +73,18 @@ def from_columns(cols):
     if not cols:
         return ()
     return tuple(tuple(col[i] for col in cols if len(col) > i) for i in range(len(cols[0])))
+
+
+def read_tableau(t, mode: str = "col") -> tuple[int, ...]:
+    """col: columns left to right, bottom to top; row: rows bottom to top;
+    col_op: columns right to left, top to bottom."""
+    if mode == "col":
+        return tuple(x for col in columns(t) for x in reversed(col))
+    if mode == "row":
+        return tuple(x for row in reversed(t) for x in row)
+    if mode == "col_op":
+        return tuple(x for col in reversed(columns(t)) for x in col)
+    raise ValueError(f"unknown reading {mode!r}")
 
 
 def _ribbon_sequence(t) -> list[int]:
@@ -300,6 +318,27 @@ def test_qr_read_matches_the_oracle(data):
         assert extra.qr_read(t) == qr_read(t), t
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_tableau_matches_the_oracle(data):
+    # a random tableau, or one row (a weakly increasing word), one column
+    # (a strictly decreasing one) or the empty tableau
+    n = data.draw(st.integers(1, 9), label="n")
+    word = data.draw(st.lists(st.integers(1, n), max_size=120), label="word")
+    shape = data.draw(st.sampled_from(["random", "row", "column", "empty"]), label="shape")
+    word = {"random": word, "row": sorted(word), "column": sorted(set(word), reverse=True),
+            "empty": []}[shape]
+    t = young.young_right(n).constructor(tuple(word))
+    if shape == "row":
+        assert len(t) <= 1
+    if shape == "column":
+        assert all(len(row) == 1 for row in t)
+    for mode in (young.READ_COL, young.READ_ROW, young.READ_COL_OP):
+        assert young.read_tableau(t, mode) == read_tableau(t, mode)
+    with pytest.raises(ValueError, match="unknown reading 'rows'"):
+        young.read_tableau(t, "rows")
+
+
 def _any_tree(labels):
     # binary trees whose labels need not respect the search order
     return st.recursive(st.none(), lambda sub: st.tuples(labels, sub, sub), max_leaves=12)
@@ -377,6 +416,30 @@ def test_insert_long_is_the_fold(data):
     word = tuple(word)
     assert _outcome(structure.insert_long, d, word) == \
         _outcome(structure.insert_word, d, word)
+
+
+def _young_word(data, n: int, label: str) -> tuple[int, ...]:
+    """Up to 600 letters: pieces of uniform letters, runs of one letter
+    (which build one long row) and strictly decreasing runs n, ..., 1
+    (each a column of height n)."""
+    piece = st.one_of(
+        st.lists(st.integers(1, n), max_size=150),
+        st.tuples(st.integers(1, n), st.integers(1, 600)).map(lambda p: [p[0]] * p[1]),
+        st.integers(1, 8).map(lambda k: list(range(n, 0, -1)) * k))
+    pieces = data.draw(st.lists(piece, max_size=6), label=label)
+    return tuple(x for p in pieces for x in p)[:600]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_young_left_kernel_is_the_fold(data):
+    # the kernel row-inserts the word and then the datum's reading; the
+    # fold column-inserts the word's letters from the last one
+    n = data.draw(st.integers(1, 9), label="n")
+    s = young.young_left(n)
+    d = s.constructor(_young_word(data, n, "v"))
+    word = _young_word(data, n, "u")
+    assert s.insert_long(d, word) == s.insert_word(d, word)
 
 
 def test_the_tree_kernel_builds_a_chain_deeper_than_the_recursion_limit():

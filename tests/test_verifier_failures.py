@@ -112,15 +112,28 @@ def test_strategy_targets_that_miss_the_decomposition_raise(monkeypatch, capsys)
     # c_2.c_1 now rewrites to the other order, so the triples through it
     # end away from the canonical decomposition of their product
     faulty = _with_rhs(chinese.completed_presentation(3), ("c_2", "c_1"), ("c_1", "c_2"))
-    with pytest.raises(ValueError, match=r"^strategy targets disagree on \(") as exc:
+    with pytest.raises(coherence.StrategyMismatch,
+                       match=r"^strategy targets disagree on \(") as exc:
         coherence.strategy_cells(faulty)
-    assert not isinstance(exc.value, coherence.BudgetExhausted)
-    sources = {str(b.source) for b in critical_branchings(faulty.system)}
-    assert str(exc.value).split(" on ")[1].split(":")[0] in sources
+    mismatch = exc.value
+    assert not isinstance(mismatch, coherence.BudgetExhausted)
+    assert mismatch.source in {b.source for b in critical_branchings(faulty.system)}
+    assert str(mismatch) == (f"strategy targets disagree on {mismatch.source}: {mismatch.left}"
+                             f" / {mismatch.right} / expected {mismatch.expected}")
+    assert (mismatch.left, mismatch.right) != (mismatch.expected,) * 2
+    # a verified failure exits 1, never 2 (the usage-error code)
     monkeypatch.setattr(chinese, "completed_presentation", lambda n: faulty)
-    assert main(["cells", "--structure", "chinese", "--n", "3", "--kind", "strategy"]) != 0
-    err = capsys.readouterr().err
-    assert err.startswith("error: strategy targets disagree on (") and "Traceback" not in err
+    assert main(["cells", "--structure", "chinese", "--n", "3", "--kind", "strategy"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {mismatch}\n"
+    monkeypatch.setattr(coherence, "completed_presentation", lambda n: faulty)
+    out = coherence.verify_cell_shapes_chinese(3)
+    assert out["result"] == "fail"
+    assert out["witness"] == {"source": list(mismatch.source), "left": list(mismatch.left),
+                              "right": list(mismatch.right),
+                              "expected": list(mismatch.expected)}
+    assert _check(["check", "cell-shapes", "--structure", "chinese", "--n", "3"],
+                  capsys) == (1, out)
 
 
 # --- young.verify_knuth_decomposition -------------------------------------------

@@ -1,5 +1,6 @@
 """Tableau mechanics: insertions, readings, presentations, and the involution."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit.rewriting import check_local_confluence, classify, termination_certificate
@@ -195,3 +196,26 @@ def test_tableau_text_format_round_trip():
     assert parse_tableau(format_tableau(t)) == t
     assert parse_tableau("(empty)") == ()
     assert format_tableau(()) == "(empty)"
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("1 2 2;3 3;4", True),
+    ("1 3 2", False),           # a row decreases
+    ("1 2;1 3", False),         # a column does not strictly increase
+    ("1 2;2 2", False),
+    ("1;2 3", False),           # a row longer than the one above
+    ("1 1;2 2;3 3 3", False),
+])
+def test_parse_tableau_checks_rows_and_columns(text, ok):
+    t = tuple(tuple(map(int, row.split())) for row in text.split(";"))
+    assert is_tableau(t) == ok
+    if ok:
+        assert parse_tableau(text) == t
+    else:
+        with pytest.raises(ValueError, match="^not a valid tableau$"):
+            parse_tableau(text)
+
+
+def test_a_tableau_has_no_empty_row():
+    assert not is_tableau(((1, 2), (), (3,)))
+    assert not is_tableau(((),))
