@@ -25,7 +25,6 @@ from .sds import (
     StringDataStructure,
     generating_presentation,
     report,
-    rows_kernel,
 )
 
 Staircase = tuple[tuple[int, ...], ...]
@@ -61,36 +60,47 @@ def chinese_right_insert(t: Staircase, x: int) -> Staircase:
     rows = [list(row) for row in t]
     if not 1 <= x <= len(rows):
         raise ValueError(f"letter {x} out of range 1..{len(rows)}")
-    _right_insert(rows, x)
+    _right_insert(rows, x, [-1] * len(rows))
     return tuple(tuple(row) for row in rows)
 
 
-def _right_insert(rows: list[list[int]], x: int) -> None:
-    """The right insertion of x in 1..n, changing the rows in place."""
+def _right_insert(rows: list[list[int]], x: int, last: list[int]) -> None:
+    """The right insertion of x in 1..n, changing the rows in place.
+
+    `last[r - 1]` caches the last nonzero column of row r (0 for a row of
+    zeros, -1 until the row is first visited).  A step moves one unit from
+    that column y to a column x < y, so the row is scanned again, from
+    y - 1 down, only when the entry at y drops to zero; the scan stops at x
+    at the latest.  Landing on the diagonal makes it the last nonzero
+    column.
+    """
     r = len(rows)
     while True:
         row = rows[r - 1]
         if x == r:
             row[r - 1] += 1
-            break
-        y1 = 0
-        for j in range(r, 0, -1):
-            if row[j - 1] > 0:
-                y1 = j
-                break
-        if y1 == 0:
-            y1 = x
-        if x >= y1:
+            last[r - 1] = r
+            return
+        y = last[r - 1]
+        if y < 0:
+            y = r
+            while y and not row[y - 1]:
+                y -= 1
+            last[r - 1] = y
+        if x >= y:
             r -= 1
-        elif y1 < r:
-            row[y1 - 1] -= 1
-            row[x - 1] += 1
-            x = y1
-            r -= 1
-        else:
-            row[r - 1] -= 1
-            row[x - 1] += 1
-            break
+            continue
+        row[y - 1] -= 1
+        row[x - 1] += 1
+        if not row[y - 1]:
+            j = y - 1
+            while not row[j - 1]:
+                j -= 1
+            last[r - 1] = j
+        if y == r:
+            return
+        x = y
+        r -= 1
 
 
 def chinese_left_insert(x: int, t: Staircase) -> Staircase:
@@ -104,38 +114,66 @@ def chinese_left_insert(x: int, t: Staircase) -> Staircase:
     rows = [list(row) for row in t]
     if not 1 <= x <= len(rows):
         raise ValueError(f"letter {x} out of range 1..{len(rows)}")
-    _left_insert(rows, x)
+    _left_insert(rows, x, [-1] * len(rows))
     return tuple(tuple(row) for row in rows)
 
 
-def _left_insert(rows: list[list[int]], x: int) -> None:
-    """The left insertion of x in 1..n, changing the rows in place."""
+def _left_insert(rows: list[list[int]], x: int, first: list[int]) -> None:
+    """The left insertion of x in 1..n, changing the rows in place.
+
+    `first[i - 1]` caches the first nonzero column of row i (0 for a row
+    of zeros, -1 until the row is first visited).  A sweep step moves one
+    unit from that column z to a later column of the row, or takes it off
+    the diagonal, so the row is scanned again, from z + 1 on, only when the
+    entry at z drops to zero.  The landing raises one column of row x, which
+    becomes the row's first nonzero column if it comes before the cached
+    one; a row not yet visited stays unknown.
+    """
     y = 0  # marker; 0 plays the empty value
     for i in range(1, x):
         row = rows[i - 1]
-        z = 0
-        for j in range(1, i + 1):
-            if row[j - 1] > 0:
-                z = j
-                break
+        z = first[i - 1]
+        if z < 0:
+            z = 1
+            while z <= i and not row[z - 1]:
+                z += 1
+            z = first[i - 1] = z if z <= i else 0
         if z == 0:
             continue
         if y == 0:
+            row[z - 1] -= 1
             if z < i:
-                row[z - 1] -= 1
                 row[i - 1] += 1
-            else:
-                row[i - 1] -= 1
-            y = z
         elif z < y:
             row[z - 1] -= 1
             row[y - 1] += 1
-            y = z
+        else:
+            continue
+        y = z
+        if not row[z - 1]:
+            z += 1
+            while z <= i and not row[z - 1]:
+                z += 1
+            first[i - 1] = z if z <= i else 0
     row = rows[x - 1]
     if y == 0:
-        row[x - 1] += 1
-    else:
-        row[y - 1] += 1
+        y = x
+    row[y - 1] += 1
+    if first[x - 1] == 0 or first[x - 1] > y:
+        first[x - 1] = y
+
+
+def _staircase_kernel(step):
+    """The word kernel of a staircase insertion `step(rows, x, cache)`: the
+    rows are copied to lists once, one cache of row extremes serves the
+    whole word, and the rows are frozen once."""
+    def insert_many(t: Staircase, letters: tuple[int, ...]) -> Staircase:
+        rows = [list(row) for row in t]
+        cache = [-1] * len(rows)
+        for x in letters:
+            step(rows, x, cache)
+        return tuple(map(tuple, rows))
+    return insert_many
 
 
 def read_rr(t: Staircase) -> tuple[int, ...]:
@@ -203,13 +241,14 @@ def qn_generators(n: int) -> list[Gen]:
 def chinese_right(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-right", n, empty_staircase(n),
                                chinese_right_insert, read_rr, LEFT_TO_RIGHT,
-                               rows_kernel(_right_insert))
+                               _staircase_kernel(_right_insert))
 
 
 def chinese_left(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-left", n, empty_staircase(n),
                                lambda t, x: chinese_left_insert(x, t),
-                               read_rr, RIGHT_TO_LEFT, rows_kernel(_left_insert))
+                               read_rr, RIGHT_TO_LEFT,
+                               _staircase_kernel(_left_insert))
 
 
 def qn_generating_set(n: int) -> GeneratingSet:

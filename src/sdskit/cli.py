@@ -152,9 +152,6 @@ def cmd_insert(args) -> int:
     word = tuple(map(int, args.word.split()))
     n = args.n if args.n is not None else max(word, default=0)
     datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
-    reading = structure.read(datum)
-    if reading and not 1 <= min(reading) <= max(reading) <= n:
-        raise ValueError(f"datum has a letter out of range 1..{n}")
     _emit(args, entry.format_datum(structure.insert_long(datum, word)))
     return 0
 
@@ -318,7 +315,8 @@ def main(argv=None) -> int:
         # that the flush at exit does not fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (coherence.BudgetExhausted, coherence.StrategyMismatch) as exc:
+    except (coherence.BudgetExhausted, coherence.StrategyMismatch,
+            coherence.NonConfluentBranching) as exc:
         # a truncated run or a verified failure, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -60,16 +60,27 @@ class StrategyMismatch(ValueError):
         self.source, self.left, self.right, self.expected = source, left, right, expected
 
 
+class NonConfluentBranching(ValueError):
+    """The two legs of the critical branching at `source` end in the
+    distinct normal forms `left` and `right`: a verified failure of the
+    presentation, not bad input."""
+
+    def __init__(self, source: Word, left: Word, right: Word):
+        super().__init__(f"non-confluent branching {source}")
+        self.source, self.left, self.right = source, left, right
+
+
 def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[ThreeCell]:
     """One cell per critical branching: each leg is the branching step
-    followed by leftmost normalization.  The system must be convergent."""
+    followed by leftmost normalization.  The system must be convergent: a
+    branching whose legs end apart raises `NonConfluentBranching`."""
     cells = []
     for branching in critical_branchings(system):
         left, right = branching_legs(system, branching, budget)
         if not (left.reached_normal_form and right.reached_normal_form):
             raise BudgetExhausted("branching", branching.source)
         if left.target != right.target:
-            raise ValueError(f"non-confluent branching {branching.source}")
+            raise NonConfluentBranching(branching.source, left.target, right.target)
         cells.append(ThreeCell(branching.source, left.path, right.path, branching))
     return cells
 
@@ -101,6 +112,10 @@ def verify_cell_shapes_young(n: int, budget: int | None = None) -> dict:
         cells = squier_cells(column_presentation(n).system, budget)
     except BudgetExhausted as exc:
         return _exhausted("young", n, exc)
+    except NonConfluentBranching as exc:
+        return report("cell-shapes", "young", {"n": n}, "fail",
+                      witness={"source": list(exc.source), "left": list(exc.left),
+                               "right": list(exc.right)})
     max_after = 0
     for cell in cells:
         for leg in (cell.left_path, cell.right_path):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from math import inf
+from operator import itemgetter, le, lt
 
 from .rewriting import Alphabet, RewritingSystem
 from .sds import (
@@ -25,6 +26,7 @@ from .sds import (
 from .young import knuth_srs
 
 _first, _last = itemgetter(0), itemgetter(-1)
+_but_first, _but_last = itemgetter(slice(1, None)), itemgetter(slice(None, -1))
 
 # --- quasi-ribbon tableaux ------------------------------------------------
 #
@@ -45,10 +47,13 @@ def qr_offsets(t: QuasiRibbon) -> tuple[int, ...]:
 
 
 def is_quasi_ribbon(t: QuasiRibbon) -> bool:
-    for row in t:
-        if not row or any(a > b for a, b in zip(row, row[1:])):
-            return False
-    return all(prev[-1] < nxt[0] for prev, nxt in zip(t, t[1:]))
+    """No row is empty, the entries read row after row weakly increase, and
+    each row starts above the last entry of the row before it."""
+    if not all(t):
+        return False
+    entries = tuple(itertools.chain.from_iterable(t))
+    return all(map(le, entries, entries[1:])) and \
+        all(map(lt, map(_last, t), map(_first, t[1:])))
 
 
 def hypoplactic_insert(t: QuasiRibbon, x: int, side: str = "right") -> QuasiRibbon:
@@ -294,8 +299,25 @@ def format_tree(t: Tree) -> str:
 
 def parse_tree(text: str) -> Tree:
     """Inverse of `format_tree` ("." also marks an empty subtree); raises ValueError."""
+    return parse_tree_bounds(text)[0]
+
+
+def parse_tree_bounds(text: str) -> tuple[Tree, bool, int | None, int | None]:
+    """The tree of `parse_tree`, whether it is a search tree, and, if it is
+    one and not empty, its least and greatest label, from one pass over the
+    text; malformed text raises ValueError first, whatever the order.
+
+    A node comes in symmetric order once its left subtree has closed.  The
+    labels of a search tree weakly increase in that order, and strictly
+    from a node to the first node of its right subtree; that is all that
+    `is_search_tree` checks.  Labels are integers, so `floor`, the least
+    label the next node may have, is the last node's label plus one, or
+    that label itself once the node's right subtree closed empty.  The last
+    node has the greatest label, and the end of the left spine the least."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     open_nodes: list[list] = []     # [label], then [label, left subtree]
+    floor = -inf
+    ordered = True
     i = 0
     try:        # reading past the last token is the only IndexError
         while True:
@@ -313,15 +335,27 @@ def parse_tree(text: str) -> Tree:
                 if tokens[i] != ")":
                     raise ValueError("expected ')'")
                 i += 1
+                if tree is None:    # the last node's right subtree is empty
+                    floor -= 1
                 root, left = open_nodes.pop()
                 tree = (root, left, tree)
             if not open_nodes:
                 if i < len(tokens):
                     raise ValueError("trailing input")
-                return tree
-            open_nodes[-1].append(tree)
+                break
+            node = open_nodes[-1]
+            node.append(tree)
+            if node[0] < floor:
+                ordered = False
+            floor = node[0] + 1
     except IndexError:
         raise ValueError("unexpected end of tree") from None
+    if tree is None or not ordered:
+        return tree, ordered, None, None
+    least = tree
+    while least[1] is not None:
+        least = least[1]
+    return tree, True, least[0], floor
 
 
 # --- patience sorting tableaux ---------------------------------------------
@@ -360,14 +394,16 @@ def _pile(bisect):
 
 
 def is_patience_tableau(t: PatienceTableau, variant: str) -> bool:
-    bottoms = [c[0] for c in t if c]
-    if variant == LPS:
-        rows_ok = all(a <= b for a, b in zip(bottoms, bottoms[1:]))
-        cols_ok = all(a < b for c in t for a, b in zip(c, c[1:]))
-    else:
-        rows_ok = all(a < b for a, b in zip(bottoms, bottoms[1:]))
-        cols_ok = all(a <= b for c in t for a, b in zip(c, c[1:]))
-    return rows_ok and cols_ok and all(t)
+    """No column is empty, the bottoms rise weakly (lps) or strictly (rps)
+    from left to right, and each column rises strictly (lps) or weakly
+    (rps) from its bottom up."""
+    if not all(t):
+        return False
+    across, up = (le, lt) if variant == LPS else (lt, le)
+    bottoms = tuple(map(_first, t))
+    return all(map(across, bottoms, bottoms[1:])) and \
+        all(map(up, itertools.chain.from_iterable(map(_but_last, t)),
+                itertools.chain.from_iterable(map(_but_first, t))))
 
 
 def ps_read(t: PatienceTableau) -> tuple[int, ...]:

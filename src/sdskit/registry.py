@@ -6,15 +6,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
 from . import chinese, coherence, extra, young
 from .rewriting import RewritingSystem
 from .sds import Presentation, StringDataStructure
 
+_last = itemgetter(-1)
+
 
 @dataclass(frozen=True)
 class StructureEntry:
+    """A structure's factory and its datum text: `parse_datum(text, n)` is
+    the datum over the letters 1..n that `text` writes, or a ValueError."""
     factory: Callable[[int], StringDataStructure]
     format_datum: Callable
     parse_datum: Callable
@@ -24,10 +30,26 @@ def _json_rows(text: str, key: str) -> tuple[dict, tuple[tuple[int, ...], ...]]:
     """The JSON object in `text` and its `key` field as rows of integers."""
     data = json.loads(text)
     rows = data.get(key) if isinstance(data, dict) else None
-    if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list} or \
+            not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise ValueError(f"expected a JSON object with a list of integer lists under {key!r}")
-    return data, tuple(tuple(row) for row in rows)
+    return data, tuple(map(tuple, rows))
+
+
+def _in_range(least: int, greatest: int, n: int) -> None:
+    """Raise unless a datum's least and greatest letter, read off its
+    validated shape, lie in 1..n."""
+    if not 1 <= least <= greatest <= n:
+        raise ValueError(f"datum has a letter out of range 1..{n}")
+
+
+def _parse_tableau(text: str, n: int):
+    # rows weakly increase and columns strictly: the corner is the least
+    # entry, and the greatest ends a row
+    t = young.parse_tableau(text)
+    if t:
+        _in_range(t[0][0], max(map(_last, t)), n)
+    return t
 
 
 def _format_staircase(t):
@@ -35,6 +57,7 @@ def _format_staircase(t):
 
 
 def _parse_staircase(text: str, n: int):
+    # a staircase of rank n holds only the letters 1..n
     if not text.strip():
         return chinese.empty_staircase(n)
     data, rows = _json_rows(text, "rows")
@@ -53,6 +76,9 @@ def _parse_qr(text: str, n: int):
     _, rows = _json_rows(text, "rows")
     if not extra.is_quasi_ribbon(rows):
         raise ValueError("not a valid quasi-ribbon tableau")
+    # read row after row, the entries weakly increase
+    if rows:
+        _in_range(rows[0][0], rows[-1][-1], n)
     return rows
 
 
@@ -60,38 +86,41 @@ def _format_ps(t):
     return json.dumps(extra.ps_to_json(t))
 
 
-def _parse_ps(text: str, variant: str):
+def _parse_ps(text: str, n: int, variant: str):
     if not text.strip():
         return ()
     _, columns = _json_rows(text, "columns_bottom_up")
     if not extra.is_patience_tableau(columns, variant):
         raise ValueError("not a valid patience sorting tableau")
+    # the bottoms rise from left to right and each column rises from its bottom
+    if columns:
+        _in_range(columns[0][0], max(map(_last, columns)), n)
     return columns
 
 
 def _parse_tree(text: str, n: int):
     if not text.strip():
         return None
-    tree = extra.parse_tree(text)
-    if not extra.is_search_tree(tree):
+    tree, ordered, least, greatest = extra.parse_tree_bounds(text)
+    if not ordered:
         raise ValueError("not a valid binary search tree")
+    if tree is not None:
+        _in_range(least, greatest, n)
     return tree
 
 
 STRUCTURES: dict[str, StructureEntry] = {
-    "young-right": StructureEntry(young.young_right, young.format_tableau,
-                                  lambda text, n: young.parse_tableau(text)),
-    "young-left": StructureEntry(young.young_left, young.format_tableau,
-                                 lambda text, n: young.parse_tableau(text)),
+    "young-right": StructureEntry(young.young_right, young.format_tableau, _parse_tableau),
+    "young-left": StructureEntry(young.young_left, young.format_tableau, _parse_tableau),
     "chinese-right": StructureEntry(chinese.chinese_right, _format_staircase, _parse_staircase),
     "chinese-left": StructureEntry(chinese.chinese_left, _format_staircase, _parse_staircase),
     "hypoplactic-right": StructureEntry(extra.hypoplactic_right, _format_qr, _parse_qr),
     "hypoplactic-left": StructureEntry(extra.hypoplactic_left, _format_qr, _parse_qr),
     "sylvester-left": StructureEntry(extra.sylvester_left, extra.format_tree, _parse_tree),
     "lps-right": StructureEntry(extra.lps_right, _format_ps,
-                                lambda text, n: _parse_ps(text, extra.LPS)),
+                                lambda text, n: _parse_ps(text, n, extra.LPS)),
     "rps-right": StructureEntry(extra.rps_right, _format_ps,
-                                lambda text, n: _parse_ps(text, extra.RPS)),
+                                lambda text, n: _parse_ps(text, n, extra.RPS)),
 }
 
 COMMUTATION_PAIRS: dict[str, tuple[str, str]] = {

@@ -43,7 +43,10 @@ class StringDataStructure:
     `insert_many(d, letters)` is the word kernel, and every registered
     structure has one: given letters already checked and in reading order,
     it returns what folding `insert_one` over them returns, but works on a
-    mutable copy of d made once and frozen once.  Only `insert_long` calls it;
+    mutable copy of d made once and frozen once.  Most kernels are
+    `rows_kernel` of an in-place step; the two staircase kernels are not,
+    since their step also keeps a cache of each row's extreme nonzero
+    column across the word.  Only `insert_long` calls it;
     `insert_one` stays persistent, since the verifiers insert one letter at
     a time into small shared data, where such a copy costs more than it saves.
     """
@@ -96,7 +99,9 @@ class StringDataStructure:
 def rows_kernel(step: Callable[[list[list[int]], int], None]):
     """The word kernel of a structure whose data are tuples of int tuples:
     the rows are copied to lists once, `step(rows, x)` inserts each letter
-    in place, and the rows are frozen once."""
+    in place, and the rows are frozen once.  The staircase kernels
+    (`chinese-right`, `chinese-left`) do not use it: their step also takes
+    a cache of row extremes that lasts the whole word."""
     def insert_many(d, letters):
         rows = [list(row) for row in d]
         for x in letters:

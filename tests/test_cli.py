@@ -350,6 +350,34 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name,datum,n,err", [
+    # the least and greatest letters are read off the validated shape: a
+    # tableau's corner and its row ends, a ribbon's first and last box, a
+    # patience tableau's first bottom and its column tops, a tree's labels
+    ("young-right", "1 2;3 4;5", 4, "datum has a letter out of range 1..4"),
+    ("young-left", "0 2;3", 3, "datum has a letter out of range 1..3"),
+    ("young-right", "1 1 1;2 2;3", 2, "datum has a letter out of range 1..2"),
+    ("hypoplactic-right", '{"rows":[[1,2],[3]]}', 2, "datum has a letter out of range 1..2"),
+    ("hypoplactic-left", '{"rows":[[0,2],[3]]}', 3, "datum has a letter out of range 1..3"),
+    ("lps-right", '{"columns_bottom_up":[[1,2],[1,5]]}', 4,
+     "datum has a letter out of range 1..4"),
+    ("rps-right", '{"columns_bottom_up":[[0,2],[1,1]]}', 4,
+     "datum has a letter out of range 1..4"),
+    ("sylvester-left", "(2 (1 · ·) (3 · ·))", 2, "datum has a letter out of range 1..2"),
+    ("sylvester-left", "(2 (0 · ·) ·)", 2, "datum has a letter out of range 1..2"),
+    # a shape or parse error comes before the range
+    ("rps-right", '{"columns_bottom_up":[[2,2],[1]]}', 1, "not a valid patience sorting tableau"),
+    ("sylvester-left", "(2 (3 · ·) (9 · ·))", 3, "not a valid binary search tree"),
+    ("sylvester-left", "(2 (1 · ·) (9 · ", 3, "unexpected end of tree"),
+    ("sylvester-left", "(1 · (1 · ·))", 3, "not a valid binary search tree"),
+])
+def test_a_datum_out_of_range_is_named_after_any_parse_error(name, datum, n, err, capsys):
+    # recorded before the range was read off the shape
+    assert main(["insert", "--structure", name, "--n", str(n), "--datum", datum,
+                 "--word", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize("word,token", [("1 x", "x"), ("1 2.5 3", "2.5"), ("1 4 x", "x")])
 def test_a_word_token_that_is_not_an_integer_is_named(word, token, capsys):
     # recorded before the word was parsed with map(int, ...)

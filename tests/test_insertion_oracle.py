@@ -19,16 +19,29 @@ The word kernels behind `insert_long` are compared with the fold of the
 one-letter insertions, `insert_word`, on long random words; the young-left
 kernel, which row-inserts by the plactic duality, also on words made of
 long runs of one letter and of strictly decreasing runs.
+
+The staircase steps as they were before they cached each row's extreme
+nonzero column, which scan every row they visit, are compared with the
+one-letter staircase insertions on every datum reachable within length 6
+at n = 4, and, folded, with both staircase kernels, whose one cache serves
+a whole word, on words made of runs n..1, runs 1..n and runs of one letter,
+which empty a row's cached column and fill it again.
+
+The datum validators as they were before they compared with `map` (the
+JSON rows, quasi-ribbon and patience tableau checks) are compared with
+the ones in `sdskit` on random rows, and the one-pass tree parse with
+`is_search_tree` and the least and greatest label on any tree.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdskit import extra, young
+from sdskit import chinese, extra, registry, young
 from sdskit.registry import STRUCTURES, get_structure
 from sdskit.sds import LEFT_TO_RIGHT, RIGHT_TO_LEFT, StringDataStructure
 
@@ -238,6 +251,92 @@ def patience_insert(t, x: int, variant: str):
     else:
         cols[k] = [x] + cols[k]
     return tuple(tuple(c) for c in cols)
+
+
+def _right_insert(rows: list[list[int]], x: int) -> None:
+    """The right insertion of x in 1..n, changing the rows in place."""
+    r = len(rows)
+    while True:
+        row = rows[r - 1]
+        if x == r:
+            row[r - 1] += 1
+            break
+        y1 = 0
+        for j in range(r, 0, -1):
+            if row[j - 1] > 0:
+                y1 = j
+                break
+        if y1 == 0:
+            y1 = x
+        if x >= y1:
+            r -= 1
+        elif y1 < r:
+            row[y1 - 1] -= 1
+            row[x - 1] += 1
+            x = y1
+            r -= 1
+        else:
+            row[r - 1] -= 1
+            row[x - 1] += 1
+            break
+
+
+def _left_insert(rows: list[list[int]], x: int) -> None:
+    """The left insertion of x in 1..n, changing the rows in place."""
+    y = 0  # marker; 0 plays the empty value
+    for i in range(1, x):
+        row = rows[i - 1]
+        z = 0
+        for j in range(1, i + 1):
+            if row[j - 1] > 0:
+                z = j
+                break
+        if z == 0:
+            continue
+        if y == 0:
+            if z < i:
+                row[z - 1] -= 1
+                row[i - 1] += 1
+            else:
+                row[i - 1] -= 1
+            y = z
+        elif z < y:
+            row[z - 1] -= 1
+            row[y - 1] += 1
+            y = z
+    row = rows[x - 1]
+    if y == 0:
+        row[x - 1] += 1
+    else:
+        row[y - 1] += 1
+
+
+def _json_rows(text: str, key: str) -> tuple[dict, tuple[tuple[int, ...], ...]]:
+    """The JSON object in `text` and its `key` field as rows of integers."""
+    data = json.loads(text)
+    rows = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
+        raise ValueError(f"expected a JSON object with a list of integer lists under {key!r}")
+    return data, tuple(tuple(row) for row in rows)
+
+
+def is_quasi_ribbon(t) -> bool:
+    for row in t:
+        if not row or any(a > b for a, b in zip(row, row[1:])):
+            return False
+    return all(prev[-1] < nxt[0] for prev, nxt in zip(t, t[1:]))
+
+
+def is_patience_tableau(t, variant: str) -> bool:
+    bottoms = [c[0] for c in t if c]
+    if variant == extra.LPS:
+        rows_ok = all(a <= b for a, b in zip(bottoms, bottoms[1:]))
+        cols_ok = all(a < b for c in t for a, b in zip(c, c[1:]))
+    else:
+        rows_ok = all(a < b for a, b in zip(bottoms, bottoms[1:]))
+        cols_ok = all(a <= b for c in t for a, b in zip(c, c[1:]))
+    return rows_ok and cols_ok and all(t)
 
 
 # --- comparisons -------------------------------------------------------------
@@ -510,3 +609,122 @@ def test_a_structure_without_a_kernel_calls_the_fold(direction):
     assert s.insert_many is None
     got, fold = s.insert_long((), (1, 2, 3)), s.insert_word((), (1, 2, 3))
     assert got == fold and calls[:3] == calls[3:]
+
+
+# --- staircase caches --------------------------------------------------------
+
+
+def _fold(step, t, letters):
+    """The rows of t with `step` applied to each letter in turn."""
+    rows = [list(row) for row in t]
+    for x in letters:
+        step(rows, x)
+    return tuple(map(tuple, rows))
+
+
+def test_one_letter_staircase_insertions_match_the_scanning_steps():
+    # every datum reachable within length 6 at n = 4, by either side
+    n = 4
+    seen, frontier = {chinese.empty_staircase(n)}, [chinese.empty_staircase(n)]
+    for _ in range(6):
+        nxt = []
+        for t in frontier:
+            for x in range(1, n + 1):
+                right = chinese.chinese_right_insert(t, x)
+                left = chinese.chinese_left_insert(x, t)
+                assert right == _fold(_right_insert, t, (x,)), (t, x)
+                assert left == _fold(_left_insert, t, (x,)), (t, x)
+                for u in (right, left):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+        frontier = nxt
+    assert len(seen) > 1000
+
+
+def _staircase_word(data, n: int, label: str) -> tuple[int, ...]:
+    """Up to 600 letters: pieces of uniform letters, runs n..1 (each moves a
+    row's last nonzero column down and empties it), runs 1..n and runs of
+    one letter."""
+    piece = st.one_of(
+        st.lists(st.integers(1, n), max_size=150),
+        st.integers(1, 20).map(lambda k: list(range(n, 0, -1)) * k),
+        st.integers(1, 20).map(lambda k: list(range(1, n + 1)) * k),
+        st.tuples(st.integers(1, n), st.integers(1, 300)).map(lambda p: [p[0]] * p[1]))
+    pieces = data.draw(st.lists(piece, max_size=8), label=label)
+    return tuple(x for p in pieces for x in p)[:600]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_staircase_kernels_are_the_fold(data):
+    # from the empty staircase, or from one built by either side; one cache
+    # serves the kernel's whole word, a fresh one each letter of the fold
+    n = data.draw(st.integers(1, 9), label="n")
+    start = data.draw(st.sampled_from(["empty", "chinese-right", "chinese-left"]), label="start")
+    v = _staircase_word(data, n, "v")
+    d = chinese.empty_staircase(n) if start == "empty" else get_structure(start, n).constructor(v)
+    word = _staircase_word(data, n, "u")
+    right, left = chinese.chinese_right(n), chinese.chinese_left(n)
+    assert right.insert_long(d, word) == right.insert_word(d, word) == \
+        _fold(_right_insert, d, word)
+    assert left.insert_long(d, word) == left.insert_word(d, word) == \
+        _fold(_left_insert, d, word[::-1])
+
+
+def test_a_run_down_and_up_again_rescans_each_row():
+    # 3 2 1 empties and refills the cached columns of rows 3 and 2 at
+    # every turn, and 1 2 3 moves the first nonzero column along the rows
+    for name in ("chinese-right", "chinese-left"):
+        s = get_structure(name, 3)
+        for word in ((3, 2, 1) * 50 + (1, 2, 3) * 50, (1, 2, 3) * 50 + (3, 2, 1) * 50,
+                     (3,) * 40 + (1,) * 40 + (2,) * 40):
+            assert s.insert_long(s.empty, word) == s.insert_word(s.empty, word), (name, word)
+
+
+# --- datum validators ----------------------------------------------------------
+
+
+_ROW = st.lists(st.integers(-1, 5), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW, max_size=5).map(lambda rows: tuple(map(tuple, rows))))
+def test_the_shape_validators_match_the_oracle(rows):
+    assert extra.is_quasi_ribbon(rows) == is_quasi_ribbon(rows)
+    for variant in (extra.LPS, extra.RPS):
+        assert extra.is_patience_tableau(rows, variant) == is_patience_tableau(rows, variant)
+
+
+@pytest.mark.parametrize("text", ['{"rows": [[1, true]]}', '{"rows": [[1], 2]}', '{"rows": [[1.0]]}',
+                                  '{"rows": [["1"]]}', '{"rows": [[null]]}', '{"rows": [[1, [2]]]}',
+                                  '{"rows": {}}', '{"rows": []}', '{"rows": [[]]}', '{"n": 1}',
+                                  '[[1]]', '5', '{"rows": [[1, 2], [3]]}'])
+def test_json_rows_matches_the_oracle_on_each_kind_of_entry(text):
+    assert _parse_outcome(lambda t: registry._json_rows(t, "rows"), text) == \
+        _parse_outcome(lambda t: _json_rows(t, "rows"), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(st.one_of(st.integers(-2, 5), st.booleans(), st.none(), st.text(max_size=2),
+                              st.floats(allow_nan=False)),
+                    lambda sub: st.one_of(st.lists(sub, max_size=4),
+                                          st.dictionaries(st.sampled_from(["rows", "n"]), sub,
+                                                          max_size=2)),
+                    max_leaves=12))
+def test_json_rows_matches_the_oracle(value):
+    text = json.dumps(value)
+    assert _parse_outcome(lambda t: registry._json_rows(t, "rows"), text) == \
+        _parse_outcome(lambda t: _json_rows(t, "rows"), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_tree(st.integers(-1, 5)))
+def test_the_one_pass_tree_parse_is_the_search_check(t):
+    tree, ordered, least, greatest = extra.parse_tree_bounds(extra.format_tree(t))
+    assert tree == t and ordered == is_search_tree(t)
+    labels = tree_read(t)
+    if ordered and labels:
+        assert (least, greatest) == (min(labels), max(labels))
+    else:
+        assert (least, greatest) == (None, None)

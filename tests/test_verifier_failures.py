@@ -4,8 +4,9 @@ The registered structures and presentations pass these verifiers, so each
 test swaps in a fault: a presentation with one rule's right side changed,
 a crafted cell whose legs are too long, a reading of the empty datum that
 is not empty, a false relation, or a letter order that orients nothing.
-Each failure must carry its witness, and where a `check` name reaches the
-branch, the CLI must exit 1 with the report, never with a traceback.
+Each failure must carry its witness, and where a `check` or `cells` name
+reaches the branch, the CLI must exit 1, `check` with the report, never
+with a traceback.
 """
 
 import json
@@ -103,6 +104,39 @@ def test_a_five_step_leg_beside_a_four_step_leg_passes(left, right, monkeypatch)
                         lambda pres, budget=None: [_cell(left, right)])
     out = coherence.verify_cell_shapes_chinese(3)
     assert out["result"] == "pass" and out["max_leg_pair"] == [left, right]
+
+
+# --- coherence.squier_cells ----------------------------------------------------
+
+
+def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
+    # the first column rule now keeps only its first letter, so the legs of
+    # a branching through it end in two different normal forms
+    pres = young.column_presentation(3)
+    labels = pres.system.alphabet.labels
+    lhs = tuple(labels[i] for i in pres.system.rules[0].lhs)
+    faulty = _with_rhs(pres, lhs, lhs[:1])
+    with pytest.raises(coherence.NonConfluentBranching,
+                       match=r"^non-confluent branching \(") as exc:
+        coherence.squier_cells(faulty.system)
+    bad = exc.value
+    assert not isinstance(bad, coherence.BudgetExhausted)
+    # recorded before this was a verified failure, as its exit-2 stderr line
+    assert str(bad) == "non-confluent branching (0, 4, 3)"
+    assert bad.source in {b.source for b in critical_branchings(faulty.system)}
+    assert bad.left != bad.right
+    assert all(rewriting.is_normal_form(faulty.system, w) for w in (bad.left, bad.right))
+    # a verified failure exits 1, never 2 (the usage-error code)
+    monkeypatch.setattr(coherence, "column_presentation", lambda n: faulty)
+    out = coherence.verify_cell_shapes_young(3)
+    assert out["result"] == "fail"
+    assert out["witness"] == {"source": [0, 4, 3], "left": list(bad.left),
+                              "right": list(bad.right)}
+    assert _check(["check", "cell-shapes", "--structure", "young", "--n", "3"],
+                  capsys) == (1, out)
+    monkeypatch.setattr(young, "column_presentation", lambda n: faulty)
+    assert main(["cells", "--structure", "young", "--n", "3", "--kind", "squier"]) == 1
+    assert capsys.readouterr() == ("", "error: non-confluent branching (0, 4, 3)\n")
 
 
 # --- coherence.strategy_cells --------------------------------------------------
