@@ -6,7 +6,9 @@ Strategy cells pair the leftmost and rightmost normalizations of each
 critical-branching source (`rewriting.strategy_paths`; for a presentation
 built from a generating set, the two insertion orders).  Shape verifiers
 bound the leg lengths for the column presentation of tableaux (hexagons)
-and the completed staircase presentation (decagons).
+and the completed staircase presentation (decagons).  A cell that cannot
+close raises `CellFailure`, whose witness a shape verifier reports as its
+failure.
 """
 
 from __future__ import annotations
@@ -41,47 +43,34 @@ class ThreeCell:
             raise ValueError("three-cell paths must share source and target")
 
 
-class BudgetExhausted(ValueError):
-    """A normalization hit its step budget on the cell with this source word."""
+class CellFailure(ValueError):
+    """A cell that cannot close: a normalization that hit its step budget,
+    or a verified failure of the presentation, not bad input.  The message
+    is what `sdskit cells` prints; `witness` is what `check cell-shapes`
+    reports."""
 
-    def __init__(self, what: str, source: Word):
-        super().__init__(f"budget exhausted on {what} {source}")
-        self.source = source
-
-
-class StrategyMismatch(ValueError):
-    """A normalization of the critical triple `source` missed the canonical
-    decomposition `expected` of its product: a verified failure of the
-    presentation, not bad input."""
-
-    def __init__(self, source: Word, left: Word, right: Word, expected: Word):
-        super().__init__(f"strategy targets disagree on {source}: "
-                         f"{left} / {right} / expected {expected}")
-        self.source, self.left, self.right, self.expected = source, left, right, expected
-
-
-class NonConfluentBranching(ValueError):
-    """The two legs of the critical branching at `source` end in the
-    distinct normal forms `left` and `right`: a verified failure of the
-    presentation, not bad input."""
-
-    def __init__(self, source: Word, left: Word, right: Word):
-        super().__init__(f"non-confluent branching {source}")
-        self.source, self.left, self.right = source, left, right
+    def __init__(self, message: str, witness: dict):
+        super().__init__(message)
+        self.witness = witness
 
 
 def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[ThreeCell]:
     """One cell per critical branching: each leg is the branching step
     followed by leftmost normalization.  The system must be convergent: a
-    branching whose legs end apart raises `NonConfluentBranching`."""
+    branching whose legs end apart, or a leg that hits the budget, raises
+    `CellFailure`."""
     cells = []
     for branching in critical_branchings(system):
         left, right = branching_legs(system, branching, budget)
+        source = branching.source
         if not (left.reached_normal_form and right.reached_normal_form):
-            raise BudgetExhausted("branching", branching.source)
+            raise CellFailure(f"budget exhausted on branching {source}",
+                              {"source": list(source), "reason": "budget exhausted"})
         if left.target != right.target:
-            raise NonConfluentBranching(branching.source, left.target, right.target)
-        cells.append(ThreeCell(branching.source, left.path, right.path, branching))
+            raise CellFailure(f"non-confluent branching {source}",
+                              {"source": list(source), "left": list(left.target),
+                               "right": list(right.target)})
+        cells.append(ThreeCell(source, left.path, right.path, branching))
     return cells
 
 
@@ -90,17 +79,22 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
     presentation built from a generating set.
 
     Both paths must reach the canonical decomposition of the folded product
-    of the three generators; a mismatch raises `StrategyMismatch`, since it
-    contradicts the commutation the presentation was built from.
+    of the three generators; a mismatch raises `CellFailure`, since it
+    contradicts the commutation the presentation was built from, and so
+    does a path that hits the budget.
     """
     gen_set = presentation.generating
     cells = []
     for word, top, bottom in strategy_paths(presentation.system, budget):
         expected = gen_set.word(gen_set.product(word))
         if not (top.reached_normal_form and bottom.reached_normal_form):
-            raise BudgetExhausted("triple", word)
+            raise CellFailure(f"budget exhausted on triple {word}",
+                              {"source": list(word), "reason": "budget exhausted"})
         if top.target != expected or bottom.target != expected:
-            raise StrategyMismatch(word, top.target, bottom.target, expected)
+            raise CellFailure(f"strategy targets disagree on {word}: "
+                              f"{top.target} / {bottom.target} / expected {expected}",
+                              {"source": list(word), "left": list(top.target),
+                               "right": list(bottom.target), "expected": list(expected)})
         cells.append(ThreeCell(word, top.path, bottom.path))
     return cells
 
@@ -110,12 +104,8 @@ def verify_cell_shapes_young(n: int, budget: int | None = None) -> dict:
     steps per leg after the branching step."""
     try:
         cells = squier_cells(column_presentation(n).system, budget)
-    except BudgetExhausted as exc:
-        return _exhausted("young", n, exc)
-    except NonConfluentBranching as exc:
-        return report("cell-shapes", "young", {"n": n}, "fail",
-                      witness={"source": list(exc.source), "left": list(exc.left),
-                               "right": list(exc.right)})
+    except CellFailure as exc:
+        return report("cell-shapes", "young", {"n": n}, "fail", witness=exc.witness)
     max_after = 0
     for cell in cells:
         for leg in (cell.left_path, cell.right_path):
@@ -134,12 +124,8 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
     four or less."""
     try:
         cells = strategy_cells(completed_presentation(n), budget=budget)
-    except BudgetExhausted as exc:
-        return _exhausted("chinese", n, exc)
-    except StrategyMismatch as exc:
-        return report("cell-shapes", "chinese", {"n": n}, "fail",
-                      witness={"source": list(exc.source), "left": list(exc.left),
-                               "right": list(exc.right), "expected": list(exc.expected)})
+    except CellFailure as exc:
+        return report("cell-shapes", "chinese", {"n": n}, "fail", witness=exc.witness)
     max_pair = (0, 0)
     for cell in cells:
         ll, lr = len(cell.left_path.steps), len(cell.right_path.steps)
@@ -150,12 +136,6 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
             max_pair = (ll, lr)
     return report("cell-shapes", "chinese", {"n": n}, "pass",
                   cells=len(cells), max_leg_pair=list(max_pair))
-
-
-def _exhausted(family: str, n: int, exc: BudgetExhausted) -> dict:
-    # a truncated normalization cannot support a bound on the cells' legs
-    return report("cell-shapes", family, {"n": n}, "fail",
-                  witness={"source": list(exc.source), "reason": "budget exhausted"})
 
 
 def cell_to_json(cell: ThreeCell) -> dict:

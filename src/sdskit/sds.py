@@ -339,7 +339,7 @@ def _constructor_walks(row: Row, max_len: int):
 
 
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
-    row = reachable_set(structure, max_len).row
+    row = Row(structure)
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word, s in _constructor_walks(row, max_len):
         fibers.setdefault(row.read(s), set()).add(word)

@@ -21,6 +21,7 @@ from sdskit.chinese import (
     is_staircase,
     order_ch_less,
     precolumn_presentation,
+    qword_less,
     qn_generators,
     read_qn,
     read_rr,
@@ -64,6 +65,14 @@ def test_right_insert_weight_and_nonnegativity(word):
         assert is_staircase(t)
         assert weight(t) == k
     assert len(read_rr(t)) == len(word)
+
+
+@pytest.mark.parametrize("insert", [chinese_right_insert,
+                                    lambda t, x: chinese_left_insert(x, t)])
+@pytest.mark.parametrize("x", [0, 4])
+def test_an_insertion_refuses_a_letter_out_of_range(insert, x):
+    with pytest.raises(ValueError, match=rf"^letter {x} out of range 1\.\.3$"):
+        insert(empty_staircase(3), x)
 
 
 def test_left_insert_trivial():
@@ -194,6 +203,14 @@ def test_order_ch_clauses():
     assert order_ch_less((1, 0), (2, 0))        # lexicographic tie-break
     assert not order_ch_less((2, 2), (2, 0))    # squares do not use the head clause
     assert order_ch_less((2, 0), (2, 2))
+
+
+def test_qword_less_compares_lengths_first_and_is_strict():
+    gens = qn_generators(3)
+    last = len(gens) - 1
+    assert qword_less((last,), (0, 0), gens)        # shorter below longer
+    assert not qword_less((0, 0), (last,), gens)
+    assert not qword_less((1, last), (1, last), gens)   # a word is not below itself
 
 
 def test_order_ch_total_and_antisymmetric_on_q4():

@@ -370,6 +370,7 @@ def test_malformed_insert_input_exits_2(argv, capsys):
     ("sylvester-left", "(2 (3 · ·) (9 · ·))", 3, "not a valid binary search tree"),
     ("sylvester-left", "(2 (1 · ·) (9 · ", 3, "unexpected end of tree"),
     ("sylvester-left", "(1 · (1 · ·))", 3, "not a valid binary search tree"),
+    ("hypoplactic-right", '{"rows":[[2],[1]]}', 3, "not a valid quasi-ribbon tableau"),
 ])
 def test_a_datum_out_of_range_is_named_after_any_parse_error(name, datum, n, err, capsys):
     # recorded before the range was read off the shape
@@ -406,6 +407,10 @@ def test_a_word_token_that_is_not_an_integer_is_named(word, token, capsys):
     ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "0"],
     ["check", "confluence", "--structure", "row", "--n", "2", "--max-len", "1"],
     ["check", "confluence", "--structure", "sylvester", "--n", "2", "--max-len", "0"],
+    # below --max-len 3 each triple holds the empty datum, so associativity
+    # would pass on the section property alone
+    ["check", "associativity", "--structure", "chinese-left", "--n", "2", "--max-len", "0"],
+    ["check", "associativity", "--structure", "lps-right", "--n", "2", "--max-len", "1"],
     # at n=1 these presentations have no rules, so no cell, path triple or
     # rule would be examined
     ["check", "cell-shapes", "--structure", "young", "--n", "1"],
@@ -425,7 +430,7 @@ def test_degenerate_bounds_exit_2(argv, capsys):
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    if argv[1] == "confluence" and "--max-len" in argv:
+    if argv[1] in ("confluence", "associativity") and "--max-len" in argv:
         assert "n=2" in err and f"--max-len {argv[-1]}" in err
     if argv[-2:] == ["--n", "1"]:
         assert "n=1" in err
@@ -461,6 +466,9 @@ TREE_ERROR_LINES = {
                           ("(2_x_·)", "unexpected token 'x'"),
                           ("(2_·_·_3)", "expected ')'"),
                           ("(1_·_·)_·", "trailing input")]}
+# below --max-len 3 each triple holds the empty datum, so associativity has
+# nothing to check
+SHORT_ASSOCIATIVITY_LINE = "check associativity --structure young-right --n 2 --max-len 2"
 
 # (argv, exit code, sha256 of stdout), recorded before the CLI dispatched
 # through the registry tables; "_" stands for a space inside an argument
@@ -579,10 +587,17 @@ GOLDEN = [
      0, "3e5babbe339f8b0ebf7ec1ce6589a7ebd963a3a1053e4f08c53bfc490fb06309"),
     (JUNK_TABLEAU_LINE, 2, EMPTY_DIGEST),
     *[(line, 2, EMPTY_DIGEST) for line in TREE_ERROR_LINES],
+    (SHORT_ASSOCIATIVITY_LINE, 2, EMPTY_DIGEST),
+    # a truncated first failing branching: its witness is the source and the
+    # budget hit, since its legs' targets are not normal forms
+    ("check confluence --structure column --n 3 --budget 0", 1,
+     "3ac55c00ec9beea68b1f4bd0545bf2a08433574eff8fac29fc75418ffcb27f3f"),
 ]
 
 GOLDEN_STDERR = {JUNK_TABLEAU_LINE: "error: invalid literal for int() with base 10: 'x'\n",
-                 **TREE_ERROR_LINES}
+                 **TREE_ERROR_LINES,
+                 SHORT_ASSOCIATIVITY_LINE: "error: young-right at n=2, --max-len 2 has no "
+                                           "triple of nonempty data: nothing to check\n"}
 
 
 def test_golden_covers_every_check():

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit.extra import (
@@ -46,6 +47,16 @@ def test_hypoplactic_left_reaches_same_tableau():
     right = hypoplactic_right(5)
     word = (1, 4, 2, 2, 1, 5)
     assert left.constructor(word) == right.constructor(word)
+
+
+@pytest.mark.parametrize("insert, what", [
+    (lambda: hypoplactic_insert((), 1, "up"), "side 'up'"),
+    (lambda: patience_insert((), 1, "mps"), "variant 'mps'"),
+    (lambda: knuth_srs(2, "mirror"), "variant 'mirror'"),
+])
+def test_an_unknown_side_or_variant_is_refused(insert, what):
+    with pytest.raises(ValueError, match=f"^unknown {what}$"):
+        insert()
 
 
 def test_hypoplactic_single_box():

@@ -232,7 +232,7 @@ def _outcome(fn, *args, **kwargs):
     """A function's value, or the kind and message of the exception it raised."""
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:       # coherence.BudgetExhausted is one
+    except ValueError as exc:       # coherence.CellFailure is one
         return ("ValueError", str(exc))
     except KeyError as exc:
         return ("KeyError", str(exc))

@@ -1,5 +1,7 @@
 """Unit tests for the string rewriting engine."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +43,16 @@ def brute_force_steps(system, word):
             if word[i:i + len(rule.lhs)] == rule.lhs:
                 found.append(RewriteStep(rule.rule_id, i))
     return sorted(found, key=lambda s: (s.position, s.rule_id))
+
+
+def test_alphabet_labels_must_be_distinct():
+    with pytest.raises(ValueError, match="^alphabet labels must be distinct$"):
+        Alphabet(("a", "b", "a"))
+
+
+def test_rule_letter_out_of_range_rejected():
+    with pytest.raises(ValueError, match="^letter 2 out of range for alphabet of size 2$"):
+        make(AB, [((0, 1), (1, 2))])
 
 
 def test_apply_step_replaces_at_position():
@@ -113,6 +125,14 @@ def test_normalize_budget_exhaustion_flagged():
     assert len(res.path.steps) == 7
 
 
+def test_normalize_refuses_a_negative_budget_and_an_unknown_strategy():
+    rs = make(AB, [((0, 1), (1, 0))])
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        normalize(rs, (0, 1), budget=-1)
+    with pytest.raises(ValueError, match="^unknown strategy 'middle'$"):
+        normalize(rs, (0, 1), "middle")
+
+
 def test_normalize_rightmost_differs_from_leftmost_in_steps():
     rs = make(AB, [((0, 1), (1, 0))])
     word = (0, 1, 0, 1)
@@ -138,6 +158,8 @@ def test_replay_checks_target():
     rs = make(AB, [((0, 1), (1, 0))])
     res = normalize(rs, (0, 1))
     assert replay(rs, res.path) == (1, 0)
+    with pytest.raises(ValueError, match="^path target does not match replayed word$"):
+        replay(rs, replace(res.path, target=(0, 1)))
 
 
 def test_critical_branchings_disjoint_alphabets_empty():
@@ -248,6 +270,20 @@ def test_knuth_bendix_unorientable_reported():
     rs = make(ABC, [((0,), (1,)), ((0,), (2,))])
     result = knuth_bendix_pass(rs, lambda u, v: False)
     assert result.unorientable
+
+
+def test_knuth_bendix_flags_an_added_right_side_it_could_not_normalize():
+    # ab -> 1 against ab -> a adds a -> 1, and aab adds b -> a; with no
+    # step to spare b -> a keeps its right side a, which a -> 1 rewrites
+    rs = make(AB, [((0, 0), ()), ((0, 1), ()), ((0, 1), (0,))])
+    shortlex = lambda u, v: (len(u), u) < (len(v), v)
+    result = knuth_bendix_pass(rs, shortlex, budget=0)
+    assert result.added == (((1,), (0,)), ((0,), ()))
+    assert not is_normal_form(result.system, (0,))
+    assert result.budget_exhausted
+    unbounded = knuth_bendix_pass(rs, shortlex)
+    assert unbounded.added == (((1,), ()), ((0,), ()))
+    assert not unbounded.budget_exhausted
 
 
 def test_classify_shapes():

@@ -159,6 +159,11 @@ def test_check_commutation_pass_and_trivial():
     assert check_commutation(young_right(1), young_left(1), 3)["result"] == "pass"
 
 
+def test_check_commutation_refuses_two_alphabet_sizes():
+    with pytest.raises(ValueError, match="^structures must share the alphabet size$"):
+        check_commutation(chinese_right(3), chinese_left(2), 2)
+
+
 def test_check_commutation_witness_on_broken_pair():
     # pairing the right insertion with itself as a fake left structure fails
     fake_left = StringDataStructure("fake-left", 2, (), young_right(2).insert_one,
@@ -388,3 +393,5 @@ def test_datum_label():
     s = young_right(3)
     assert datum_label(s, s.empty) == "e"
     assert datum_label(s, ((1,), (3,))) == "c_31"
+    # a letter of two digits: the letters are joined with "-"
+    assert datum_label(young_right(11), ((2, 11), (10,))) == "c_10-2-11"

@@ -22,6 +22,7 @@ from sdskit.rewriting import (
     RewritePath,
     RewriteStep,
     RewritingSystem,
+    branching_legs,
     critical_branchings,
 )
 from sdskit.sds import check_axioms
@@ -116,22 +117,27 @@ def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
     labels = pres.system.alphabet.labels
     lhs = tuple(labels[i] for i in pres.system.rules[0].lhs)
     faulty = _with_rhs(pres, lhs, lhs[:1])
-    with pytest.raises(coherence.NonConfluentBranching,
+    # the first branching whose legs end apart, walked here on its own
+    left, right = next((left.target, right.target)
+                       for left, right in (branching_legs(faulty.system, b)
+                                           for b in critical_branchings(faulty.system))
+                       if left.target != right.target)
+    with pytest.raises(coherence.CellFailure,
                        match=r"^non-confluent branching \(") as exc:
         coherence.squier_cells(faulty.system)
     bad = exc.value
-    assert not isinstance(bad, coherence.BudgetExhausted)
     # recorded before this was a verified failure, as its exit-2 stderr line
     assert str(bad) == "non-confluent branching (0, 4, 3)"
-    assert bad.source in {b.source for b in critical_branchings(faulty.system)}
-    assert bad.left != bad.right
-    assert all(rewriting.is_normal_form(faulty.system, w) for w in (bad.left, bad.right))
+    # the legs' normal forms, not a budget hit
+    assert bad.witness == {"source": [0, 4, 3], "left": list(left), "right": list(right)}
+    assert (0, 4, 3) in {b.source for b in critical_branchings(faulty.system)}
+    assert left != right
+    assert all(rewriting.is_normal_form(faulty.system, w) for w in (left, right))
     # a verified failure exits 1, never 2 (the usage-error code)
     monkeypatch.setattr(coherence, "column_presentation", lambda n: faulty)
     out = coherence.verify_cell_shapes_young(3)
     assert out["result"] == "fail"
-    assert out["witness"] == {"source": [0, 4, 3], "left": list(bad.left),
-                              "right": list(bad.right)}
+    assert out["witness"] == bad.witness
     assert _check(["check", "cell-shapes", "--structure", "young", "--n", "3"],
                   capsys) == (1, out)
     monkeypatch.setattr(young, "column_presentation", lambda n: faulty)
@@ -146,15 +152,25 @@ def test_strategy_targets_that_miss_the_decomposition_raise(monkeypatch, capsys)
     # c_2.c_1 now rewrites to the other order, so the triples through it
     # end away from the canonical decomposition of their product
     faulty = _with_rhs(chinese.completed_presentation(3), ("c_2", "c_1"), ("c_1", "c_2"))
-    with pytest.raises(coherence.StrategyMismatch,
+    with pytest.raises(coherence.CellFailure,
                        match=r"^strategy targets disagree on \(") as exc:
         coherence.strategy_cells(faulty)
     mismatch = exc.value
-    assert not isinstance(mismatch, coherence.BudgetExhausted)
-    assert mismatch.source in {b.source for b in critical_branchings(faulty.system)}
-    assert str(mismatch) == (f"strategy targets disagree on {mismatch.source}: {mismatch.left}"
-                             f" / {mismatch.right} / expected {mismatch.expected}")
-    assert (mismatch.left, mismatch.right) != (mismatch.expected,) * 2
+    source = tuple(mismatch.witness["source"])
+    assert source in {b.source for b in critical_branchings(faulty.system)}
+    # both normalizations and the decomposition, computed here on their own
+    gen_set = faulty.generating
+    expected = gen_set.word(gen_set.product(source))
+    left = rewriting.normalize(faulty.system, source, rewriting.LEFTMOST)
+    right = rewriting.normalize(faulty.system, source, rewriting.RIGHTMOST)
+    assert left.reached_normal_form and right.reached_normal_form
+    left, right = left.target, right.target
+    assert str(mismatch) == (f"strategy targets disagree on {source}: {left}"
+                             f" / {right} / expected {expected}")
+    assert (left, right) != (expected,) * 2
+    witness = {"source": list(source), "left": list(left), "right": list(right),
+               "expected": list(expected)}
+    assert mismatch.witness == witness
     # a verified failure exits 1, never 2 (the usage-error code)
     monkeypatch.setattr(chinese, "completed_presentation", lambda n: faulty)
     assert main(["cells", "--structure", "chinese", "--n", "3", "--kind", "strategy"]) == 1
@@ -163,9 +179,7 @@ def test_strategy_targets_that_miss_the_decomposition_raise(monkeypatch, capsys)
     monkeypatch.setattr(coherence, "completed_presentation", lambda n: faulty)
     out = coherence.verify_cell_shapes_chinese(3)
     assert out["result"] == "fail"
-    assert out["witness"] == {"source": list(mismatch.source), "left": list(mismatch.left),
-                              "right": list(mismatch.right),
-                              "expected": list(mismatch.expected)}
+    assert out["witness"] == witness
     assert _check(["check", "cell-shapes", "--structure", "chinese", "--n", "3"],
                   capsys) == (1, out)
 
