@@ -57,11 +57,9 @@ def chinese_right_insert(t: Staircase, x: int) -> Staircase:
     Never drives an entry negative: entries are only decremented right
     after being observed non-zero.
     """
-    rows = [list(row) for row in t]
-    if not 1 <= x <= len(rows):
-        raise ValueError(f"letter {x} out of range 1..{len(rows)}")
-    _right_insert(rows, x, [-1] * len(rows))
-    return tuple(tuple(row) for row in rows)
+    if not 1 <= x <= len(t):
+        raise ValueError(f"letter {x} out of range 1..{len(t)}")
+    return _right_kernel(t, (x,))
 
 
 def _right_insert(rows: list[list[int]], x: int, last: list[int]) -> None:
@@ -111,11 +109,9 @@ def chinese_left_insert(x: int, t: Staircase) -> Staircase:
     variant compatible with the right insertion through the reading; the
     tests pin that equality exhaustively.
     """
-    rows = [list(row) for row in t]
-    if not 1 <= x <= len(rows):
-        raise ValueError(f"letter {x} out of range 1..{len(rows)}")
-    _left_insert(rows, x, [-1] * len(rows))
-    return tuple(tuple(row) for row in rows)
+    if not 1 <= x <= len(t):
+        raise ValueError(f"letter {x} out of range 1..{len(t)}")
+    return _left_kernel(t, (x,))
 
 
 def _left_insert(rows: list[list[int]], x: int, first: list[int]) -> None:
@@ -174,6 +170,10 @@ def _staircase_kernel(step):
             step(rows, x, cache)
         return tuple(map(tuple, rows))
     return insert_many
+
+
+_right_kernel = _staircase_kernel(_right_insert)
+_left_kernel = _staircase_kernel(_left_insert)
 
 
 def read_rr(t: Staircase) -> tuple[int, ...]:
@@ -240,15 +240,13 @@ def qn_generators(n: int) -> list[Gen]:
 
 def chinese_right(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-right", n, empty_staircase(n),
-                               chinese_right_insert, read_rr, LEFT_TO_RIGHT,
-                               _staircase_kernel(_right_insert))
+                               chinese_right_insert, read_rr, LEFT_TO_RIGHT, _right_kernel)
 
 
 def chinese_left(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-left", n, empty_staircase(n),
                                lambda t, x: chinese_left_insert(x, t),
-                               read_rr, RIGHT_TO_LEFT,
-                               _staircase_kernel(_left_insert))
+                               read_rr, RIGHT_TO_LEFT, _left_kernel)
 
 
 def qn_generating_set(n: int) -> GeneratingSet:
@@ -532,19 +530,15 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
                   budget_hits=budget_hits or None)
 
 
-def staircase_to_json(t: Staircase) -> dict:
-    # rows are serialized diagonal first, matching the triangular display
-    return {"n": len(t), "rows": [list(reversed(row)) for row in t]}
-
-
-def staircase_from_json(data: dict) -> Staircase:
-    n = data["n"]
-    rows = tuple(tuple(reversed(row)) for row in data["rows"])
-    if len(rows) != n or not is_staircase(rows):
-        raise ValueError("not a valid staircase")
-    return rows
+def staircase_display(t: Staircase) -> list[list[int]]:
+    """The rows written diagonal first (display order)."""
+    return [list(reversed(row)) for row in t]
 
 
 def staircase_from_display(n: int, display_rows: Iterable[Iterable[int]]) -> Staircase:
-    """Build from rows written diagonal first (display order)."""
-    return staircase_from_json({"n": n, "rows": [list(r) for r in display_rows]})
+    """Build from rows written diagonal first (display order); ValueError
+    unless they form a staircase of rank n."""
+    rows = tuple(tuple(row)[::-1] for row in display_rows)
+    if len(rows) != n or not is_staircase(rows):
+        raise ValueError("not a valid staircase")
+    return rows

@@ -169,8 +169,12 @@ def _commutation(name: str, n: int, L: int, budget) -> dict:
 
 
 def _with_congruence(name: str, n: int, L: int):
-    congruence = registry.lookup(registry.DEFAULT_CONGRUENCE, name, "congruence")
-    return registry.get_structure(name, n), congruence(n, L)
+    entry = registry.lookup(registry.STRUCTURES, name, "congruence")
+    # the empty word alone would be examined, so a pass would rest on nothing
+    if L == 0:
+        raise ValueError(f"{name} at n={n}, --max-len {L} has no nonempty word: "
+                         "nothing to check")
+    return entry.factory(n), entry.congruence(n, L)
 
 
 def _confluence(name: str, n: int, L: int, budget) -> dict:

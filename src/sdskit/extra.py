@@ -151,10 +151,6 @@ def hypoplactic_left(n: int) -> StringDataStructure:
                                qr_read, RIGHT_TO_LEFT, rows_kernel(_ribbon_left))
 
 
-def qr_to_json(t: QuasiRibbon) -> dict:
-    return {"rows": [list(r) for r in t], "offsets": list(qr_offsets(t))}
-
-
 # --- binary search trees --------------------------------------------------
 #
 # A tree is None or (label, left, right); labels in the left subtree are
@@ -421,10 +417,6 @@ def rps_right(n: int) -> StringDataStructure:
     return StringDataStructure("rps-right", n, (),
                                lambda t, x: patience_insert(t, x, RPS),
                                ps_read, LEFT_TO_RIGHT, rows_kernel(_pile(bisect_left)))
-
-
-def ps_to_json(t: PatienceTableau) -> dict:
-    return {"columns_bottom_up": [list(c) for c in t]}
 
 
 # --- congruences -----------------------------------------------------------

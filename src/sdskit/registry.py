@@ -19,9 +19,12 @@ _last = itemgetter(-1)
 
 @dataclass(frozen=True)
 class StructureEntry:
-    """A structure's factory and its datum text: `parse_datum(text, n)` is
-    the datum over the letters 1..n that `text` writes, or a ValueError."""
+    """A structure's factory, the congruence it is checked against, and its
+    datum text.  `congruence(n, L)` bounds a variable-length family by the
+    word-length bound L; `parse_datum(text, n)` is the datum over the
+    letters 1..n that `text` writes, or a ValueError."""
     factory: Callable[[int], StringDataStructure]
+    congruence: Callable[[int, int], RewritingSystem]
     format_datum: Callable
     parse_datum: Callable
 
@@ -53,7 +56,7 @@ def _parse_tableau(text: str, n: int):
 
 
 def _format_staircase(t):
-    return json.dumps(chinese.staircase_to_json(t))
+    return json.dumps({"n": len(t), "rows": chinese.staircase_display(t)})
 
 
 def _parse_staircase(text: str, n: int):
@@ -63,11 +66,11 @@ def _parse_staircase(text: str, n: int):
     data, rows = _json_rows(text, "rows")
     if type(data.get("n")) is not int or data["n"] != n:
         raise ValueError(f"staircase rank {data.get('n')} is not n = {n}")
-    return chinese.staircase_from_json({"n": n, "rows": rows})
+    return chinese.staircase_from_display(n, rows)
 
 
 def _format_qr(t):
-    return json.dumps(extra.qr_to_json(t))
+    return json.dumps({"rows": t, "offsets": extra.qr_offsets(t)})
 
 
 def _parse_qr(text: str, n: int):
@@ -83,7 +86,7 @@ def _parse_qr(text: str, n: int):
 
 
 def _format_ps(t):
-    return json.dumps(extra.ps_to_json(t))
+    return json.dumps({"columns_bottom_up": t})
 
 
 def _parse_ps(text: str, n: int, variant: str):
@@ -110,17 +113,28 @@ def _parse_tree(text: str, n: int):
 
 
 STRUCTURES: dict[str, StructureEntry] = {
-    "young-right": StructureEntry(young.young_right, young.format_tableau, _parse_tableau),
-    "young-left": StructureEntry(young.young_left, young.format_tableau, _parse_tableau),
-    "chinese-right": StructureEntry(chinese.chinese_right, _format_staircase, _parse_staircase),
-    "chinese-left": StructureEntry(chinese.chinese_left, _format_staircase, _parse_staircase),
-    "hypoplactic-right": StructureEntry(extra.hypoplactic_right, _format_qr, _parse_qr),
-    "hypoplactic-left": StructureEntry(extra.hypoplactic_left, _format_qr, _parse_qr),
-    "sylvester-left": StructureEntry(extra.sylvester_left, extra.format_tree, _parse_tree),
-    "lps-right": StructureEntry(extra.lps_right, _format_ps,
-                                lambda text, n: _parse_ps(text, n, extra.LPS)),
-    "rps-right": StructureEntry(extra.rps_right, _format_ps,
-                                lambda text, n: _parse_ps(text, n, extra.RPS)),
+    "young-right": StructureEntry(young.young_right, lambda n, L: young.knuth_srs(n),
+                                  young.format_tableau, _parse_tableau),
+    "young-left": StructureEntry(young.young_left, lambda n, L: young.knuth_srs(n),
+                                 young.format_tableau, _parse_tableau),
+    "chinese-right": StructureEntry(chinese.chinese_right,
+                                    lambda n, L: chinese.chinese_relations(n),
+                                    _format_staircase, _parse_staircase),
+    "chinese-left": StructureEntry(chinese.chinese_left, lambda n, L: chinese.chinese_relations(n),
+                                   _format_staircase, _parse_staircase),
+    "hypoplactic-right": StructureEntry(extra.hypoplactic_right,
+                                        lambda n, L: extra.hypoplactic_srs(n),
+                                        _format_qr, _parse_qr),
+    "hypoplactic-left": StructureEntry(extra.hypoplactic_left,
+                                       lambda n, L: extra.hypoplactic_srs(n),
+                                       _format_qr, _parse_qr),
+    "sylvester-left": StructureEntry(extra.sylvester_left,
+                                     lambda n, L: extra.sylvester_srs(n, max(0, L - 3)),
+                                     extra.format_tree, _parse_tree),
+    "lps-right": StructureEntry(extra.lps_right, lambda n, L: extra.lps_srs(n, max(1, L - 2)),
+                                _format_ps, lambda text, n: _parse_ps(text, n, extra.LPS)),
+    "rps-right": StructureEntry(extra.rps_right, lambda n, L: extra.rps_srs(n, max(1, L - 2)),
+                                _format_ps, lambda text, n: _parse_ps(text, n, extra.RPS)),
 }
 
 COMMUTATION_PAIRS: dict[str, tuple[str, str]] = {
@@ -140,20 +154,6 @@ PROBE_PAIRS: dict[str, Callable[[int], tuple[StringDataStructure, StringDataStru
 def _with_derived_right(left: StringDataStructure):
     return extra.derived_right_insertion(left), left
 
-
-# congruence paired with each structure for cross-section style checks;
-# bounds for the variable-length families come from the word-length bound
-DEFAULT_CONGRUENCE: dict[str, Callable[[int, int], RewritingSystem]] = {
-    "young-right": lambda n, L: young.knuth_srs(n),
-    "young-left": lambda n, L: young.knuth_srs(n),
-    "chinese-right": lambda n, L: chinese.chinese_relations(n),
-    "chinese-left": lambda n, L: chinese.chinese_relations(n),
-    "hypoplactic-right": lambda n, L: extra.hypoplactic_srs(n),
-    "hypoplactic-left": lambda n, L: extra.hypoplactic_srs(n),
-    "sylvester-left": lambda n, L: extra.sylvester_srs(n, max(0, L - 3)),
-    "lps-right": lambda n, L: extra.lps_srs(n, max(1, L - 2)),
-    "rps-right": lambda n, L: extra.rps_srs(n, max(1, L - 2)),
-}
 
 # presentations by name; L bounds the variable-length families
 PRESENTATIONS: dict[str, Callable[[int, int], Presentation]] = {

@@ -22,9 +22,6 @@ Word = tuple[int, ...]
 LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 
-CRITICAL = "critical"
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Finite ordered list of generator names; letters are indices into it."""
@@ -107,7 +104,6 @@ class Branching:
     source: Word
     left: RewriteStep
     right: RewriteStep
-    kind: str
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +252,7 @@ def _record(found, source, a: RewriteStep, b: RewriteStep):
     # so the branching is critical
     if (a.position, a.rule_id) > (b.position, b.rule_id):
         a, b = b, a
-    found[(source, a, b)] = Branching(source, a, b, CRITICAL)
+    found[(source, a, b)] = Branching(source, a, b)
 
 
 def branching_legs(system: RewritingSystem, branching: Branching,

@@ -109,7 +109,7 @@ def _record(found, system, source, a: RewriteStep, b: RewriteStep):
     kind = classify_branching(source, system, a, b)
     if kind != CRITICAL:
         return
-    found[(source, a, b)] = Branching(source, a, b, kind)
+    found[(source, a, b)] = Branching(source, a, b)
 
 
 def check_local_confluence(system: RewritingSystem, budget: int | None = None) -> ConfluenceReport:

@@ -25,9 +25,8 @@ from sdskit.chinese import (
     qn_generators,
     read_qn,
     read_rr,
+    staircase_display,
     staircase_from_display,
-    staircase_from_json,
-    staircase_to_json,
     verify_path_bounds,
     verify_rule_shape,
     weight,
@@ -53,7 +52,7 @@ def test_right_insert_into_empty():
 def test_right_insert_top_letter_increments_diagonal():
     t = staircase_from_display(3, [[1], [0, 1], [2, 0, 0]])
     r = chinese_right_insert(t, 3)
-    assert staircase_to_json(r)["rows"][2] == [3, 0, 0]
+    assert staircase_display(r)[2] == [3, 0, 0]
 
 
 @given(st.lists(st.integers(1, 4), max_size=8))
@@ -149,7 +148,7 @@ def test_gen_staircase_values():
     assert weight(gen_staircase((2, 0), 3)) == 1
     assert weight(gen_staircase((3, 1), 3)) == 2
     sq = gen_staircase((2, 2), 3)
-    assert staircase_to_json(sq)["rows"][1] == [2, 0]
+    assert staircase_display(sq)[1] == [2, 0]
 
 
 def test_chinese_relations_n2():
@@ -275,8 +274,9 @@ def test_verify_path_bounds_fails_on_budget_hits():
     assert 0 < report["budget_hits"] <= 2 * report["triples"]
 
 
-def test_staircase_json_round_trip():
+def test_staircase_display_round_trip():
     t = staircase_from_display(3, [[1], [2, 0], [0, 1, 1]])
-    assert staircase_from_json(staircase_to_json(t)) == t
+    assert staircase_display(t) == [[1], [2, 0], [0, 1, 1]]
+    assert staircase_from_display(3, staircase_display(t)) == t
     with pytest.raises(ValueError):
-        staircase_from_json({"n": 2, "rows": [[1]]})
+        staircase_from_display(2, [[1]])

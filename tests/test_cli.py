@@ -37,8 +37,8 @@ def test_insert_round_trip_via_reading(capsys):
     assert main(["insert", "--structure", "chinese-right", "--n", "4",
                  "--word", word]) == 0
     payload = json.loads(capsys.readouterr().out)
-    from sdskit.chinese import chinese_right, read_rr, staircase_from_json
-    t = staircase_from_json(payload)
+    from sdskit.chinese import chinese_right, read_rr, staircase_from_display
+    t = staircase_from_display(payload["n"], payload["rows"])
     s = chinese_right(4)
     assert s.constructor(read_rr(t)) == t
     assert t == s.constructor(tuple(int(x) for x in word.split()))
@@ -411,6 +411,9 @@ def test_a_word_token_that_is_not_an_integer_is_named(word, token, capsys):
     # would pass on the section property alone
     ["check", "associativity", "--structure", "chinese-left", "--n", "2", "--max-len", "0"],
     ["check", "associativity", "--structure", "lps-right", "--n", "2", "--max-len", "1"],
+    # at --max-len 0 the empty word alone would be examined
+    ["check", "cross-section", "--structure", "young-right", "--n", "2", "--max-len", "0"],
+    ["check", "compatibility", "--structure", "sylvester-left", "--n", "2", "--max-len", "0"],
     # at n=1 these presentations have no rules, so no cell, path triple or
     # rule would be examined
     ["check", "cell-shapes", "--structure", "young", "--n", "1"],
@@ -430,7 +433,8 @@ def test_degenerate_bounds_exit_2(argv, capsys):
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    if argv[1] in ("confluence", "associativity") and "--max-len" in argv:
+    if argv[1] in ("confluence", "associativity", "cross-section", "compatibility") and \
+            "--max-len" in argv:
         assert "n=2" in err and f"--max-len {argv[-1]}" in err
     if argv[-2:] == ["--n", "1"]:
         assert "n=1" in err

@@ -120,12 +120,12 @@ def _same_report(structure, congruence, max_len) -> dict:
     return new
 
 
-@pytest.mark.parametrize("name", sorted(registry.DEFAULT_CONGRUENCE))
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
 def test_registered_structures_match_the_class_level_check(name):
     for n in (1, 2, 3):
         for max_len in range(6):
             _same_report(registry.get_structure(name, n),
-                         registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+                         registry.STRUCTURES[name].congruence(n, max_len), max_len)
 
 
 def _dropping(base: StringDataStructure, size: int) -> StringDataStructure:
@@ -159,9 +159,9 @@ def test_exact_partitions_that_pass_walk_no_class(monkeypatch):
         raise AssertionError("class-level walk on a passing exact partition")
 
     monkeypatch.setattr(CongruencePartition, "classes", classes)
-    for name in sorted(registry.DEFAULT_CONGRUENCE):
+    for name in sorted(registry.STRUCTURES):
         structure = registry.get_structure(name, 3)
-        assert sds.check_compatibility(structure, registry.DEFAULT_CONGRUENCE[name](3, 5),
+        assert sds.check_compatibility(structure, registry.STRUCTURES[name].congruence(3, 5),
                                        5)["result"] == "pass"
 
 
@@ -193,12 +193,12 @@ def _same_verdict(structure, congruence, max_len) -> bool:
     return verdicts[0]
 
 
-@pytest.mark.parametrize("name", sorted(registry.DEFAULT_CONGRUENCE))
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
 def test_registered_congruences_match_the_walk_per_rule(name):
     for n in (1, 2, 3):
         for max_len in range(7):
             assert _same_verdict(registry.get_structure(name, n),
-                                 registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+                                 registry.STRUCTURES[name].congruence(n, max_len), max_len)
 
 
 @pytest.mark.parametrize("name", ["young-right", "young-left", "sylvester-left", "lps-right",
@@ -209,7 +209,7 @@ def test_fault_structures_match_the_walk_per_rule(name, max_len):
     # where only a rule walked from a level its lhs does not fit would see
     # it (the last four congruences have lhs of several lengths)
     base = registry.get_structure(name, 3)
-    congruence = registry.DEFAULT_CONGRUENCE[name](3, max_len)
+    congruence = registry.STRUCTURES[name].congruence(3, max_len)
     assert not _same_verdict(_dropping(base, 2 * max_len - 1), congruence, max_len)
     assert _same_verdict(_dropping(base, 2 * max_len), congruence, max_len)
 
@@ -229,12 +229,12 @@ def _rule_systems(draw):
     and rules around one stem, so that lhs share prefixes, nest, repeat with
     another rhs and have rhs of another length."""
     n, max_len = draw(st.integers(2, 3)), draw(st.integers(0, 5))
-    name = draw(st.sampled_from([*sorted(registry.DEFAULT_CONGRUENCE), "support"]))
+    name = draw(st.sampled_from([*sorted(registry.STRUCTURES), "support"]))
     if name == "support":
         structure, known = _support(n), []
     else:
         structure = registry.get_structure(name, n)
-        known = [(r.lhs, r.rhs) for r in registry.DEFAULT_CONGRUENCE[name](n, max_len).rules]
+        known = [(r.lhs, r.rhs) for r in registry.STRUCTURES[name].congruence(n, max_len).rules]
     if draw(st.booleans()):
         # 2 * max_len is the first size that no walk within the bound reaches
         size = st.integers(0, 2 * max_len + 1) | st.just(2 * max_len)

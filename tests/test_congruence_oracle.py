@@ -172,11 +172,11 @@ def _same_partition(system: RewritingSystem, max_len: int):
     assert list(new.representative.items()) == list(old.representative.items())
 
 
-@pytest.mark.parametrize("name", sorted(registry.DEFAULT_CONGRUENCE))
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
 def test_registered_congruences_match_the_two_sided_scan(name):
     for n in (1, 2, 3):
         for max_len in range(7):
-            _same_partition(registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+            _same_partition(registry.STRUCTURES[name].congruence(n, max_len), max_len)
 
 
 # the closure lists every word up to max_len plus the rule-length gap, which
@@ -235,12 +235,12 @@ def _same_walks(structure, congruence, max_len):
         json.dumps(check_compatibility(structure, congruence, max_len))
 
 
-@pytest.mark.parametrize("name", sorted(registry.DEFAULT_CONGRUENCE))
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
 def test_registered_structures_match_the_walk_per_word(name):
     for n in (1, 2, 3):
         for max_len in range(6):
             _same_walks(registry.get_structure(name, n),
-                        registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+                        registry.STRUCTURES[name].congruence(n, max_len), max_len)
 
 
 @pytest.mark.parametrize("base", [young_right, young_left])

@@ -7,7 +7,6 @@ import pytest
 from sdskit.registry import (
     CELLS,
     COMMUTATION_PAIRS,
-    DEFAULT_CONGRUENCE,
     PRESENTATION_NAMES,
     PRESENTATIONS,
     PROBE_PAIRS,
@@ -43,6 +42,20 @@ def test_constructor_preserves_letter_multiset(name):
         assert sorted(s.read(s.constructor(word))) == sorted(word)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_datum_text_round_trip(name):
+    # the text of every datum reached within 5 letters, the empty one first,
+    # parses back to that datum and is written again unchanged
+    entry = STRUCTURES[name]
+    for n in range(1, 5):
+        structure = entry.factory(n)
+        for d in [structure.empty, *reachable_set(structure, 5).data]:
+            text = entry.format_datum(d)
+            parsed = entry.parse_datum(text, n)
+            assert parsed == d, (n, text)
+            assert entry.format_datum(parsed) == text
+
+
 @pytest.mark.parametrize("name", sorted(COMMUTATION_PAIRS))
 def test_registered_pairs_share_carrier(name):
     right_name, left_name = COMMUTATION_PAIRS[name]
@@ -53,7 +66,7 @@ def test_registered_pairs_share_carrier(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_default_congruences_build(name):
-    rs = DEFAULT_CONGRUENCE[name](3, 5)
+    rs = STRUCTURES[name].congruence(3, 5)
     assert len(rs.alphabet) == 3
 
 

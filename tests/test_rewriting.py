@@ -172,7 +172,8 @@ def test_critical_branchings_self_overlap():
     branchings = critical_branchings(rs)
     assert len(branchings) == 1
     assert branchings[0].source == (0, 0, 0)
-    assert branchings[0].kind == "critical"
+    # the rule at 0 and at 1: together the two steps span the source
+    assert (branchings[0].left, branchings[0].right) == (RewriteStep(0, 0), RewriteStep(0, 1))
 
 
 def test_critical_branchings_inclusion():

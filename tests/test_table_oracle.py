@@ -234,7 +234,7 @@ def _same_commutation(right, left, n, max_len, monkeypatch):
 def test_registered_structures_match_the_oracle(name):
     for n, max_len in SMALL:
         _same_single_structure_reports(registry.get_structure(name, n),
-                                       registry.DEFAULT_CONGRUENCE[name](n, max_len), max_len)
+                                       registry.STRUCTURES[name].congruence(n, max_len), max_len)
 
 
 PAIRS = {**{name: (lambda n, r=r, l=l: (registry.get_structure(r, n),
