@@ -43,14 +43,6 @@ def is_staircase(t: Staircase) -> bool:
         all(v >= 0 for row in t for v in row)
 
 
-def weight(t: Staircase) -> int:
-    """Length of the row reading: descents count two letters, diagonals one."""
-    total = 0
-    for i, row in enumerate(t, start=1):
-        total += 2 * sum(row[:-1]) + row[-1]
-    return total
-
-
 def chinese_right_insert(t: Staircase, x: int) -> Staircase:
     """Insert x through the bottom rows; every step moves one letter down.
 
@@ -214,10 +206,6 @@ def gen_word(gen: Gen) -> tuple[int, ...]:
     return (y,) if x == 0 else (y, x)
 
 
-def gen_label(gen: Gen) -> str:
-    return "c_" + "".join(str(v) for v in gen_word(gen))
-
-
 def gen_staircase(gen: Gen, n: int) -> Staircase:
     rows = [[0] * i for i in range(1, n + 1)]
     y, x = gen
@@ -296,12 +284,6 @@ def chinese_relations(n: int) -> RewritingSystem:
     return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 
-def _qn_alphabet(n: int) -> tuple[Alphabet, dict[Gen, int], list[Gen]]:
-    gens = qn_generators(n)
-    alphabet = Alphabet(tuple(gen_label(g) for g in gens))
-    return alphabet, {g: i for i, g in enumerate(gens)}, gens
-
-
 def precolumn_pairs(n: int) -> list[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
     """Defining rules for the two-letter columns and squares, plus the
     reduced forms of the defining relations rewritten over them."""
@@ -377,11 +359,12 @@ def completion_pairs(n: int) -> list[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
 
 
 def precolumn_presentation(n: int) -> Presentation:
-    alphabet, index, gens = _qn_alphabet(n)
+    """The precolumn rules over the generators of `qn_generating_set`."""
+    gen = qn_generating_set(n)
+    index = {g: i for i, g in enumerate(qn_generators(n))}
     pairs = [(tuple(index[g] for g in l), tuple(index[g] for g in r))
              for l, r in precolumn_pairs(n)]
-    system = RewritingSystem.from_pairs(alphabet, pairs)
-    return Presentation(system, tuple(gen_staircase(g, n) for g in gens))
+    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), gen.generators)
 
 
 def completed_presentation(n: int) -> Presentation:
@@ -442,6 +425,7 @@ def verify_rule_shape(n: int) -> dict:
     """
     pres = completed_presentation(n)
     gens = qn_generators(n)
+    name = pres.system.alphabet.name
     commutation = commutation_rule_pairs(n)
     square = square_rule_pairs(n)
     counts = {"commutation": 0, "square": 0}
@@ -451,13 +435,13 @@ def verify_rule_shape(n: int) -> dict:
         head = lhs[0][0]
         if rhs[-1][0] != head:
             return report("rule-shape", None, {"n": n}, "fail",
-                          witness={"rule": [gen_label(g) for g in lhs]})
+                          witness={"rule": [name(i) for i in rule.lhs]})
         padded_rhs = ((0, 0),) * (2 - len(rhs)) + rhs
         lhs_indices = sorted(lhs[0][1:] + lhs[1])
         rhs_indices = sorted(padded_rhs[0] + padded_rhs[1][1:])
         if lhs_indices != sorted(rhs_indices):
             return report("rule-shape", None, {"n": n}, "fail",
-                          witness={"rule": [gen_label(g) for g in lhs],
+                          witness={"rule": [name(i) for i in rule.lhs],
                                    "reason": "index multiset"})
         if len(rhs) == 2 and rhs[0][0] == head:
             if (lhs, rhs) in commutation:
@@ -466,7 +450,7 @@ def verify_rule_shape(n: int) -> dict:
                 counts["square"] += 1
             else:
                 return report("rule-shape", None, {"n": n}, "fail",
-                              witness={"rule": [gen_label(g) for g in lhs],
+                              witness={"rule": [name(i) for i in rule.lhs],
                                        "reason": "unclassified head-led rule"})
     return report("rule-shape", None, {"n": n}, "pass",
                   rule_count=len(pres.system.rules), family_counts=counts)
@@ -488,6 +472,7 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     """
     system = completed_presentation(n).system
     gens = qn_generators(n)
+    name = system.alphabet.name
     commutation = commutation_rule_pairs(n)
     comm_ids = {r.rule_id for r in system.rules
                 if (_rule_gens(gens, r.lhs), _rule_gens(gens, r.rhs))
@@ -505,14 +490,13 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
         if gens[word[0]][0] == gens[word[0]][1]:
             max_right_square = max(max_right_square, lr)
         if (ll > 5 or lr > 5) and bound_witness is None:
-            bound_witness = {"triple": [gen_label(gens[i]) for i in word],
+            bound_witness = {"triple": [name(i) for i in word],
                              "left": ll, "right": lr}
         if ll > 3 and any(step.rule_id not in comm_ids for step in left.path.steps[3:]):
             late_witnesses.append({
-                "triple": [gen_label(gens[i]) for i in word],
+                "triple": [name(i) for i in word],
                 "late_rules": [
-                    [gen_label(g) for g in
-                     _rule_gens(gens, system.rule(step.rule_id).lhs)]
+                    [name(i) for i in system.rule(step.rule_id).lhs]
                     for step in left.path.steps[3:]
                     if step.rule_id not in comm_ids],
             })

@@ -500,6 +500,11 @@ class GeneratingSet:
         return row
 
     @cached_property
+    def alphabet(self) -> Alphabet:
+        """The generators named by `datum_label`, in order."""
+        return Alphabet(tuple(datum_label(self.structure, c) for c in self.generators))
+
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         """Reading -> generator id."""
         read = self.row.read
@@ -529,12 +534,14 @@ class GeneratingSet:
 
 
 def datum_label(structure: StringDataStructure, d: Datum) -> str:
+    """The name of d as a presentation letter: "c_" and its reading, whose
+    letters are concatenated up to rank 9 and joined with "-" from rank 10
+    on, so distinct readings get distinct names at every rank; "e" for the
+    empty reading."""
     word = structure.read(d)
     if not word:
         return "e"
-    if all(x <= 9 for x in word):
-        return "c_" + "".join(str(x) for x in word)
-    return "c_" + "-".join(str(x) for x in word)
+    return "c_" + ("" if structure.n <= 9 else "-").join(map(str, word))
 
 
 @dataclass(frozen=True)
@@ -610,8 +617,7 @@ def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Pre
                 continue
             if (i, j) != rhs:
                 pairs.append(((i, j), rhs))
-    alphabet = Alphabet(tuple(datum_label(gen.structure, c) for c in gen.generators))
-    return Presentation(RewritingSystem.from_pairs(alphabet, pairs), tuple(gen.generators),
+    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), tuple(gen.generators),
                         generating=gen)
 
 

@@ -9,7 +9,9 @@ critical), the three loops that normalized branching legs on their own
 its own scan of reducible triples, and the reports that `verify_rule_shape`
 and `verify_knuth_decomposition` built by hand.  They serve as test-only oracles: the
 new code must agree with them on every registered presentation at small
-bounds and on random systems.
+bounds and on random systems.  The two staircase verifiers name their
+witness letters from the system's alphabet, as `sds.datum_label` now names
+every generator.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from sdskit.chinese import (
     commutation_rule_pairs,
     completed_order_less,
     completed_presentation,
-    gen_label,
     qn_generators,
     square_rule_pairs,
 )
@@ -246,6 +247,7 @@ def verify_path_bounds(n: int) -> dict:
     pres = completed_presentation(n)
     system = pres.system
     gens = qn_generators(n)
+    name = system.alphabet.name
     reducible = {r.lhs for r in system.rules}
     commutation = commutation_rule_pairs(n)
     comm_ids = {r.rule_id for r in system.rules
@@ -271,14 +273,13 @@ def verify_path_bounds(n: int) -> dict:
         if gens[u][0] == gens[u][1]:
             max_right_square = max(max_right_square, lr)
         if (ll > 5 or lr > 5) and bound_witness is None:
-            bound_witness = {"triple": [gen_label(gens[i]) for i in word],
+            bound_witness = {"triple": [name(i) for i in word],
                              "left": ll, "right": lr}
         if ll > 3 and any(step.rule_id not in comm_ids for step in left.path.steps[3:]):
             late_witnesses.append({
-                "triple": [gen_label(gens[i]) for i in word],
+                "triple": [name(i) for i in word],
                 "late_rules": [
-                    [gen_label(g) for g in
-                     _rule_gens(gens, system.rule(step.rule_id).lhs)]
+                    [name(i) for i in system.rule(step.rule_id).lhs]
                     for step in left.path.steps[3:]
                     if step.rule_id not in comm_ids],
             })
@@ -312,6 +313,7 @@ def verify_rule_shape(n: int) -> dict:
     """
     pres = completed_presentation(n)
     gens = qn_generators(n)
+    name = pres.system.alphabet.name
     commutation = commutation_rule_pairs(n)
     square = square_rule_pairs(n)
     counts = {"commutation": 0, "square": 0}
@@ -321,13 +323,13 @@ def verify_rule_shape(n: int) -> dict:
         head = lhs[0][0]
         if rhs[-1][0] != head:
             return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                    "witness": {"rule": [gen_label(g) for g in lhs]}}
+                    "witness": {"rule": [name(i) for i in rule.lhs]}}
         padded_rhs = ((0, 0),) * (2 - len(rhs)) + rhs
         lhs_indices = sorted(lhs[0][1:] + lhs[1])
         rhs_indices = sorted(padded_rhs[0] + padded_rhs[1][1:])
         if lhs_indices != sorted(rhs_indices):
             return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                    "witness": {"rule": [gen_label(g) for g in lhs],
+                    "witness": {"rule": [name(i) for i in rule.lhs],
                                 "reason": "index multiset"}}
         if len(rhs) == 2 and rhs[0][0] == head:
             if (lhs, rhs) in commutation:
@@ -336,7 +338,7 @@ def verify_rule_shape(n: int) -> dict:
                 counts["square"] += 1
             else:
                 return {"check": "rule-shape", "params": {"n": n}, "result": "fail",
-                        "witness": {"rule": [gen_label(g) for g in lhs],
+                        "witness": {"rule": [name(i) for i in rule.lhs],
                                     "reason": "unclassified head-led rule"}}
     return {"check": "rule-shape", "params": {"n": n}, "result": "pass",
             "rule_count": len(pres.system.rules), "family_counts": counts}

@@ -16,7 +16,6 @@ from sdskit.chinese import (
     completed_presentation,
     completion_pairs,
     empty_staircase,
-    gen_label,
     gen_staircase,
     is_staircase,
     order_ch_less,
@@ -29,11 +28,10 @@ from sdskit.chinese import (
     staircase_from_display,
     verify_path_bounds,
     verify_rule_shape,
-    weight,
 )
 from sdskit.registry import build_presentation
 from sdskit.rewriting import check_local_confluence, classify, knuth_bendix_pass, termination_certificate
-from sdskit.sds import reachable_set
+from sdskit.sds import datum_label, reachable_set
 
 
 def test_right_insert_figure():
@@ -62,7 +60,7 @@ def test_right_insert_weight_and_nonnegativity(word):
     for k, x in enumerate(word, start=1):
         t = chinese_right_insert(t, x)
         assert is_staircase(t)
-        assert weight(t) == k
+        assert len(read_rr(t)) == k
     assert len(read_rr(t)) == len(word)
 
 
@@ -111,10 +109,16 @@ def test_read_rr_round_trip():
     assert read_rr(empty_staircase(4)) == ()
 
 
+def _labels(gens, n):
+    """The presentation letters of the generators, as `datum_label` names them."""
+    s = chinese_right(n)
+    return [datum_label(s, gen_staircase(g, n)) for g in gens]
+
+
 def test_read_qn_paper_example_at_rank_five():
     # the same triangle embedded one rank up keeps its fourth-row squares
     t = staircase_from_display(5, [[1], [3, 0], [0, 1, 3], [4, 0, 2, 1], [0, 0, 0, 0, 0]])
-    labels = [gen_label(g) for g in read_qn(t)]
+    labels = _labels(read_qn(t), len(t))
     assert labels == ["c_1", "c_2", "c_22", "c_31", "c_31", "c_31", "c_32",
                       "c_41", "c_42", "c_42", "c_44", "c_44"]
 
@@ -122,11 +126,11 @@ def test_read_qn_paper_example_at_rank_five():
 def test_read_qn_top_rank_run_stays_single():
     # no square generator exists for the extreme letters
     t = staircase_from_display(4, [[1], [3, 0], [0, 1, 3], [4, 0, 2, 1]])
-    labels = [gen_label(g) for g in read_qn(t)]
+    labels = _labels(read_qn(t), len(t))
     assert labels == ["c_1", "c_2", "c_22", "c_31", "c_31", "c_31", "c_32",
                       "c_41", "c_42", "c_42", "c_4", "c_4", "c_4", "c_4"]
     t1 = staircase_from_display(2, [[3], [0, 0]])
-    assert [gen_label(g) for g in read_qn(t1)] == ["c_1", "c_1", "c_1"]
+    assert _labels(read_qn(t1), 2) == ["c_1", "c_1", "c_1"]
 
 
 def test_read_qn_concatenates_to_row_reading():
@@ -138,15 +142,15 @@ def test_read_qn_concatenates_to_row_reading():
 
 
 def test_qn_generator_counts():
-    assert [gen_label(g) for g in qn_generators(3)] == \
+    assert _labels(qn_generators(3), 3) == \
         ["c_1", "c_2", "c_3", "c_21", "c_31", "c_32", "c_22"]
     assert len(qn_generators(2)) == 3
     assert len(qn_generators(4)) == 12
 
 
 def test_gen_staircase_values():
-    assert weight(gen_staircase((2, 0), 3)) == 1
-    assert weight(gen_staircase((3, 1), 3)) == 2
+    assert len(read_rr(gen_staircase((2, 0), 3))) == 1
+    assert len(read_rr(gen_staircase((3, 1), 3))) == 2
     sq = gen_staircase((2, 2), 3)
     assert staircase_display(sq)[1] == [2, 0]
 

@@ -596,6 +596,16 @@ GOLDEN = [
     # budget hit, since its legs' targets are not normal forms
     ("check confluence --structure column --n 3 --budget 0", 1,
      "3ac55c00ec9beea68b1f4bd0545bf2a08433574eff8fac29fc75418ffcb27f3f"),
+    # past rank nine every label joins its letters with "-", so the row 1 1
+    # (c_1-1) is no longer named like the letter 11 (c_11), and the
+    # precolumn presentation names the column 10 1 c_10-1, as the completed
+    # one does; the L=2 slice of the row presentation is not confluent
+    ("build row --n 12 --max-len 2", 0,
+     "d1319261ef4a7e64acbc7bb911783cff5c2c93b550d2ef9c6892a42023e568a0"),
+    ("check confluence --structure row --n 12 --max-len 2", 1,
+     "f49dc5903255801cdc0e677b69ef5991adba68c301c86088d81dbf58cd581e87"),
+    ("build chinese-precolumn --n 10", 0,
+     "b0e38bf7428315d1b300f3fd53510fad4af583f6019ca11e358fd054676bb1a6"),
 ]
 
 GOLDEN_STDERR = {JUNK_TABLEAU_LINE: "error: invalid literal for int() with base 10: 'x'\n",

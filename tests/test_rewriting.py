@@ -290,13 +290,11 @@ def test_knuth_bendix_flags_an_added_right_side_it_could_not_normalize():
 def test_classify_shapes():
     from sdskit.young import knuth_srs
     assert not classify(knuth_srs(3)).semi_quadratic
-    from sdskit.chinese import commutation_rule_pairs, qn_generators, gen_label
-    gens = qn_generators(3)
-    idx = {g: i for i, g in enumerate(gens)}
-    alphabet = Alphabet(tuple(gen_label(g) for g in gens))
+    from sdskit.chinese import commutation_rule_pairs, qn_generating_set, qn_generators
+    idx = {g: i for i, g in enumerate(qn_generators(3))}
     pairs = [(tuple(idx[g] for g in l), tuple(idx[g] for g in r))
              for l, r in sorted(commutation_rule_pairs(3))]
-    flags = classify(make(alphabet, pairs))
+    flags = classify(make(qn_generating_set(3).alphabet, pairs))
     assert flags.quadratic and flags.semi_quadratic
 
 

@@ -13,6 +13,7 @@ from sdskit.chinese import (
     chinese_relations,
     chinese_right,
     completed_presentation,
+    precolumn_presentation,
     qn_generating_set,
 )
 from sdskit import registry, sds
@@ -393,5 +394,44 @@ def test_datum_label():
     s = young_right(3)
     assert datum_label(s, s.empty) == "e"
     assert datum_label(s, ((1,), (3,))) == "c_31"
-    # a letter of two digits: the letters are joined with "-"
+    assert datum_label(young_right(9), ((1,), (9,))) == "c_91"
+    # from rank 10 on, the letters of every label are joined with "-"
+    assert datum_label(young_right(10), ((1,), (3,))) == "c_3-1"
     assert datum_label(young_right(11), ((2, 11), (10,))) == "c_10-2-11"
+    assert datum_label(young_right(11), ((11,),)) == "c_11"
+
+
+@pytest.mark.parametrize("gen", [lambda: row_generating_set(12, 3),
+                                 lambda: column_generating_set(12),
+                                 lambda: qn_generating_set(21)],
+                         ids=["row-12-3", "column-12", "qn-21"])
+def test_datum_label_names_generators_apart(gen):
+    # the row 1 1 and the letter 11, the column 2 1 and the letter 21
+    gen = gen()
+    labels = [datum_label(gen.structure, c) for c in gen.generators]
+    assert len(set(labels)) == len(labels)
+    assert gen.alphabet.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12, 21])
+def test_datum_label_names_words_apart(n):
+    # words are their own data, read as they are
+    words = StringDataStructure("words", n, (), lambda d, x: d + (x,), lambda d: d)
+    labels = {datum_label(words, w) for k in range(4)
+              for w in itertools.product(range(1, n + 1), repeat=k)}
+    assert len(labels) == sum(n ** k for k in range(4))
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_staircase_presentations_share_one_alphabet(n):
+    alphabet = precolumn_presentation(n).system.alphabet
+    assert alphabet == completed_presentation(n).system.alphabet
+    assert "c_10-1" in alphabet.labels
+
+
+def test_full_srs_builds_past_rank_nine():
+    # its data of at most two letters: 12 letters, 78 rows and 66 columns
+    pres = build_srs(young_right(12), FULL, bound=2)
+    labels = pres.system.alphabet.labels
+    assert len(labels) == 12 + 78 + 66
+    assert {"c_11", "c_1-1", "c_2-1"} <= set(labels)

@@ -215,7 +215,8 @@ def test_a_path_past_five_steps_is_the_length_witness(monkeypatch, capsys):
 
     monkeypatch.setattr(chinese, "strategy_paths", strategy_paths)
     out = chinese.verify_path_bounds(3)
-    labels = [chinese.gen_label(chinese.qn_generators(3)[i]) for i in padded["word"]]
+    name = chinese.completed_presentation(3).system.alphabet.name
+    labels = [name(i) for i in padded["word"]]
     assert out["result"] == "fail" and out["length_bounds"] == "fail"
     assert out["max_left"] == 6
     assert out["witness"] == {"triple": labels, "left": 6, "right": padded["right"]}
