@@ -178,22 +178,16 @@ def _with_congruence(name: str, n: int, L: int):
 
 
 def _confluence(name: str, n: int, L: int, budget) -> dict:
-    result = check_local_confluence(registry.build_presentation(name, n, L).system, budget)
-    if not result.checks:   # a pass would rest on nothing examined
+    legs = check_local_confluence(registry.build_presentation(name, n, L).system, budget)
+    if not legs:    # a pass would rest on nothing examined
         raise ValueError(f"{name} at n={n}, --max-len {L} has no critical branching: "
                          "nothing to check")
-    witness = None
-    if not result.confluent:
-        bad = result.failures[0]
-        witness = {"source": list(bad.branching.source)}
-        if bad.budget_exhausted:    # its targets are not normal forms
-            witness["reason"] = "budget exhausted"
-        else:
-            witness.update(left=list(bad.left_target), right=list(bad.right_target))
-    return report("confluence", name, {"n": n}, "pass" if result.confluent else "fail",
-                  branchings=len(result.checks),
-                  budget_hits=sum(c.budget_exhausted for c in result.checks) or None,
-                  witness=witness)
+    witnesses = [w for b, left, right in legs
+                 if (w := coherence.legs_witness(b.source, left, right))]
+    return report("confluence", name, {"n": n}, "fail" if witnesses else "pass",
+                  branchings=len(legs),
+                  budget_hits=sum("reason" in w for w in witnesses) or None,
+                  witness=witnesses[0] if witnesses else None)
 
 
 def _associativity(name: str, n: int, L: int, budget) -> dict:

@@ -7,7 +7,8 @@ critical-branching source (`rewriting.strategy_paths`; for a presentation
 built from a generating set, the two insertion orders).  Shape verifiers
 bound the leg lengths for the column presentation of tableaux (hexagons)
 and the completed staircase presentation (decagons).  A cell that cannot
-close raises `CellFailure`, whose witness a shape verifier reports as its
+close raises `CellFailure`, whose witness (`legs_witness`, the one rule
+that `check confluence` reports too) a shape verifier reports as its
 failure.
 """
 
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from .chinese import completed_presentation
 from .rewriting import (
     Branching,
+    NormalizeResult,
     RewritePath,
     RewritingSystem,
     Word,
-    branching_legs,
-    critical_branchings,
+    check_local_confluence,
     strategy_paths,
 )
 from .sds import Presentation, report
@@ -54,22 +55,35 @@ class CellFailure(ValueError):
         self.witness = witness
 
 
+def legs_witness(source: Word, left: NormalizeResult, right: NormalizeResult,
+                 expected: Word | None = None) -> dict | None:
+    """None when both legs reached a normal form and end together (at
+    `expected`, when given); otherwise the witness of the two legs: the
+    source with `"reason": "budget exhausted"` when a leg hit its budget
+    (its target is then no normal form), else the source and both targets,
+    and `expected` when given."""
+    if not (left.reached_normal_form and right.reached_normal_form):
+        return {"source": list(source), "reason": "budget exhausted"}
+    if left.target == right.target and expected in (None, left.target):
+        return None
+    witness = {"source": list(source), "left": list(left.target), "right": list(right.target)}
+    if expected is not None:
+        witness["expected"] = list(expected)
+    return witness
+
+
 def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[ThreeCell]:
     """One cell per critical branching: each leg is the branching step
     followed by leftmost normalization.  The system must be convergent: a
     branching whose legs end apart, or a leg that hits the budget, raises
     `CellFailure`."""
     cells = []
-    for branching in critical_branchings(system):
-        left, right = branching_legs(system, branching, budget)
+    for branching, left, right in check_local_confluence(system, budget):
         source = branching.source
-        if not (left.reached_normal_form and right.reached_normal_form):
-            raise CellFailure(f"budget exhausted on branching {source}",
-                              {"source": list(source), "reason": "budget exhausted"})
-        if left.target != right.target:
-            raise CellFailure(f"non-confluent branching {source}",
-                              {"source": list(source), "left": list(left.target),
-                               "right": list(right.target)})
+        witness = legs_witness(source, left, right)
+        if witness:
+            what = "budget exhausted on" if "reason" in witness else "non-confluent"
+            raise CellFailure(f"{what} branching {source}", witness)
         cells.append(ThreeCell(source, left.path, right.path, branching))
     return cells
 
@@ -87,14 +101,13 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
     cells = []
     for word, top, bottom in strategy_paths(presentation.system, budget):
         expected = gen_set.word(gen_set.product(word))
-        if not (top.reached_normal_form and bottom.reached_normal_form):
-            raise CellFailure(f"budget exhausted on triple {word}",
-                              {"source": list(word), "reason": "budget exhausted"})
-        if top.target != expected or bottom.target != expected:
+        witness = legs_witness(word, top, bottom, expected)
+        if witness and "reason" in witness:
+            raise CellFailure(f"budget exhausted on triple {word}", witness)
+        if witness:
             raise CellFailure(f"strategy targets disagree on {word}: "
                               f"{top.target} / {bottom.target} / expected {expected}",
-                              {"source": list(word), "left": list(top.target),
-                               "right": list(bottom.target), "expected": list(expected)})
+                              witness)
         cells.append(ThreeCell(word, top.path, bottom.path))
     return cells
 

@@ -1,6 +1,11 @@
 """Name-based registry of structures, presentations, datum formats, and the
-per-family verifiers.  Table entries look their functions up when called,
-so rebinding a module's function (as a tracer does) takes effect."""
+per-family verifiers.  The entries of `PRESENTATIONS`, `PROBE_PAIRS`,
+`TERMINATION_ORDERS`, `CELLS` and `PATH_BOUNDS`, and the congruences of
+`STRUCTURES`, look up the functions of the other sdskit modules when
+called, so rebinding such a function (as a tracer does) takes effect.
+The factories, `format_datum` and `parse_datum` of `STRUCTURES` are bound
+at import: rebinding a module's function leaves them as they are, and a
+tracer replaces the entries."""
 
 from __future__ import annotations
 
@@ -31,7 +36,10 @@ class StructureEntry:
 
 def _json_rows(text: str, key: str) -> tuple[dict, tuple[tuple[int, ...], ...]]:
     """The JSON object in `text` and its `key` field as rows of integers."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:      # json's decoder recurses once per nesting level
+        raise ValueError("datum text is nested too deeply") from None
     rows = data.get(key) if isinstance(data, dict) else None
     if not isinstance(rows, list) or not set(map(type, rows)) <= {list} or \
             not set(map(type, chain.from_iterable(rows))) <= {int}:

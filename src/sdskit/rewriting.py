@@ -4,10 +4,11 @@ Words are tuples of indices into a finite ordered alphabet.  A rewriting
 system is a finite list of oriented rules lhs -> rhs; one-step reduction
 replaces an occurrence of a lhs by the corresponding rhs.  On top of that
 this module provides deterministic normalization strategies (leftmost and
-rightmost), critical-branching enumeration with its two walks (each leg
-normalized leftmost, and each source normalized by both strategies),
-local-confluence checking, bounded congruence closure, a single
-Knuth-Bendix completion pass, and a lexicographic termination certificate.
+rightmost), critical-branching enumeration with its two walks (each
+branching's legs normalized leftmost, which local confluence and Squier
+cells read, and each source normalized by both strategies), bounded
+congruence closure, a single Knuth-Bendix completion pass, and a
+lexicographic termination certificate.
 """
 
 from __future__ import annotations
@@ -278,39 +279,12 @@ def strategy_paths(system: RewritingSystem, budget: int | None = None
                normalize(system, word, RIGHTMOST, budget))
 
 
-@dataclass(frozen=True)
-class BranchingCheck:
-    branching: Branching
-    left_target: Word
-    right_target: Word
-    joined: bool
-    budget_exhausted: bool
-
-
-@dataclass(frozen=True)
-class ConfluenceReport:
-    checks: tuple[BranchingCheck, ...]
-
-    @property
-    def confluent(self) -> bool:
-        return all(c.joined for c in self.checks)
-
-    @property
-    def failures(self) -> list[BranchingCheck]:
-        return [c for c in self.checks if not c.joined]
-
-
-def check_local_confluence(system: RewritingSystem, budget: int | None = None) -> ConfluenceReport:
-    """Normalize both legs of every critical branching and compare targets."""
-    checks = []
-    for branching in critical_branchings(system):
-        left, right = branching_legs(system, branching, budget)
-        complete = left.reached_normal_form and right.reached_normal_form
-        checks.append(BranchingCheck(
-            branching, left.target, right.target,
-            joined=complete and left.target == right.target,
-            budget_exhausted=not complete))
-    return ConfluenceReport(tuple(checks))
+def check_local_confluence(system: RewritingSystem, budget: int | None = None
+                           ) -> list[tuple[Branching, NormalizeResult, NormalizeResult]]:
+    """Every critical branching with its two legs (`branching_legs`), in
+    `critical_branchings` order; `coherence.legs_witness` says whether the
+    legs close."""
+    return [(b, *branching_legs(system, b, budget)) for b in critical_branchings(system)]
 
 
 def words_up_to(alphabet_size: int, max_len: int) -> list[Word]:

@@ -33,6 +33,11 @@ def report(num, ok, desc, t0, limit):
     return ok
 
 
+def _confluent(system) -> bool:
+    return not any(coherence.legs_witness(b.source, left, right)
+                   for b, left, right in check_local_confluence(system))
+
+
 def test_criterion_01_schensted_commutation():
     t0 = time.monotonic()
     out = check_commutation(young.young_right(4), young.young_left(4), 6)
@@ -95,7 +100,7 @@ def test_criterion_07_column_presentation_convergence():
     t0 = time.monotonic()
     pres = young.column_presentation(4)
     cert = termination_certificate(pres.system, len, young.column_length_less(pres))
-    confluent = check_local_confluence(pres.system).confluent
+    confluent = _confluent(pres.system)
     assert report(7, cert.passes and confluent,
                   "column presentation terminates and joins all branchings (n=4)",
                   t0, 60)
@@ -111,7 +116,7 @@ def test_criterion_08_completed_presentation():
         cert = termination_certificate(
             system, len, lambda a, b: chinese.order_ch_less(gens[a], gens[b]))
         ok = ok and flags.semi_quadratic and cert.passes and \
-            check_local_confluence(system).confluent
+            _confluent(system)
     assert report(8, ok, "completed staircase presentation is semi-quadratic, "
                          "confluent, terminating (n=3,4)", t0, 120)
 

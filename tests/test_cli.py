@@ -339,15 +339,19 @@ def test_shared_parser_carries_no_state_between_calls():
      "--word", "1"],
     ["--structure", "chinese-right", "--n", "1", "--datum", '{"n": 1.0, "rows": [[1]]}',
      "--word", "1"],
+    # JSON nested past what json's recursive decoder can take
+    *[["--structure", name, "--datum", "[" * 100_000 + "]" * 100_000, "--word", "1"]
+      for name in ("chinese-right", "hypoplactic-right", "lps-right")],
 ], ids=["word-junk", "tree-truncated", "staircase-list", "ribbon-list", "patience-list",
         "ribbon-rows-int", "patience-empty-column", "patience-invalid", "tree-invalid",
         "tableau-letter-above-n", "tableau-letter-0", "tableau-letter-negative",
         "ribbon-letter-above-n", "patience-letter-above-n", "staircase-rank-above-n",
-        "staircase-rank-bool", "staircase-rank-float"])
+        "staircase-rank-bool", "staircase-rank-float", "staircase-nested", "ribbon-nested",
+        "patience-nested"])
 def test_malformed_insert_input_exits_2(argv, capsys):
     assert main(["insert", *argv]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name,datum,n,err", [

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdskit.coherence import legs_witness
 from sdskit.rewriting import (
     Alphabet,
     LEFTMOST,
@@ -197,23 +198,26 @@ def test_semi_quadratic_sources_have_length_three():
     assert len(branchings) == count
 
 
+def _witnesses(system) -> list:
+    return [legs_witness(b.source, left, right)
+            for b, left, right in check_local_confluence(system)]
+
+
 def test_local_confluence_empty_system_vacuous():
     rs = make(AB, [])
-    assert check_local_confluence(rs).confluent
+    assert check_local_confluence(rs) == []
 
 
 def test_local_confluence_detects_failure():
-    # ba -> x, ab -> y join nothing on bab
+    # ba -> x, ab -> y join nothing on aba and bab
     rs = make(Alphabet(("a", "b", "x", "y")), [((1, 0), (2,)), ((0, 1), (3,))])
-    report = check_local_confluence(rs)
-    assert not report.confluent
+    assert _witnesses(rs) == [{"source": [0, 1, 0], "left": [3, 0], "right": [0, 2]},
+                              {"source": [1, 0, 1], "left": [2, 1], "right": [1, 3]}]
 
 
 def test_precolumn_has_the_expected_nonconfluent_branchings():
     from sdskit.chinese import precolumn_presentation
-    report = check_local_confluence(precolumn_presentation(3).system)
-    assert not report.confluent
-    assert len(report.failures) > 0
+    assert any(_witnesses(precolumn_presentation(3).system))
 
 
 def test_congruence_classes_chinese_321():

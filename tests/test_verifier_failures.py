@@ -110,13 +110,17 @@ def test_a_five_step_leg_beside_a_four_step_leg_passes(left, right, monkeypatch)
 # --- coherence.squier_cells ----------------------------------------------------
 
 
-def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
-    # the first column rule now keeps only its first letter, so the legs of
-    # a branching through it end in two different normal forms
-    pres = young.column_presentation(3)
+def _column_cut(n: int):
+    """The column presentation whose first rule keeps only its first letter,
+    so the legs of a branching through it end in two different normal forms."""
+    pres = young.column_presentation(n)
     labels = pres.system.alphabet.labels
     lhs = tuple(labels[i] for i in pres.system.rules[0].lhs)
-    faulty = _with_rhs(pres, lhs, lhs[:1])
+    return _with_rhs(pres, lhs, lhs[:1])
+
+
+def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
+    faulty = _column_cut(3)
     # the first branching whose legs end apart, walked here on its own
     left, right = next((left.target, right.target)
                        for left, right in (branching_legs(faulty.system, b)
@@ -143,6 +147,33 @@ def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
     monkeypatch.setattr(young, "column_presentation", lambda n: faulty)
     assert main(["cells", "--structure", "young", "--n", "3", "--kind", "squier"]) == 1
     assert capsys.readouterr() == ("", "error: non-confluent branching (0, 4, 3)\n")
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["column", "column-faulty"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("budget", [None, 0, 1, 2])
+def test_the_three_failure_surfaces_agree(n, budget, faulty, monkeypatch, capsys):
+    # `check confluence`, `check cell-shapes` and `cells --kind squier` walk
+    # the same branchings and take their witness from `legs_witness`: they
+    # fail together, on the same first source, with equal witnesses
+    if faulty:
+        bad = _column_cut(n)
+        monkeypatch.setattr(young, "column_presentation", lambda n: bad)
+        monkeypatch.setattr(coherence, "column_presentation", lambda n: bad)
+    extra = ["--n", str(n)] + ([] if budget is None else ["--budget", str(budget)])
+    code, confluence = _check(["check", "confluence", "--structure", "column", *extra], capsys)
+    shapes_code, shapes = _check(["check", "cell-shapes", "--structure", "young", *extra],
+                                 capsys)
+    cells_code = main(["cells", "--structure", "young", "--kind", "squier", *extra])
+    err = capsys.readouterr().err
+    witness = confluence.get("witness")
+    assert shapes.get("witness") == witness
+    if witness is None:
+        assert (code, shapes_code, shapes["result"], cells_code, err) == (0, 0, "pass", 0, "")
+        return
+    assert (code, shapes_code, cells_code) == (1, 1, 1)
+    what = "budget exhausted on" if "reason" in witness else "non-confluent"
+    assert err == f"error: {what} branching {tuple(witness['source'])}\n"
 
 
 # --- coherence.strategy_cells --------------------------------------------------
