@@ -24,6 +24,7 @@ from .sds import (
     check_commutation,
     check_compatibility,
     check_cross_section,
+    parse_ints,
     report,
 )
 
@@ -149,7 +150,7 @@ def _write(stream, pieces) -> None:
 
 def cmd_insert(args) -> int:
     entry = registry.lookup(registry.STRUCTURES, args.structure, "structure")
-    word = tuple(map(int, args.word.split()))
+    word = parse_ints(args.word.split())
     n = args.n if args.n is not None else max(word, default=0)
     datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
     _emit(args, entry.format_datum(structure.insert_long(datum, word)))
@@ -264,7 +265,7 @@ def cmd_cells(args) -> int:
 
 def _at_least(low: int):
     def integer(text: str) -> int:
-        value = int(text)
+        (value,) = parse_ints((text,))
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value

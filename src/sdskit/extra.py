@@ -20,6 +20,7 @@ from .sds import (
     RIGHT_TO_LEFT,
     StringDataStructure,
     first_noncommuting,
+    parse_ints,
     report,
     rows_kernel,
 )
@@ -319,7 +320,7 @@ def parse_tree_bounds(text: str) -> tuple[Tree, bool, int | None, int | None]:
         while True:
             tok = tokens[i]
             if tok == "(":
-                open_nodes.append([int(tokens[i + 1])])
+                open_nodes.append(list(parse_ints((tokens[i + 1],))))
                 i += 2
                 continue
             i += 1

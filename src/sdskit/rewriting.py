@@ -66,7 +66,10 @@ class RewritingSystem:
     def __post_init__(self):
         n = len(self.alphabet)
         seen = set()
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules):
+            # ids are positions: `rule` looks them up, the step picks try them in order
+            if rule.rule_id != i:
+                raise ValueError(f"rule id {rule.rule_id} at position {i}")
             for letter in rule.lhs + rule.rhs:
                 if not 0 <= letter < n:
                     raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
@@ -134,41 +137,23 @@ def replay(system: RewritingSystem, path: RewritePath) -> Word:
     return word
 
 
-def enumerate_steps(system: RewritingSystem, word: Word) -> list[RewriteStep]:
-    """All one-step reductions of `word`, ordered by (position, rule id)."""
-    table = _rules_by_first_letter(system)
-    steps = []
-    for i, letter in enumerate(word):
-        for rule in table.get(letter, ()):
-            if word[i:i + len(rule.lhs)] == rule.lhs:
-                steps.append(RewriteStep(rule.rule_id, i))
-    steps.sort(key=lambda s: (s.position, s.rule_id))
-    return steps
-
-
 def _first_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
+    """The leftmost match, by the lowest rule id there (tables are in id order)."""
     table = _rules_by_first_letter(system)
     for i, letter in enumerate(word):
-        best = None
         for rule in table.get(letter, ()):
             if word[i:i + len(rule.lhs)] == rule.lhs:
-                if best is None or rule.rule_id < best.rule_id:
-                    best = RewriteStep(rule.rule_id, i)
-        if best is not None:
-            return best
+                return RewriteStep(rule.rule_id, i)
     return None
 
 
 def _last_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
+    """The rightmost match, by the highest rule id there."""
     table = _rules_by_first_letter(system)
     for i in range(len(word) - 1, -1, -1):
-        best = None
-        for rule in table.get(word[i], ()):
+        for rule in reversed(table.get(word[i], ())):
             if word[i:i + len(rule.lhs)] == rule.lhs:
-                if best is None or rule.rule_id > best.rule_id:
-                    best = RewriteStep(rule.rule_id, i)
-        if best is not None:
-            return best
+                return RewriteStep(rule.rule_id, i)
     return None
 
 
@@ -297,7 +282,6 @@ def words_up_to(alphabet_size: int, max_len: int) -> list[Word]:
 
 @dataclass
 class CongruencePartition:
-    max_len: int
     exact: bool
     representative: dict[Word, Word]
 
@@ -306,9 +290,6 @@ class CongruencePartition:
         for word, rep in self.representative.items():
             by_rep.setdefault(rep, set()).add(word)
         return [frozenset(v) for v in by_rep.values()]
-
-    def as_partition(self) -> set[frozenset[Word]]:
-        return set(self.classes())
 
 
 def congruence_classes(system: RewritingSystem, max_len: int) -> CongruencePartition:
@@ -364,7 +345,7 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
         if root not in root_word:
             root_word[root] = word
         rep[word] = root_word[root]
-    return CongruencePartition(max_len, exact, rep)
+    return CongruencePartition(exact, rep)
 
 
 @dataclass(frozen=True)
@@ -448,8 +429,10 @@ def classify(system: RewritingSystem) -> SystemFlags:
     reducible by its own rule only, each rhs is a normal form)."""
     semi = all(len(r.lhs) == 2 and len(r.rhs) <= 2 for r in system.rules)
     quad = all(len(r.lhs) == 2 and len(r.rhs) == 2 for r in system.rules)
-    reduced = all(enumerate_steps(system, r.lhs) == [RewriteStep(r.rule_id, 0)]
-                  and is_normal_form(system, r.rhs) for r in system.rules)
+    # both picks take (own id, 0) exactly when every match is at 0 and has that id
+    reduced = all(_first_step(system, r.lhs) == RewriteStep(r.rule_id, 0)
+                  == _last_step(system, r.lhs) and is_normal_form(system, r.rhs)
+                  for r in system.rules)
     return SystemFlags(semi, quad, reduced)
 
 

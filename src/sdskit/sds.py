@@ -12,10 +12,11 @@ a stated length bound, and every report embeds that bound.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .rewriting import (
     Alphabet,
@@ -29,6 +30,20 @@ LEFT_TO_RIGHT = "left_to_right"
 RIGHT_TO_LEFT = "right_to_left"
 
 Datum = Any
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_ints(tokens: Sequence[str]) -> tuple[int, ...]:
+    """The integers that ASCII `-?[0-9]+` tokens spell; the first other token
+    raises `int()`'s ValueError.  `int()` alone also reads `1_2`, `+3`, padded
+    and non-ASCII digits, but of tokens of 0-9 and `-` only, just that form."""
+    digits = "".join(tokens).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        bad = next(t for t in tokens if not _INTEGER.fullmatch(t))
+        raise ValueError(f"invalid literal for int() with base 10: {bad!r:.200}")
+    return tuple(map(int, tokens))
 
 
 @dataclass(frozen=True)
@@ -171,8 +186,6 @@ class ReachableSet:
     """The data a structure reaches from words of length <= max_len, one per
     reading, as ids of `row`."""
 
-    structure: StringDataStructure
-    max_len: int
     row: Row
     index: dict[tuple[int, ...], int]       # reading -> id in `row`
 
@@ -207,7 +220,7 @@ def reachable_set(structure: StringDataStructure, max_len: int,
                     nxt.append(j)
                     index[key] = j
         frontier = nxt
-    return ReachableSet(structure, max_len, row, index)
+    return ReachableSet(row, index)
 
 
 def report(check: str, structure, params: dict, result: str, **extra) -> dict:
@@ -352,7 +365,7 @@ def check_cross_section(structure: StringDataStructure, congruence: RewritingSys
     params = {"n": structure.n, "max_len": max_len}
     fibers = _constructor_fibers(structure, max_len)
     partition = congruence_classes(congruence, max_len)
-    classes = partition.as_partition()
+    classes = set(partition.classes())
     if fibers == classes:
         return report("cross-section", structure.name, params, "pass",
                       exact=partition.exact, class_count=len(classes))

@@ -29,6 +29,7 @@ from .sds import (
     Presentation,
     StringDataStructure,
     generating_presentation,
+    parse_ints,
     report,
     rows_kernel,
 )
@@ -360,7 +361,7 @@ def format_tableau(t: Tableau) -> str:
 
 
 def parse_tableau(text: str) -> Tableau:
-    t = tuple([tuple(map(int, tokens))
+    t = tuple([parse_ints(tokens)
                for tokens in map(str.split, text.replace(";", "\n").splitlines())
                if tokens and tokens != ["(empty)"]])
     if not is_tableau(t) and t:

@@ -391,6 +391,27 @@ def test_a_word_token_that_is_not_an_integer_is_named(word, token, capsys):
                                        f"'{token}'\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["insert", "--structure", "young-right", "--word", "1_2 ３"],
+     "invalid literal for int() with base 10: '1_2'"),
+    (["check", "axioms", "--structure", "young-right", "--n", "2", "--max-len", "1_0"],
+     "argument --max-len: invalid integer value: '1_0'"),
+    (["insert", "--structure", "young-right", "--n", "10", "--word", "1", "--datum", "1_0"],
+     "invalid literal for int() with base 10: '1_0'"),
+    (["insert", "--structure", "sylvester-left", "--n", "3", "--word", "1",
+      "--datum", "(+2 · ·)"], "invalid literal for int() with base 10: '+2'"),
+], ids=["word", "bound", "tableau", "tree"])
+def test_an_integer_is_ascii_digits_with_an_optional_minus(argv, message, capsys):
+    # int() alone reads 1_2, +2 and fullwidth digits
+    try:
+        code = main(argv)
+    except SystemExit as exc:     # the parser refuses the bound
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error: ") == 1 and err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "axioms", "--structure", "young-right", "--n", "3", "--max-len", "-1"],
     ["check", "commutation", "--structure", "young", "--n", "0"],

@@ -93,7 +93,7 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
         if root not in root_word:
             root_word[root] = word
         rep[word] = root_word[root]
-    return CongruencePartition(max_len, exact, rep)
+    return CongruencePartition(exact, rep)
 
 
 def _find_factor(word: Word, factor: Word, start: int) -> int:

@@ -13,12 +13,13 @@ from sdskit.rewriting import (
     RewriteStep,
     RewritingSystem,
     Rule,
+    _first_step,
+    _last_step,
     apply_step,
     check_local_confluence,
     classify,
     congruence_classes,
     critical_branchings,
-    enumerate_steps,
     is_normal_form,
     knuth_bendix_pass,
     normalize,
@@ -82,26 +83,38 @@ def test_duplicate_rule_rejected():
         make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0))])
 
 
-def test_enumerate_steps_ordering_and_oracle():
+def _assert_picks(system, word):
+    # the leftmost pick is the least step by (position, rule id), the
+    # rightmost the greatest; both are None on a normal form
+    steps = brute_force_steps(system, word)
+    assert _first_step(system, word) == (steps[0] if steps else None)
+    assert _last_step(system, word) == (steps[-1] if steps else None)
+
+
+def test_picks_ordering_and_oracle():
     # zzx with the rank-3 Knuth rules, z=3 > x=1
     from sdskit.young import knuth_srs
     rs = knuth_srs(3)
     for word in [(2, 2, 0), (2, 0, 1), (1, 2, 0, 2), (0, 0, 0)]:
-        steps = enumerate_steps(rs, word)
-        assert steps == brute_force_steps(rs, word)
-        positions = [s.position for s in steps]
-        assert positions == sorted(positions)
+        _assert_picks(rs, word)
+    # three rules match at one position
+    _assert_picks(make(AB, [((0, 1), (1,)), ((0,), (1,)), ((0, 1), (0,))]), (0, 1))
 
 
-def test_enumerate_steps_on_normal_form_is_empty():
+def test_picks_on_normal_form_are_none():
     rs = make(AB, [((0, 1), (1, 0))])
-    assert enumerate_steps(rs, (1, 1, 0)) == []
+    assert _first_step(rs, (1, 1, 0)) is None and _last_step(rs, (1, 1, 0)) is None
 
 
-def test_enumerate_steps_two_positions():
+def test_picks_two_positions():
     rs = make(AB, [((0,), (1,))])  # a -> b
-    steps = enumerate_steps(rs, (0, 0))
-    assert [(s.rule_id, s.position) for s in steps] == [(0, 0), (0, 1)]
+    assert _first_step(rs, (0, 0)) == RewriteStep(0, 0)
+    assert _last_step(rs, (0, 0)) == RewriteStep(0, 1)
+
+
+def test_rule_ids_must_be_positions():
+    with pytest.raises(ValueError, match="^rule id 1 at position 0$"):
+        RewritingSystem(AB, (Rule(1, (0, 1), (1, 0)),))
 
 
 def test_normalize_trivial_on_normal_form():
@@ -362,6 +375,6 @@ def test_normalize_path_replays(data):
 
 @given(random_system_and_word())
 @settings(max_examples=60, deadline=None)
-def test_enumerate_steps_matches_brute_force(data):
+def test_picks_match_brute_force(data):
     system, word = data
-    assert enumerate_steps(system, word) == brute_force_steps(system, word)
+    _assert_picks(system, word)
