@@ -474,7 +474,7 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
     gens = qn_generators(n)
     name = system.alphabet.name
     commutation = commutation_rule_pairs(n)
-    comm_ids = {r.rule_id for r in system.rules
+    comm_ids = {i for i, r in enumerate(system.rules)
                 if (_rule_gens(gens, r.lhs), _rule_gens(gens, r.rhs))
                 in commutation}
     max_left = max_right = 0
@@ -496,7 +496,7 @@ def verify_path_bounds(n: int, budget: int | None = None) -> dict:
             late_witnesses.append({
                 "triple": [name(i) for i in word],
                 "late_rules": [
-                    [name(i) for i in system.rule(step.rule_id).lhs]
+                    [name(i) for i in system.rules[step.rule_id].lhs]
                     for step in left.path.steps[3:]
                     if step.rule_id not in comm_ids],
             })

@@ -47,7 +47,8 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Rule:
-    rule_id: int
+    """One oriented rule lhs -> rhs; its id is its position in `RewritingSystem.rules`."""
+
     lhs: Word
     rhs: Word
 
@@ -66,10 +67,7 @@ class RewritingSystem:
     def __post_init__(self):
         n = len(self.alphabet)
         seen = set()
-        for i, rule in enumerate(self.rules):
-            # ids are positions: `rule` looks them up, the step picks try them in order
-            if rule.rule_id != i:
-                raise ValueError(f"rule id {rule.rule_id} at position {i}")
+        for rule in self.rules:
             for letter in rule.lhs + rule.rhs:
                 if not 0 <= letter < n:
                     raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
@@ -79,11 +77,7 @@ class RewritingSystem:
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> "RewritingSystem":
-        rules = tuple(Rule(i, tuple(l), tuple(r)) for i, (l, r) in enumerate(pairs))
-        return cls(alphabet, rules)
-
-    def rule(self, rule_id: int) -> Rule:
-        return self.rules[rule_id]
+        return cls(alphabet, tuple(Rule(tuple(l), tuple(r)) for l, r in pairs))
 
     @property
     def pairs(self) -> set[tuple[Word, Word]]:
@@ -111,19 +105,24 @@ class Branching:
 
 
 @lru_cache(maxsize=None)
-def _rules_by_first_letter(system: RewritingSystem) -> dict[int, tuple[Rule, ...]]:
-    table: dict[int, list[Rule]] = {}
-    for rule in system.rules:
-        table.setdefault(rule.lhs[0], []).append(rule)
+def _rules_by_first_letter(system: RewritingSystem) -> dict[int, tuple[tuple[int, Word], ...]]:
+    """Each first letter's (rule id, lhs) pairs, in id order."""
+    table: dict[int, list[tuple[int, Word]]] = {}
+    for rule_id, rule in enumerate(system.rules):
+        table.setdefault(rule.lhs[0], []).append((rule_id, rule.lhs))
     return {k: tuple(v) for k, v in table.items()}
 
 
 def apply_step(system: RewritingSystem, word: Word, step: RewriteStep) -> Word:
     """Replace the rule's lhs by its rhs at the step's position."""
-    rule = system.rule(step.rule_id)
+    if not 0 <= step.rule_id < len(system.rules):
+        raise ValueError(f"rule id {step.rule_id} out of range for {len(system.rules)} rules")
     i = step.position
+    if i < 0:
+        raise ValueError(f"negative position {i}")
+    rule = system.rules[step.rule_id]
     if word[i:i + len(rule.lhs)] != rule.lhs:
-        raise ValueError(f"rule {rule.rule_id} does not match {word} at position {i}")
+        raise ValueError(f"rule {step.rule_id} does not match {word} at position {i}")
     return word[:i] + rule.rhs + word[i + len(rule.lhs):]
 
 
@@ -141,9 +140,9 @@ def _first_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
     """The leftmost match, by the lowest rule id there (tables are in id order)."""
     table = _rules_by_first_letter(system)
     for i, letter in enumerate(word):
-        for rule in table.get(letter, ()):
-            if word[i:i + len(rule.lhs)] == rule.lhs:
-                return RewriteStep(rule.rule_id, i)
+        for rule_id, lhs in table.get(letter, ()):
+            if word[i:i + len(lhs)] == lhs:
+                return RewriteStep(rule_id, i)
     return None
 
 
@@ -151,9 +150,9 @@ def _last_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
     """The rightmost match, by the highest rule id there."""
     table = _rules_by_first_letter(system)
     for i in range(len(word) - 1, -1, -1):
-        for rule in reversed(table.get(word[i], ())):
-            if word[i:i + len(rule.lhs)] == rule.lhs:
-                return RewriteStep(rule.rule_id, i)
+        for rule_id, lhs in reversed(table.get(word[i], ())):
+            if word[i:i + len(lhs)] == lhs:
+                return RewriteStep(rule_id, i)
     return None
 
 
@@ -209,24 +208,24 @@ def critical_branchings(system: RewritingSystem) -> list[Branching]:
     lhs containing another; the two steps are ordered by (position, rule id).
     """
     found = {}
-    for r1, r2 in itertools.product(system.rules, repeat=2):
+    for (id1, r1), (id2, r2) in itertools.product(enumerate(system.rules), repeat=2):
         l1, l2 = r1.lhs, r2.lhs
         # proper overlap: a suffix of l1 is a prefix of l2
         for k in range(1, min(len(l1), len(l2))):
             if l1[len(l1) - k:] == l2[:k]:
                 source = l1 + l2[k:]
                 _record(found, source,
-                        RewriteStep(r1.rule_id, 0),
-                        RewriteStep(r2.rule_id, len(l1) - k))
+                        RewriteStep(id1, 0),
+                        RewriteStep(id2, len(l1) - k))
         # inclusion: l2 occurs inside l1
         if len(l2) <= len(l1):
             for p in range(len(l1) - len(l2) + 1):
                 if l1[p:p + len(l2)] == l2:
-                    if r1.rule_id == r2.rule_id and p == 0 and len(l1) == len(l2):
+                    if id1 == id2 and p == 0 and len(l1) == len(l2):
                         continue
                     _record(found, l1,
-                            RewriteStep(r1.rule_id, 0),
-                            RewriteStep(r2.rule_id, p))
+                            RewriteStep(id1, 0),
+                            RewriteStep(id2, p))
     order = sorted(found.values(), key=lambda b: (b.source, b.left.position,
                                                   b.left.rule_id, b.right.position,
                                                   b.right.rule_id))
@@ -430,9 +429,9 @@ def classify(system: RewritingSystem) -> SystemFlags:
     semi = all(len(r.lhs) == 2 and len(r.rhs) <= 2 for r in system.rules)
     quad = all(len(r.lhs) == 2 and len(r.rhs) == 2 for r in system.rules)
     # both picks take (own id, 0) exactly when every match is at 0 and has that id
-    reduced = all(_first_step(system, r.lhs) == RewriteStep(r.rule_id, 0)
+    reduced = all(_first_step(system, r.lhs) == RewriteStep(i, 0)
                   == _last_step(system, r.lhs) and is_normal_form(system, r.rhs)
-                  for r in system.rules)
+                  for i, r in enumerate(system.rules))
     return SystemFlags(semi, quad, reduced)
 
 

@@ -14,7 +14,8 @@ witness letters from the system's alphabet, as `sds.datum_label` now names
 every generator.  The `check_local_confluence` oracle returns, per
 branching, the two targets and whether both legs reached a normal form in
 place of the record classes it built, which are gone: the walk it is
-compared with returns the legs themselves.
+compared with returns the legs themselves.  A rule's id is its position
+in the system, so the oracles take ids from `enumerate(system.rules)`.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ def classify_branching(source: Word, system: RewritingSystem,
     """Classify a local branching (two one-step reductions of one word)."""
     if left == right:
         return ASPHERICAL
-    l_span = (left.position, left.position + len(system.rule(left.rule_id).lhs))
-    r_span = (right.position, right.position + len(system.rule(right.rule_id).lhs))
+    l_span = (left.position, left.position + len(system.rules[left.rule_id].lhs))
+    r_span = (right.position, right.position + len(system.rules[right.rule_id].lhs))
     if l_span[1] <= r_span[0] or r_span[1] <= l_span[0]:
         return PEIFFER
     if min(l_span[0], r_span[0]) == 0 and max(l_span[1], r_span[1]) == len(source):
@@ -79,24 +80,24 @@ def critical_branchings(system: RewritingSystem) -> list[Branching]:
     lhs containing another; the two steps are ordered by (position, rule id).
     """
     found = {}
-    for r1, r2 in itertools.product(system.rules, repeat=2):
+    for (id1, r1), (id2, r2) in itertools.product(enumerate(system.rules), repeat=2):
         l1, l2 = r1.lhs, r2.lhs
         # proper overlap: a suffix of l1 is a prefix of l2
         for k in range(1, min(len(l1), len(l2))):
             if l1[len(l1) - k:] == l2[:k]:
                 source = l1 + l2[k:]
                 _record(found, system, source,
-                        RewriteStep(r1.rule_id, 0),
-                        RewriteStep(r2.rule_id, len(l1) - k))
+                        RewriteStep(id1, 0),
+                        RewriteStep(id2, len(l1) - k))
         # inclusion: l2 occurs inside l1
         if len(l2) <= len(l1):
             for p in range(len(l1) - len(l2) + 1):
                 if l1[p:p + len(l2)] == l2:
-                    if r1.rule_id == r2.rule_id and p == 0 and len(l1) == len(l2):
+                    if id1 == id2 and p == 0 and len(l1) == len(l2):
                         continue
                     _record(found, system, l1,
-                            RewriteStep(r1.rule_id, 0),
-                            RewriteStep(r2.rule_id, p))
+                            RewriteStep(id1, 0),
+                            RewriteStep(id2, p))
     order = sorted(found.values(), key=lambda b: (b.source, b.left.position,
                                                   b.left.rule_id, b.right.position,
                                                   b.right.rule_id))
@@ -203,10 +204,10 @@ def classify(system: RewritingSystem) -> SystemFlags:
     semi = all(len(r.lhs) == 2 and len(r.rhs) <= 2 for r in system.rules)
     quad = all(len(r.lhs) == 2 and len(r.rhs) == 2 for r in system.rules)
     reduced = True
-    for rule in system.rules:
+    for rule_id, rule in enumerate(system.rules):
         others = RewritingSystem.from_pairs(
             system.alphabet,
-            [(r.lhs, r.rhs) for r in system.rules if r.rule_id != rule.rule_id])
+            [(r.lhs, r.rhs) for i, r in enumerate(system.rules) if i != rule_id])
         if not is_normal_form(others, rule.lhs) or not is_normal_form(system, rule.rhs):
             reduced = False
             break
@@ -250,7 +251,7 @@ def verify_path_bounds(n: int) -> dict:
     name = system.alphabet.name
     reducible = {r.lhs for r in system.rules}
     commutation = commutation_rule_pairs(n)
-    comm_ids = {r.rule_id for r in system.rules
+    comm_ids = {i for i, r in enumerate(system.rules)
                 if (_rule_gens(gens, r.lhs), _rule_gens(gens, r.rhs))
                 in commutation}
     max_left = max_right = 0
@@ -279,7 +280,7 @@ def verify_path_bounds(n: int) -> dict:
             late_witnesses.append({
                 "triple": [name(i) for i in word],
                 "late_rules": [
-                    [name(i) for i in system.rule(step.rule_id).lhs]
+                    [name(i) for i in system.rules[step.rule_id].lhs]
                     for step in left.path.steps[3:]
                     if step.rule_id not in comm_ids],
             })
@@ -403,6 +404,12 @@ TANGLED = _system(((0, 1), (1,)), ((0, 1), (0,)), ((0, 1, 0), ()), ((1,), (2,)),
                   ((2, 2, 2), (2,)))
 
 
+# two rules match at position 0 of ab, 0: ab -> b and 1: a -> b, and none
+# at position 1: the leftmost pick takes the lower id there, the rightmost
+# the higher, so each pick's order within a letter's rules shows
+TWO_AT_ONE = RewritingSystem.from_pairs(Alphabet(("a", "b")), [((0, 1), (1,)), ((0,), (1,))])
+
+
 def _shortlex_less(u: Word, v: Word) -> bool:
     return (len(u), u) < (len(v), v)
 
@@ -432,6 +439,18 @@ def _outcome(fn, *args):
 def test_critical_branchings_and_classify_match_the_oracle(system):
     assert rewriting.critical_branchings(system) == critical_branchings(system)
     assert rewriting.classify(system) == classify(system)
+
+
+def test_picks_where_two_rules_match_at_one_position():
+    ab = (0, 1)
+    assert rewriting._first_step(TWO_AT_ONE, ab) == RewriteStep(0, 0)
+    assert rewriting._last_step(TWO_AT_ONE, ab) == RewriteStep(1, 0)
+    leftmost = RewritePath(ab, (RewriteStep(0, 0),), (1,))
+    rightmost = RewritePath(ab, (RewriteStep(1, 0),), (1, 1))
+    assert rewriting.normalize(TWO_AT_ONE, ab, RIGHTMOST).path == rightmost
+    assert [(word, left.path, right.path)
+            for word, left, right in rewriting.strategy_paths(TWO_AT_ONE)] == \
+        [(ab, leftmost, rightmost)]
 
 
 @settings(max_examples=200, deadline=None)

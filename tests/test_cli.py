@@ -544,6 +544,12 @@ GOLDEN = [
      "c68e41899d4c4b7d87c53dd97c45b8bc3acde5da3b3fcc8920949556349fc9d8"),
     ("cells --structure chinese --n 3 --kind strategy", 0,
      "cb1dae803460cf2b2285ea6ff0ef62c31577229d052db13b4612cff1abeac5b6"),
+    # the largest cell exports, 115 and 68 rules, whose steps name rule ids
+    # well past those of the n=3 systems
+    ("cells --structure young --n 4 --kind squier", 0,
+     "7f8037ce3e390b2a2ce9121be53cf1a581db894b784fd3f52904c7adc6a17efb"),
+    ("cells --structure chinese --n 4 --kind strategy", 0,
+     "a2a242aaa4c9e0f826ac9cf4d00020ab912b36ac659e3a06b744b384630b97c3"),
     ("build row --n 3 --max-len 3", 0,
      "f9dd5d7f9803e1d409acaa2e2e192bd42137f64b99be78e532b30b23224d107e"),
     ("insert --structure chinese-right --n 3 --word 2_3_1_3_2", 0,

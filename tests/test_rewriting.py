@@ -10,6 +10,7 @@ from sdskit.rewriting import (
     Alphabet,
     LEFTMOST,
     RIGHTMOST,
+    RewritePath,
     RewriteStep,
     RewritingSystem,
     Rule,
@@ -41,9 +42,9 @@ def brute_force_steps(system, word):
     # independent oracle: scan every position against every rule lhs
     found = []
     for i in range(len(word)):
-        for rule in system.rules:
+        for rule_id, rule in enumerate(system.rules):
             if word[i:i + len(rule.lhs)] == rule.lhs:
-                found.append(RewriteStep(rule.rule_id, i))
+                found.append(RewriteStep(rule_id, i))
     return sorted(found, key=lambda s: (s.position, s.rule_id))
 
 
@@ -68,14 +69,27 @@ def test_apply_step_rejects_mismatch():
         apply_step(rs, (1, 1), RewriteStep(0, 0))
 
 
+@pytest.mark.parametrize("word,step,message", [
+    ((1, 1), RewriteStep(-1, 0), "rule id -1 out of range for 2 rules"),  # rules[-1] matches
+    ((0, 1), RewriteStep(2, 0), "rule id 2 out of range for 2 rules"),
+    ((1, 0), RewriteStep(1, -2), "negative position -2"),  # word[-2:-1] is b, rule 1's lhs
+], ids=["id-below-zero", "id-past-the-last-rule", "negative-position"])
+def test_apply_step_and_replay_reject_a_bad_id_or_position(word, step, message):
+    rs = make(AB, [((0, 1), (1, 0)), ((1,), (0,))])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_step(rs, word, step)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replay(rs, RewritePath(word, (step,), word))
+
+
 def test_rule_with_equal_sides_rejected():
     with pytest.raises(ValueError):
-        Rule(0, (1, 2), (1, 2))
+        Rule((1, 2), (1, 2))
 
 
 def test_empty_lhs_rejected():
     with pytest.raises(ValueError):
-        Rule(0, (), (1,))
+        Rule((), (1,))
 
 
 def test_duplicate_rule_rejected():
@@ -110,11 +124,6 @@ def test_picks_two_positions():
     rs = make(AB, [((0,), (1,))])  # a -> b
     assert _first_step(rs, (0, 0)) == RewriteStep(0, 0)
     assert _last_step(rs, (0, 0)) == RewriteStep(0, 1)
-
-
-def test_rule_ids_must_be_positions():
-    with pytest.raises(ValueError, match="^rule id 1 at position 0$"):
-        RewritingSystem(AB, (Rule(1, (0, 1), (1, 0)),))
 
 
 def test_normalize_trivial_on_normal_form():
