@@ -364,7 +364,7 @@ def precolumn_presentation(n: int) -> Presentation:
     index = {g: i for i, g in enumerate(qn_generators(n))}
     pairs = [(tuple(index[g] for g in l), tuple(index[g] for g in r))
              for l, r in precolumn_pairs(n)]
-    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), gen.generators)
+    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), gen)
 
 
 def completed_presentation(n: int) -> Presentation:

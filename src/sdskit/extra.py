@@ -489,7 +489,7 @@ def rps_srs(n: int, max_p: int) -> RewritingSystem:
 
 
 def commutation_probe(right: StringDataStructure, left: StringDataStructure,
-                      n: int, max_len: int) -> dict:
+                      max_len: int) -> dict:
     """Search for a commutation counterexample over all reachable data.
 
     Returns a definitive bounded report: either a witness (datum, x, y)
@@ -498,8 +498,8 @@ def commutation_probe(right: StringDataStructure, left: StringDataStructure,
     x, y) triples examined, up to and including a counterexample.
     """
     data, bad = first_noncommuting(right, left, max_len)
-    name, params = f"{right.name}|{left.name}", {"n": n, "max_len": max_len}
     k = right.n
+    name, params = f"{right.name}|{left.name}", {"n": k, "max_len": max_len}
     if bad is None:
         return report("probe", name, params, "exhausted",
                       pairs_tested=len(data) * k * k, data_count=len(data))

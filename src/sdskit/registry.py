@@ -165,17 +165,17 @@ def _with_derived_right(left: StringDataStructure):
 
 # presentations by name; L bounds the variable-length families
 PRESENTATIONS: dict[str, Callable[[int, int], Presentation]] = {
-    "knuth": lambda n, L: Presentation(young.knuth_srs(n), None),
-    "knuth-reversed": lambda n, L: Presentation(young.knuth_srs(n, "reversed"), None),
+    "knuth": lambda n, L: Presentation(young.knuth_srs(n)),
+    "knuth-reversed": lambda n, L: Presentation(young.knuth_srs(n, "reversed")),
     "column": lambda n, L: young.column_presentation(n),
     "row": lambda n, L: young.row_presentation(n, L),
-    "chinese-relations": lambda n, L: Presentation(chinese.chinese_relations(n), None),
+    "chinese-relations": lambda n, L: Presentation(chinese.chinese_relations(n)),
     "chinese-precolumn": lambda n, L: chinese.precolumn_presentation(n),
     "chinese-completed": lambda n, L: chinese.completed_presentation(n),
-    "hypoplactic": lambda n, L: Presentation(extra.hypoplactic_srs(n), None),
-    "sylvester": lambda n, L: Presentation(extra.sylvester_srs(n, L), None),
-    "lps": lambda n, L: Presentation(extra.lps_srs(n, L), None),
-    "rps": lambda n, L: Presentation(extra.rps_srs(n, L), None),
+    "hypoplactic": lambda n, L: Presentation(extra.hypoplactic_srs(n)),
+    "sylvester": lambda n, L: Presentation(extra.sylvester_srs(n, L)),
+    "lps": lambda n, L: Presentation(extra.lps_srs(n, L)),
+    "rps": lambda n, L: Presentation(extra.rps_srs(n, L)),
 }
 
 PRESENTATION_NAMES = tuple(PRESENTATIONS)
@@ -184,14 +184,14 @@ PRESENTATION_NAMES = tuple(PRESENTATIONS)
 FAMILY_PRESENTATION: dict[str, str] = {"young": "column", "chinese": "chinese-completed"}
 
 
-def _generator_order(pres: Presentation, n: int) -> Callable[[int, int], bool]:
-    gens = chinese.qn_generators(n)
+def _generator_order(pres: Presentation) -> Callable[[int, int], bool]:
+    gens = chinese.qn_generators(pres.generating.structure.n)
     return lambda a, b: chinese.order_ch_less(gens[a], gens[b])
 
 
-# letter order of each presentation's termination certificate, from (pres, n)
-TERMINATION_ORDERS: dict[str, Callable[[Presentation, int], Callable[[int, int], bool]]] = {
-    "column": lambda pres, n: young.column_length_less(pres),
+# letter order of each presentation's termination witness, from the presentation
+TERMINATION_ORDERS: dict[str, Callable[[Presentation], Callable[[int, int], bool]]] = {
+    "column": lambda pres: young.column_length_less(pres),
     "chinese-precolumn": _generator_order,
     "chinese-completed": _generator_order,
 }
@@ -214,7 +214,7 @@ PATH_BOUNDS: dict[str, Callable[[int, int | None], dict]] = {
 def probe(name: str, n: int, max_len: int) -> dict:
     """The commutation probe of the family `name`'s right and left insertions."""
     right, left = lookup(PROBE_PAIRS, name, "probe pair")(n)
-    return extra.commutation_probe(right, left, n, max_len)
+    return extra.commutation_probe(right, left, max_len)
 
 
 def lookup(table: dict, name: str, what: str):

@@ -8,7 +8,7 @@ rightmost), critical-branching enumeration with its two walks (each
 branching's legs normalized leftmost, which local confluence and Squier
 cells read, and each source normalized by both strategies), bounded
 congruence closure, a single Knuth-Bendix completion pass, and a
-lexicographic termination certificate.
+length-lexicographic termination witness.
 """
 
 from __future__ import annotations
@@ -435,28 +435,18 @@ def classify(system: RewritingSystem) -> SystemFlags:
     return SystemFlags(semi, quad, reduced)
 
 
-@dataclass(frozen=True)
-class TerminationCertificate:
-    passes: bool
-    witness: Rule | None
-
-
-def termination_certificate(system: RewritingSystem, measure: Callable[[Word], int],
-                            letter_less: Callable[[int, int], bool]) -> TerminationCertificate:
-    """Check compatibility of the rules with a lexicographic order.
-
-    For each rule the measure must not increase, and whenever it ties the
-    first letter of the rhs must be strictly below the first letter of the
-    lhs under `letter_less`.
-    """
+def termination_witness(system: RewritingSystem,
+                        letter_less: Callable[[int, int], bool]) -> Rule | None:
+    """The first rule, in rule order, that a length-lexicographic order does
+    not decrease: its rhs is longer than its lhs, or as long without a first
+    letter strictly below the lhs's first letter under `letter_less`.  None
+    when every rule decreases, which proves termination."""
     for rule in system.rules:
-        ml, mr = measure(rule.lhs), measure(rule.rhs)
-        if mr > ml:
-            return TerminationCertificate(False, rule)
-        if mr == ml:
-            if not rule.rhs or not letter_less(rule.rhs[0], rule.lhs[0]):
-                return TerminationCertificate(False, rule)
-    return TerminationCertificate(True, None)
+        lhs, rhs = rule.lhs, rule.rhs
+        if len(rhs) > len(lhs) or (len(rhs) == len(lhs)
+                                   and not letter_less(rhs[0], lhs[0])):
+            return rule
+    return None
 
 
 def system_to_json(system: RewritingSystem) -> dict:

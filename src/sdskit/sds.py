@@ -294,6 +294,8 @@ def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
     """The data reachable by either insertion within the bound, keyed by reading,
     and the first (reading, x, y), in sorted order, on which inserting x on the
     right and y on the left depends on the order; None if there is none."""
+    if right.n != left.n:
+        raise ValueError("structures must share the alphabet size")
     reach_r = reachable_set(right, max_len)
     reach_l = reachable_set(left, max_len, like=reach_r.row)
     r, l = reach_r.row, reach_l.row
@@ -314,8 +316,6 @@ def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
 def check_commutation(right: StringDataStructure, left: StringDataStructure,
                       max_len: int) -> dict:
     """Check that the two one-element insertions commute on reachable data."""
-    if right.n != left.n:
-        raise ValueError("structures must share the alphabet size")
     params = {"n": right.n, "max_len": max_len}
     name = f"{right.name}|{left.name}"
     data, bad = first_noncommuting(right, left, max_len)
@@ -561,14 +561,14 @@ def datum_label(structure: StringDataStructure, d: Datum) -> str:
 class Presentation:
     """A rewriting system together with the data its alphabet letters stand for.
 
-    `generating` is the generating set a generating presentation was built
-    from (None for any other).  It takes no part in equality: two builds of
-    one presentation hold distinct generating sets, whose `decompose`
-    closures never compare equal, and must still be equal presentations.
+    `generating` is the generating set whose generators the letters stand
+    for, letter i for generator i; None for a presentation over plain
+    letters.  It takes no part in equality: two builds of one presentation
+    hold distinct generating sets, whose `decompose` closures never compare
+    equal, and must still be equal presentations.
     """
 
     system: RewritingSystem
-    generators: tuple[Datum, ...] | None = None
     generating: GeneratingSet | None = field(default=None, compare=False)
 
 
@@ -606,7 +606,7 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
         return full
     system = full.system
     pairs = [(r.lhs, r.rhs) for r in system.rules if len(row.read(r.lhs[1])) == 1]
-    return Presentation(RewritingSystem.from_pairs(system.alphabet, pairs), full.generators)
+    return Presentation(RewritingSystem.from_pairs(system.alphabet, pairs), full.generating)
 
 
 def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Presentation:
@@ -630,8 +630,7 @@ def generating_presentation(gen: GeneratingSet, bound: int | None = None) -> Pre
                 continue
             if (i, j) != rhs:
                 pairs.append(((i, j), rhs))
-    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), tuple(gen.generators),
-                        generating=gen)
+    return Presentation(RewritingSystem.from_pairs(gen.alphabet, pairs), gen)
 
 
 def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:

@@ -238,9 +238,9 @@ def row_presentation(n: int, max_len: int) -> Presentation:
 
 
 def column_length_less(pres: Presentation):
-    """Letter comparison for the column termination certificate: a strictly
+    """Letter comparison for the column termination witness: a strictly
     longer column is strictly smaller."""
-    gens = pres.generators
+    gens = pres.generating.generators
     def less(a: int, b: int) -> bool:
         return len(gens[a]) > len(gens[b])
     return less
@@ -290,8 +290,7 @@ def schuetzenberger_involution(n: int, max_len: int = 3) -> dict:
     """
     pres = column_presentation(n)
     system = pres.system
-    gens = pres.generators
-    index = pres.generating.index
+    gens, index = pres.generating.generators, pres.generating.index
 
     def star_letter(i: int) -> tuple[int, ...]:
         image = column_complement(gens[i], n)

@@ -16,7 +16,7 @@ from sdskit.rewriting import (
     check_local_confluence,
     classify,
     knuth_bendix_pass,
-    termination_certificate,
+    termination_witness,
 )
 from sdskit.sds import (
     check_commutation,
@@ -99,9 +99,9 @@ def test_criterion_06_chinese_cross_section():
 def test_criterion_07_column_presentation_convergence():
     t0 = time.monotonic()
     pres = young.column_presentation(4)
-    cert = termination_certificate(pres.system, len, young.column_length_less(pres))
+    terminates = termination_witness(pres.system, young.column_length_less(pres)) is None
     confluent = _confluent(pres.system)
-    assert report(7, cert.passes and confluent,
+    assert report(7, terminates and confluent,
                   "column presentation terminates and joins all branchings (n=4)",
                   t0, 60)
 
@@ -113,9 +113,9 @@ def test_criterion_08_completed_presentation():
         system = chinese.completed_presentation(n).system
         flags = classify(system)
         gens = chinese.qn_generators(n)
-        cert = termination_certificate(
-            system, len, lambda a, b: chinese.order_ch_less(gens[a], gens[b]))
-        ok = ok and flags.semi_quadratic and cert.passes and \
+        witness = termination_witness(
+            system, lambda a, b: chinese.order_ch_less(gens[a], gens[b]))
+        ok = ok and flags.semi_quadratic and witness is None and \
             _confluent(system)
     assert report(8, ok, "completed staircase presentation is semi-quadratic, "
                          "confluent, terminating (n=3,4)", t0, 120)
@@ -202,9 +202,9 @@ def test_criterion_13_worked_figure_goldens():
 def test_criterion_14_open_problem_probes():
     t0 = time.monotonic()
     hypo = extra.commutation_probe(extra.hypoplactic_right(3),
-                                   extra.hypoplactic_left(3), 3, 5)
+                                   extra.hypoplactic_left(3), 5)
     left = extra.sylvester_left(3)
-    sylv = extra.commutation_probe(extra.derived_right_insertion(left), left, 3, 5)
+    sylv = extra.commutation_probe(extra.derived_right_insertion(left), left, 5)
     ok = True
     for probe in (hypo, sylv):
         ok = ok and probe["result"] in ("exhausted", "counterexample")

@@ -353,7 +353,7 @@ def verify_knuth_decomposition(n: int) -> dict:
     """
     pres = column_presentation(n)
     system = pres.system
-    index = {read_tableau(c): i for i, c in enumerate(pres.generators)}
+    index = {read_tableau(c): i for i, c in enumerate(pres.generating.generators)}
     def embed(letters):
         return tuple(index[(x,)] for x in letters)
     checked = 0

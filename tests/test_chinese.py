@@ -17,6 +17,7 @@ from sdskit.chinese import (
     completion_pairs,
     empty_staircase,
     gen_staircase,
+    gen_word,
     is_staircase,
     order_ch_less,
     precolumn_presentation,
@@ -31,7 +32,7 @@ from sdskit.chinese import (
 )
 from sdskit.coherence import legs_witness
 from sdskit.registry import build_presentation
-from sdskit.rewriting import check_local_confluence, classify, knuth_bendix_pass, termination_certificate
+from sdskit.rewriting import check_local_confluence, classify, knuth_bendix_pass, termination_witness
 from sdskit.sds import datum_label, reachable_set
 
 
@@ -156,6 +157,17 @@ def test_gen_staircase_values():
     assert staircase_display(sq)[1] == [2, 0]
 
 
+@pytest.mark.parametrize("name", ["chinese-precolumn", "chinese-completed"])
+def test_staircase_letters_stand_for_the_generators_in_order(name):
+    # the termination order, verify_rule_shape and verify_path_bounds read
+    # letter i as qn_generators(n)[i]
+    for n in range(1, 8):
+        gen = build_presentation(name, n).generating
+        gens = qn_generators(n)
+        assert len(gen.generators) == len(gens)
+        assert [gen.row.read(i) for i in range(len(gens))] == [gen_word(g) for g in gens]
+
+
 def test_chinese_relations_n2():
     rs = chinese_relations(2)
     assert rs.pairs == {((1, 1, 0), (1, 0, 1)), ((1, 0, 0), (0, 1, 0))}
@@ -226,13 +238,11 @@ def test_order_ch_total_and_antisymmetric_on_q4():
         assert not order_ch_less(a, a)
 
 
-def test_termination_certificate_completed():
+def test_termination_witness_completed():
     for n in (3, 4):
         system = completed_presentation(n).system
         gens = qn_generators(n)
-        cert = termination_certificate(system, len,
-                                       lambda a, b: order_ch_less(gens[a], gens[b]))
-        assert cert.passes
+        assert termination_witness(system, lambda a, b: order_ch_less(gens[a], gens[b])) is None
 
 
 def test_commutation_rules_present():

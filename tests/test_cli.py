@@ -520,6 +520,10 @@ GOLDEN = [
      "b002d07f1c219aae3b3deaf13a46d6d94237030fc1b23114d16219b784e58221"),
     ("check termination --structure chinese --n 3", 0,
      "39047647666dc206be0e2babf54babe6c1ad336c196b8809afb0d8b9da64f805"),
+    ("check termination --structure young --n 4", 0,
+     "ca05b94db7fdb2b199ba8cb7653f911e7f30e02182654532ae248bbf4f79ac7a"),
+    ("check termination --structure chinese-precolumn --n 4", 0,
+     "b242b70eb3a171256b968494458fa9304a91359e2950ebd9e931213e8521d4bd"),
     ("check path-bounds --n 3", 1,
      "f0c6c74750907bc34c215a3af5e584d22b2a569f2a933099ef92b8aedd596af5"),
     ("check path-bounds --structure chinese-completed --n 3", 1,

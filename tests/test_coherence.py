@@ -72,7 +72,7 @@ def test_strategy_cells_young_worked_triple():
     # both strategies
     pres = column_presentation(5)
     gen = pres.generating
-    idx = {read_tableau(c): i for i, c in enumerate(pres.generators)}
+    idx = {read_tableau(c): i for i, c in enumerate(pres.generating.generators)}
     triple = (idx[(5, 3, 1)], idx[(5, 4, 3, 1)], idx[(3, 2, 1)])
     targets = {normalize(pres.system, triple, strategy).target
                for strategy in (LEFTMOST, RIGHTMOST)}

@@ -199,11 +199,21 @@ def test_constructor_fibers_refine_congruence_classes():
 
 
 def test_probe_reports_are_definitive():
-    report = commutation_probe(hypoplactic_right(3), hypoplactic_left(3), 3, 4)
+    report = commutation_probe(hypoplactic_right(3), hypoplactic_left(3), 4)
     assert report["result"] in ("exhausted", "counterexample")
     assert report["pairs_tested"] > 0
-    control = commutation_probe(young_right(3), young_left(3), 3, 4)
+    control = commutation_probe(young_right(3), young_left(3), 4)
     assert control["result"] == "exhausted"
+
+
+def test_probe_reports_the_structures_rank():
+    report = commutation_probe(hypoplactic_right(3), hypoplactic_left(3), 3)
+    assert report["params"] == {"n": 3, "max_len": 3}
+
+
+def test_probe_refuses_two_alphabet_sizes():
+    with pytest.raises(ValueError, match="^structures must share the alphabet size$"):
+        commutation_probe(hypoplactic_right(2), hypoplactic_left(3), 3)
 
 
 def test_probe_counterexample_reporting():
@@ -212,7 +222,7 @@ def test_probe_counterexample_reporting():
     fake_left = StringDataStructure("fake-left", 2, (),
                                     lambda t, x: patience_insert(t, x, "lps"),
                                     ps_read, RIGHT_TO_LEFT)
-    report = commutation_probe(lps_right(2), fake_left, 2, 3)
+    report = commutation_probe(lps_right(2), fake_left, 3)
     assert report["result"] == "counterexample"
     assert set(report["witness"]) >= {"datum", "x", "y"}
 
@@ -220,7 +230,7 @@ def test_probe_counterexample_reporting():
 def test_derived_right_insertion_is_a_right_structure():
     candidate = derived_right_insertion(sylvester_left(3))
     assert check_axioms(candidate, 4)["result"] == "pass"
-    report = commutation_probe(candidate, sylvester_left(3), 3, 4)
+    report = commutation_probe(candidate, sylvester_left(3), 4)
     assert report["result"] in ("exhausted", "counterexample")
 
 

@@ -343,7 +343,7 @@ def is_patience_tableau(t, variant: str) -> bool:
 
 # name -> (empty datum, insertion under test, oracle), both as (datum, x) -> datum
 INSERTIONS = {
-    "young-right": ((), young.schensted_right, schensted_right),
+    "young-right": ((), lambda t, x: young.schensted_right(t, x), schensted_right),
     "young-left": ((), lambda t, x: young.schensted_left(x, t),
                    lambda t, x: schensted_left(x, t)),
     "hypoplactic-right": ((), lambda t, x: extra.hypoplactic_insert(t, x, "right"),

@@ -1,22 +1,28 @@
 """Mutation gate: faults that the tests must keep noticing.
 
-Each row patches one fault into one `rewriting` function, in process, and
-names the change that first ran that mutant (by its `CHANGES.md` heading)
-and the tests that must notice it.  With the fault in place, every named
-test must fail an assertion; a mutant that some named test lets pass
-survives, and fails the gate.
+Each row patches one fault into one function of an sdskit module, in
+process, and names the change that first ran that mutant (by its
+`CHANGES.md` heading, or the ROADMAP item that measured it) and the tests
+that must notice it.  A killer must call the target through its module,
+since a name imported before the patch is not patched.  With the fault in
+place, every named test must fail an assertion; a mutant that some named
+test lets pass survives, and fails the gate.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable
 
 import pytest
 
-from sdskit import rewriting
+from sdskit import rewriting, young
 from sdskit.rewriting import RewriteStep
 import test_branching_oracle as oracle
+import test_insertion_oracle as insertion
+import test_rewriting
 
 _rules_by_first_letter = rewriting._rules_by_first_letter
 
@@ -37,10 +43,36 @@ def _table_out_of_id_order(system):
     return {letter: pairs[::-1] for letter, pairs in _rules_by_first_letter(system).items()}
 
 
+def _schensted_right_bisect_left(t, x):
+    """`young.schensted_right` bumping the first entry >= x, not > x."""
+    rows = list(t)
+    cur = x
+    for i, row in enumerate(rows):
+        if cur >= row[-1]:
+            rows[i] = row + (cur,)
+            return tuple(rows)
+        k = bisect_left(row, cur)
+        rows[i] = row[:k] + (cur,) + row[k + 1:]
+        cur = row[k]
+    rows.append((cur,))
+    return tuple(rows)
+
+
+def _witness_passing_ties(system, letter_less):
+    """`termination_witness` passing every rule that keeps its length,
+    whatever its first letters."""
+    return next((rule for rule in system.rules if len(rule.rhs) > len(rule.lhs)), None)
+
+
+def _young_right_on_short_words():
+    insertion.test_insertions_match_the_oracle_on_every_short_word("young-right")
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
     first_run: str
+    module: ModuleType
     target: str
     fault: Callable
     killers: tuple[Callable[[], None], ...]
@@ -49,18 +81,26 @@ class Mutant:
 MUTANTS = [
     Mutant("last-step-reads-forward",
            "One step-selection rule in the rewriting engine",
-           "_last_step", _last_step_forward,
+           rewriting, "_last_step", _last_step_forward,
            (oracle.test_picks_where_two_rules_match_at_one_position,)),
     Mutant("first-letter-table-out-of-id-order",
            "A rule is its two sides, and its id is its position",
-           "_rules_by_first_letter", _table_out_of_id_order,
+           rewriting, "_rules_by_first_letter", _table_out_of_id_order,
            (oracle.test_picks_where_two_rules_match_at_one_position,)),
+    Mutant("schensted-right-bisect-left",
+           "ROADMAP item 11, census",
+           young, "schensted_right", _schensted_right_bisect_left,
+           (_young_right_on_short_words,)),
+    Mutant("termination-witness-passes-ties",
+           "A generator presentation carries its generating set once",
+           rewriting, "termination_witness", _witness_passing_ties,
+           (test_rewriting.test_termination_witness_ties_need_letter_drop,)),
 ]
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_is_killed(mutant, monkeypatch):
-    monkeypatch.setattr(rewriting, mutant.target, mutant.fault)
+    monkeypatch.setattr(mutant.module, mutant.target, mutant.fault)
     survived_by = []
     for killer in mutant.killers:
         try:

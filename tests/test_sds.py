@@ -196,7 +196,7 @@ def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
     monkeypatch.setattr(sds, "Row", Recorded)
     right, left = map(counted, pair)
     for run in (lambda: check_commutation(right, left, 4),
-                lambda: commutation_probe(right, left, 3, 4)):
+                lambda: commutation_probe(right, left, 4)):
         calls.clear()
         assert run()["data_count"] == len(reachable)
         assert calls and len(set(calls)) == len(calls)

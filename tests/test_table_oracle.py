@@ -220,13 +220,13 @@ def _same_single_structure_reports(structure, congruence, max_len):
         check_compatibility(structure, congruence, max_len)
 
 
-def _same_commutation(right, left, n, max_len, monkeypatch):
+def _same_commutation(right, left, max_len, monkeypatch):
     assert sds.first_noncommuting(right, left, max_len) == \
         first_noncommuting(right, left, max_len)
-    probe = extra.commutation_probe(right, left, n, max_len)
+    probe = extra.commutation_probe(right, left, max_len)
     with monkeypatch.context() as m:
         m.setattr(extra, "first_noncommuting", first_noncommuting)
-        assert probe == extra.commutation_probe(right, left, n, max_len)
+        assert probe == extra.commutation_probe(right, left, max_len)
     return probe
 
 
@@ -247,7 +247,7 @@ PAIRS = {**{name: (lambda n, r=r, l=l: (registry.get_structure(r, n),
 def test_commutation_and_probe_pairs_match_the_oracle(name, monkeypatch):
     for n, max_len in SMALL:
         right, left = PAIRS[name](n)
-        _same_commutation(right, left, n, max_len, monkeypatch)
+        _same_commutation(right, left, max_len, monkeypatch)
 
 
 def _with_reading(name, read):
@@ -294,7 +294,7 @@ def test_broken_pairs_match_the_oracle(monkeypatch):
                                    extra.ps_read, RIGHT_TO_LEFT)
     for right, left in ((young_right(2), fake_young), (extra.lps_right(2), fake_lps)):
         for max_len in range(5):
-            probe = _same_commutation(right, left, 2, max_len, monkeypatch)
+            probe = _same_commutation(right, left, max_len, monkeypatch)
         assert probe["result"] == "counterexample"
 
 
@@ -322,6 +322,6 @@ def test_a_pair_failing_only_on_the_diagonal_is_reported(monkeypatch):
     witness = {"datum": [], "x": 1, "y": 1}
     result = sds.check_commutation(right, left, 4)
     assert (result["result"], result["witness"]) == ("fail", witness)
-    probe = _same_commutation(right, left, 3, 4, monkeypatch)
+    probe = _same_commutation(right, left, 4, monkeypatch)
     assert probe["result"] == "counterexample"
     assert {key: probe["witness"][key] for key in witness} == witness

@@ -281,7 +281,7 @@ def test_a_failing_certificate_names_its_rule(monkeypatch, capsys):
     # an order under which no letter is less: the first length-preserving
     # rule cannot be oriented
     monkeypatch.setitem(registry.TERMINATION_ORDERS, "column",
-                        lambda pres, n: lambda a, b: False)
+                        lambda pres: lambda a, b: False)
     rules = young.column_presentation(3).system.rules
     first = next(r for r in rules if len(r.rhs) == len(r.lhs))
     code, out = _check(["check", "termination", "--structure", "column", "--n", "3"], capsys)
