@@ -93,8 +93,9 @@ def _right_insert(rows: list[list[int]], x: int, last: list[int]) -> None:
         r -= 1
 
 
-def chinese_left_insert(x: int, t: Staircase) -> Staircase:
-    """Two-step left insertion: sweep rows 1..x-1 with a marker, then land in row x.
+def chinese_left_insert(t: Staircase, x: int) -> Staircase:
+    """Two-step left insertion of x into t (the paper writes x before t):
+    sweep rows 1..x-1 with a marker, then land in row x.
 
     The landing increments the marked column of row x.  A final decrement
     there would drive a multiplicity negative, so the increment is the only
@@ -233,8 +234,7 @@ def chinese_right(n: int) -> StringDataStructure:
 
 def chinese_left(n: int) -> StringDataStructure:
     return StringDataStructure("chinese-left", n, empty_staircase(n),
-                               lambda t, x: chinese_left_insert(x, t),
-                               read_rr, RIGHT_TO_LEFT, _left_kernel)
+                               chinese_left_insert, read_rr, RIGHT_TO_LEFT, _left_kernel)
 
 
 def qn_generating_set(n: int) -> GeneratingSet:

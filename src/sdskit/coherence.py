@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chinese import completed_presentation
+from . import chinese, young
 from .rewriting import (
     Branching,
     NormalizeResult,
@@ -27,7 +27,6 @@ from .rewriting import (
     strategy_paths,
 )
 from .sds import Presentation, report
-from .young import column_presentation
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def verify_cell_shapes_young(n: int, budget: int | None = None) -> dict:
     """Hexagon bound for the column presentation: at most three further
     steps per leg after the branching step."""
     try:
-        cells = squier_cells(column_presentation(n).system, budget)
+        cells = squier_cells(young.column_presentation(n).system, budget)
     except CellFailure as exc:
         return report("cell-shapes", "young", {"n": n}, "fail", witness=exc.witness)
     max_after = 0
@@ -136,7 +135,7 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
     length at most five, and a length-five leg forces the other leg to
     four or less."""
     try:
-        cells = strategy_cells(completed_presentation(n), budget=budget)
+        cells = strategy_cells(chinese.completed_presentation(n), budget=budget)
     except CellFailure as exc:
         return report("cell-shapes", "chinese", {"n": n}, "fail", witness=exc.witness)
     max_pair = (0, 0)

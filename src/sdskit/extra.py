@@ -1,10 +1,14 @@
 """Quasi-ribbon tableaux, binary search trees, and patience sorting tableaux.
 
 Each carrier gets its insertion(s), its reading, and the rewriting system
-of its congruence; a commutation probe tests whether a right and a left
-insertion commute on all data reachable within a bound and reports either
-a concrete counterexample or exhaustion.  The probe never asserts the
-general statement.
+of its congruence.  Each insertion is a function of (datum, letter) that
+its structure takes as it is: `hypoplactic_right_insert` and
+`hypoplactic_left_insert`, `sylvester_insert` (a left insertion, which the
+paper writes with the letter first), and `lps_insert` and `rps_insert`,
+which differ only in their column search.  A commutation probe tests
+whether a right and a left insertion commute on all data reachable within
+a bound and reports either a concrete counterexample or exhaustion.  The
+probe never asserts the general statement.
 """
 
 from __future__ import annotations
@@ -57,35 +61,36 @@ def is_quasi_ribbon(t: QuasiRibbon) -> bool:
         all(map(lt, map(_last, t), map(_first, t[1:])))
 
 
-def hypoplactic_insert(t: QuasiRibbon, x: int, side: str = "right") -> QuasiRibbon:
-    """Split the ribbon at the pivot entry and attach the loose part around x.
+def hypoplactic_right_insert(t: QuasiRibbon, x: int) -> QuasiRibbon:
+    """Split the ribbon after its last entry <= x, append x there and hang
+    the entries beyond it below.
 
-    Right insertion places x after the last entry <= x, with everything
-    beyond hanging below; left insertion places x before the first entry
-    >= x, with everything before hanging above.  The entries read row after
-    row weakly increase, so the pivot lies in the last row starting <= x
-    (right) or the first row ending >= x (left); the other rows are shared.
+    The entries read row after row weakly increase, so that entry lies in
+    the last row starting <= x; the other rows are shared.
     """
-    if side == "right":
-        i = bisect_right(t, x, key=_first) - 1
-        if i < 0:
-            return ((x,),) + t
-        row = t[i]
-        j = bisect_right(row, x)
-        rest = row[j:]
-        return t[:i] + (row[:j] + (x,),) + ((rest,) if rest else ()) + t[i + 1:]
-    if side == "left":
-        i = bisect_left(t, x, key=_last)
-        if i == len(t):
-            return t + ((x,),)
-        row = t[i]
-        j = bisect_left(row, x)
-        return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
-    raise ValueError(f"unknown side {side!r}")
+    i = bisect_right(t, x, key=_first) - 1
+    if i < 0:
+        return ((x,),) + t
+    row = t[i]
+    j = bisect_right(row, x)
+    rest = row[j:]
+    return t[:i] + (row[:j] + (x,),) + ((rest,) if rest else ()) + t[i + 1:]
+
+
+def hypoplactic_left_insert(t: QuasiRibbon, x: int) -> QuasiRibbon:
+    """The mirror of `hypoplactic_right_insert`: split the ribbon before its
+    first entry >= x, which lies in the first row ending >= x, put x there
+    and hang the entries before it above."""
+    i = bisect_left(t, x, key=_last)
+    if i == len(t):
+        return t + ((x,),)
+    row = t[i]
+    j = bisect_left(row, x)
+    return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
 
 
 def _ribbon_right(rows: list[list[int]], x: int) -> None:
-    """`hypoplactic_insert(t, x, "right")` in place: x is appended to the
+    """`hypoplactic_right_insert` in place: x is appended to the
     last row starting <= x, once the row's entries greater than x have split
     off into a row of their own below it.  Rows never merge and each holds
     at least one letter the others lack, so a ribbon over n letters splits
@@ -104,7 +109,7 @@ def _ribbon_right(rows: list[list[int]], x: int) -> None:
 
 
 def _ribbon_left(rows: list[list[int]], x: int) -> None:
-    """`hypoplactic_insert(t, x, "left")` in place, the mirror of
+    """`hypoplactic_left_insert` in place, the mirror of
     `_ribbon_right`: x goes to the head of the first row ending >= x, once
     the row's entries less than x have split off into a row above it."""
     i = bisect_left(rows, x, key=_last)
@@ -141,14 +146,12 @@ def qr_read(t: QuasiRibbon) -> tuple[int, ...]:
 
 
 def hypoplactic_right(n: int) -> StringDataStructure:
-    return StringDataStructure("hypoplactic-right", n, (),
-                               lambda t, x: hypoplactic_insert(t, x, "right"),
+    return StringDataStructure("hypoplactic-right", n, (), hypoplactic_right_insert,
                                qr_read, LEFT_TO_RIGHT, rows_kernel(_ribbon_right))
 
 
 def hypoplactic_left(n: int) -> StringDataStructure:
-    return StringDataStructure("hypoplactic-left", n, (),
-                               lambda t, x: hypoplactic_insert(t, x, "left"),
+    return StringDataStructure("hypoplactic-left", n, (), hypoplactic_left_insert,
                                qr_read, RIGHT_TO_LEFT, rows_kernel(_ribbon_left))
 
 
@@ -160,8 +163,9 @@ def hypoplactic_left(n: int) -> StringDataStructure:
 Tree = None | tuple[int, "Tree", "Tree"]
 
 
-def sylvester_insert(x: int, t: Tree) -> Tree:
-    """Leaf insertion: strictly greater descends right, everything else left.
+def sylvester_insert(t: Tree, x: int) -> Tree:
+    """Leaf insertion of x into t (the paper writes x before t): strictly
+    greater descends right, everything else left.
 
     This branch choice keeps the search invariant and lets the reading
     rebuild every reachable tree.  The walk is a loop, so a degenerate
@@ -265,8 +269,7 @@ def tree_read(t: Tree) -> tuple[int, ...]:
 
 
 def sylvester_left(n: int) -> StringDataStructure:
-    return StringDataStructure("sylvester-left", n, None,
-                               lambda t, x: sylvester_insert(x, t),
+    return StringDataStructure("sylvester-left", n, None, sylvester_insert,
                                tree_read, RIGHT_TO_LEFT, sylvester_insert_word)
 
 
@@ -365,29 +368,27 @@ LPS = "lps"
 RPS = "rps"
 
 
-def patience_insert(t: PatienceTableau, x: int, variant: str) -> PatienceTableau:
-    """Bump the leftmost too-large bottom entry, stacking its column on x."""
-    if variant == LPS:
-        k = bisect_right(t, x, key=_first)
-    elif variant == RPS:
-        k = bisect_left(t, x, key=_first)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if k == len(t):
-        return t + ((x,),)
-    return t[:k] + ((x,) + t[k],) + t[k + 1:]
-
-
 def _pile(bisect):
-    """`patience_insert` in place, for the variant whose column search is
-    `bisect`: x starts a new column or goes to the bottom of column k."""
+    """The insertion whose column search is `bisect`: x starts a new column
+    or goes to the bottom of column k, the first whose bottom entry is too
+    large; and the same in place, for its word kernel."""
+    def insert(t: PatienceTableau, x: int) -> PatienceTableau:
+        k = bisect(t, x, key=_first)
+        if k == len(t):
+            return t + ((x,),)
+        return t[:k] + ((x,) + t[k],) + t[k + 1:]
+
     def step(columns: list[list[int]], x: int) -> None:
         k = bisect(columns, x, key=_first)
         if k == len(columns):
             columns.append([x])
         else:
             columns[k].insert(0, x)
-    return step
+    return insert, rows_kernel(step)
+
+
+lps_insert, _lps_kernel = _pile(bisect_right)
+rps_insert, _rps_kernel = _pile(bisect_left)
 
 
 def is_patience_tableau(t: PatienceTableau, variant: str) -> bool:
@@ -409,15 +410,13 @@ def ps_read(t: PatienceTableau) -> tuple[int, ...]:
 
 
 def lps_right(n: int) -> StringDataStructure:
-    return StringDataStructure("lps-right", n, (),
-                               lambda t, x: patience_insert(t, x, LPS),
-                               ps_read, LEFT_TO_RIGHT, rows_kernel(_pile(bisect_right)))
+    return StringDataStructure("lps-right", n, (), lps_insert,
+                               ps_read, LEFT_TO_RIGHT, _lps_kernel)
 
 
 def rps_right(n: int) -> StringDataStructure:
-    return StringDataStructure("rps-right", n, (),
-                               lambda t, x: patience_insert(t, x, RPS),
-                               ps_read, LEFT_TO_RIGHT, rows_kernel(_pile(bisect_left)))
+    return StringDataStructure("rps-right", n, (), rps_insert,
+                               ps_read, LEFT_TO_RIGHT, _rps_kernel)
 
 
 # --- congruences -----------------------------------------------------------

@@ -1,11 +1,13 @@
 """Young tableaux, the two Schensted insertions, and the column machinery.
 
 Tableaux are tuples of rows (top row first); rows weakly increase, columns
-strictly increase, and row lengths weakly decrease.  Both the row-bumping
-right insertion and the column-bumping left insertion are provided, along
-with the Knuth presentations, the column and row generating sets, the
-commutativity check for the Knuth-rule squares over column rewriting, and
-the column complement involution.
+strictly increase, and row lengths weakly decrease.  The row-bumping right
+insertion and the column-bumping left insertion are each a function of
+(tableau, letter), and the column and row readings each a function of the
+tableau; the structures take them as they are.  Along with them come the
+Knuth presentations, the column and row generating sets, the commutativity
+check for the Knuth-rule squares over column rewriting, and the column
+complement involution.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def schensted_right(t: Tableau, x: int) -> Tableau:
     return tuple(rows)
 
 
-def schensted_left(x: int, t: Tableau) -> Tableau:
-    """Column bumping: x enters the leftmost column, bumps cascade rightwards.
+def schensted_left(t: Tableau, x: int) -> Tableau:
+    """Column bumping: x enters the leftmost column of t, bumps cascade
+    rightwards; the paper writes this insertion with x before t.
 
     In each column the travelling value replaces the first entry >= it, or
     goes below the column's last entry.  The walk stays on the rows: column
@@ -117,22 +120,15 @@ def columns(t: Tableau) -> list[tuple[int, ...]]:
     return [tuple(row[k] for row in t if len(row) > k) for k in range(len(t[0]))]
 
 
-READ_COL = "col"
-READ_ROW = "row"
-READ_COL_OP = "col_op"
+def read_tableau(t: Tableau) -> tuple[int, ...]:
+    """The column reading: columns left to right, each bottom to top."""
+    # the rows bottom first: a column's missing entries lead its tuple
+    return tuple([x for col in zip_longest(*reversed(t)) for x in col if x is not None])
 
 
-def read_tableau(t: Tableau, mode: str = READ_COL) -> tuple[int, ...]:
-    """col: columns left to right, bottom to top; row: rows bottom to top;
-    col_op: columns right to left, top to bottom."""
-    if mode == READ_COL:
-        # the rows bottom first: a column's missing entries lead its tuple
-        return tuple([x for col in zip_longest(*reversed(t)) for x in col if x is not None])
-    if mode == READ_ROW:
-        return tuple(x for row in reversed(t) for x in row)
-    if mode == READ_COL_OP:
-        return tuple(x for col in reversed(columns(t)) for x in col)
-    raise ValueError(f"unknown reading {mode!r}")
+def read_rows(t: Tableau) -> tuple[int, ...]:
+    """The row reading: rows bottom to top, each left to right."""
+    return tuple(x for row in reversed(t) for x in row)
 
 
 _row_insert_many = rows_kernel(_row_bump)
@@ -158,8 +154,7 @@ def young_left(n: int) -> StringDataStructure:
     by the column reading of P(w).  Row insertion bumps along at most one
     entry per row, where column insertion walks the columns.
     """
-    return StringDataStructure("young-left", n, EMPTY,
-                               lambda t, x: schensted_left(x, t),
+    return StringDataStructure("young-left", n, EMPTY, schensted_left,
                                read_tableau, RIGHT_TO_LEFT, _left_insert_many)
 
 
@@ -220,7 +215,7 @@ def column_generating_set(n: int) -> GeneratingSet:
 
 def row_generating_set(n: int, max_len: int) -> GeneratingSet:
     structure = StringDataStructure("young-right-rows", n, EMPTY, schensted_right,
-                                    lambda t: read_tableau(t, READ_ROW), LEFT_TO_RIGHT)
+                                    read_rows, LEFT_TO_RIGHT)
     gens = tuple(enumerate_rows(n, max_len))
     def decompose(t: Tableau) -> tuple[Tableau, ...]:
         return tuple((row,) for row in reversed(t))

@@ -175,7 +175,7 @@ def test_criterion_13_worked_figure_goldens():
     figure = ((1, 3, 5), (2, 4), (6,))
     checks = [
         young.schensted_right(figure, 2) == ((1, 2, 5), (2, 3), (4,), (6,)),
-        young.schensted_left(2, figure) == ((1, 2, 3, 5), (2, 4), (6,)),
+        young.schensted_left(figure, 2) == ((1, 2, 3, 5), (2, 4), (6,)),
         young.young_right(6).constructor((4, 5, 3, 1, 2, 6))
         == ((1, 2, 6), (3, 5), (4,)),
         chinese.chinese_right_insert(

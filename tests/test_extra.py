@@ -9,20 +9,22 @@ from sdskit.extra import (
     commutation_probe,
     derived_right_insertion,
     format_tree,
-    hypoplactic_insert,
     hypoplactic_left,
+    hypoplactic_left_insert,
     hypoplactic_right,
+    hypoplactic_right_insert,
     hypoplactic_srs,
     is_patience_tableau,
     is_quasi_ribbon,
     is_search_tree,
+    lps_insert,
     lps_right,
     lps_srs,
     parse_tree,
-    patience_insert,
     ps_read,
     qr_offsets,
     qr_read,
+    rps_insert,
     rps_right,
     rps_srs,
     sylvester_insert,
@@ -50,8 +52,6 @@ def test_hypoplactic_left_reaches_same_tableau():
 
 
 @pytest.mark.parametrize("insert, what", [
-    (lambda: hypoplactic_insert((), 1, "up"), "side 'up'"),
-    (lambda: patience_insert((), 1, "mps"), "variant 'mps'"),
     (lambda: knuth_srs(2, "mirror"), "variant 'mirror'"),
 ])
 def test_an_unknown_side_or_variant_is_refused(insert, what):
@@ -60,8 +60,8 @@ def test_an_unknown_side_or_variant_is_refused(insert, what):
 
 
 def test_hypoplactic_single_box():
-    assert hypoplactic_insert((), 4, "right") == ((4,),)
-    assert hypoplactic_insert((), 4, "left") == ((4,),)
+    assert hypoplactic_right_insert((), 4) == ((4,),)
+    assert hypoplactic_left_insert((), 4) == ((4,),)
 
 
 def test_qr_reading_golden():
@@ -75,8 +75,8 @@ def test_qr_reading_golden():
 def test_hypoplactic_insertions_preserve_invariants(word):
     t = u = ()
     for x in word:
-        t = hypoplactic_insert(t, x, "right")
-        u = hypoplactic_insert(u, x, "left")
+        t = hypoplactic_right_insert(t, x)
+        u = hypoplactic_left_insert(u, x)
         assert is_quasi_ribbon(t) and is_quasi_ribbon(u)
     assert sorted(qr_read(t)) == sorted(word)
     assert sum(len(r) for r in t) == len(word)
@@ -108,8 +108,8 @@ def test_sylvester_round_trip():
 
 
 def test_sylvester_insert_duplicates_go_left():
-    t = sylvester_insert(5, None)
-    t = sylvester_insert(5, t)
+    t = sylvester_insert(None, 5)
+    t = sylvester_insert(t, 5)
     assert t == (5, (5, None, None), None)
 
 
@@ -136,7 +136,7 @@ def test_patience_goldens():
     assert lps.constructor((1, 4, 2, 3, 2, 4, 1)) == ((1,), (1, 2, 4), (2, 3), (4,))
     rps = rps_right(4)
     assert rps.constructor((1, 4, 2, 3, 2, 4, 1)) == ((1, 1), (2, 2, 4), (3,), (4,))
-    assert patience_insert((), 2, "lps") == ((2,),)
+    assert lps_insert((), 2) == ((2,),)
 
 
 def test_ps_reading_goldens():
@@ -149,8 +149,8 @@ def test_ps_reading_goldens():
 def test_patience_insertions_preserve_invariants(word):
     t = u = ()
     for x in word:
-        t = patience_insert(t, x, "lps")
-        u = patience_insert(u, x, "rps")
+        t = lps_insert(t, x)
+        u = rps_insert(u, x)
         assert is_patience_tableau(t, "lps")
         assert is_patience_tableau(u, "rps")
     assert sorted(ps_read(t)) == sorted(word)
@@ -219,9 +219,7 @@ def test_probe_refuses_two_alphabet_sizes():
 def test_probe_counterexample_reporting():
     # an intentionally wrong pairing on the same carrier yields a witness
     from sdskit.sds import RIGHT_TO_LEFT, StringDataStructure
-    fake_left = StringDataStructure("fake-left", 2, (),
-                                    lambda t, x: patience_insert(t, x, "lps"),
-                                    ps_read, RIGHT_TO_LEFT)
+    fake_left = StringDataStructure("fake-left", 2, (), lps_insert, ps_read, RIGHT_TO_LEFT)
     report = commutation_probe(lps_right(2), fake_left, 3)
     assert report["result"] == "counterexample"
     assert set(report["witness"]) >= {"datum", "x", "y"}

@@ -12,8 +12,8 @@ The quasi-ribbon column reading as it was before it became one walk over
 the rows is compared with `extra.qr_read` on random ribbons.
 
 The tableau readings as they were before the column reading became one
-pass over the rows are compared with `young.read_tableau` on random
-tableaux.
+pass over the rows are compared with `young.read_tableau` and
+`young.read_rows` on random tableaux.
 
 The word kernels behind `insert_long` are compared with the fold of the
 one-letter insertions, `insert_word`, on long random words; the young-left
@@ -341,20 +341,22 @@ def is_patience_tableau(t, variant: str) -> bool:
 
 # --- comparisons -------------------------------------------------------------
 
-# name -> (empty datum, insertion under test, oracle), both as (datum, x) -> datum
+# name -> (empty datum, insertion under test, oracle), both as (datum, x) -> datum;
+# the insertion under test is looked up through its module at each call, so
+# that a mutant patched into the module reaches it
 INSERTIONS = {
     "young-right": ((), lambda t, x: young.schensted_right(t, x), schensted_right),
-    "young-left": ((), lambda t, x: young.schensted_left(x, t),
+    "young-left": ((), lambda t, x: young.schensted_left(t, x),
                    lambda t, x: schensted_left(x, t)),
-    "hypoplactic-right": ((), lambda t, x: extra.hypoplactic_insert(t, x, "right"),
+    "hypoplactic-right": ((), lambda t, x: extra.hypoplactic_right_insert(t, x),
                           lambda t, x: hypoplactic_insert(t, x, "right")),
-    "hypoplactic-left": ((), lambda t, x: extra.hypoplactic_insert(t, x, "left"),
+    "hypoplactic-left": ((), lambda t, x: extra.hypoplactic_left_insert(t, x),
                          lambda t, x: hypoplactic_insert(t, x, "left")),
-    "sylvester-left": (None, lambda t, x: extra.sylvester_insert(x, t),
+    "sylvester-left": (None, lambda t, x: extra.sylvester_insert(t, x),
                        lambda t, x: sylvester_insert(x, t)),
-    "lps": ((), lambda t, x: extra.patience_insert(t, x, extra.LPS),
+    "lps": ((), lambda t, x: extra.lps_insert(t, x),
             lambda t, x: patience_insert(t, x, extra.LPS)),
-    "rps": ((), lambda t, x: extra.patience_insert(t, x, extra.RPS),
+    "rps": ((), lambda t, x: extra.rps_insert(t, x),
             lambda t, x: patience_insert(t, x, extra.RPS)),
 }
 
@@ -411,9 +413,10 @@ def test_qr_read_matches_the_oracle(data):
     n = data.draw(st.integers(1, 9), label="n")
     steps = data.draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from(["right", "left"])),
                                max_size=80), label="steps")
+    insert = {"right": extra.hypoplactic_right_insert, "left": extra.hypoplactic_left_insert}
     t = ()
     for x, side in steps:
-        t = extra.hypoplactic_insert(t, x, side)
+        t = insert[side](t, x)
         assert extra.qr_read(t) == qr_read(t), t
 
 
@@ -432,10 +435,8 @@ def test_read_tableau_matches_the_oracle(data):
         assert len(t) <= 1
     if shape == "column":
         assert all(len(row) == 1 for row in t)
-    for mode in (young.READ_COL, young.READ_ROW, young.READ_COL_OP):
-        assert young.read_tableau(t, mode) == read_tableau(t, mode)
-    with pytest.raises(ValueError, match="unknown reading 'rows'"):
-        young.read_tableau(t, "rows")
+    assert young.read_tableau(t) == read_tableau(t, "col")
+    assert young.read_rows(t) == read_tableau(t, "row")
 
 
 def _any_tree(labels):
@@ -470,7 +471,7 @@ def _parse_outcome(parse, text):
 def test_tree_helpers_handle_a_chain_deeper_than_the_recursion_limit():
     t = None
     for _ in range(3000):
-        t = extra.sylvester_insert(1, t)
+        t = extra.sylvester_insert(t, 1)
     text = extra.format_tree(t)
     assert text == "(1 " * 3000 + "·" + " ·)" * 3000
     assert extra.tree_read(t) == (1,) * 3000
@@ -631,7 +632,7 @@ def test_one_letter_staircase_insertions_match_the_scanning_steps():
         for t in frontier:
             for x in range(1, n + 1):
                 right = chinese.chinese_right_insert(t, x)
-                left = chinese.chinese_left_insert(x, t)
+                left = chinese.chinese_left_insert(t, x)
                 assert right == _fold(_right_insert, t, (x,)), (t, x)
                 assert left == _fold(_left_insert, t, (x,)), (t, x)
                 for u in (right, left):

@@ -5,22 +5,23 @@ process, and names the change that first ran that mutant (by its
 `CHANGES.md` heading, or the ROADMAP item that measured it) and the tests
 that must notice it.  A killer must call the target through its module,
 since a name imported before the patch is not patched.  With the fault in
-place, every named test must fail an assertion; a mutant that some named
-test lets pass survives, and fails the gate.
+place, every named test must fail an assertion or a `pytest.raises`; a
+mutant that some named test lets pass survives, and fails the gate.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from types import ModuleType
 from typing import Callable
 
 import pytest
 
-from sdskit import rewriting, young
+from sdskit import chinese, extra, rewriting, young
 from sdskit.rewriting import RewriteStep
 import test_branching_oracle as oracle
+import test_chinese
 import test_insertion_oracle as insertion
 import test_rewriting
 
@@ -64,8 +65,38 @@ def _witness_passing_ties(system, letter_less):
     return next((rule for rule in system.rules if len(rule.rhs) > len(rule.lhs)), None)
 
 
-def _young_right_on_short_words():
-    insertion.test_insertions_match_the_oracle_on_every_short_word("young-right")
+def _hypoplactic_left_bisect_right(t, x):
+    """`extra.hypoplactic_left_insert` splitting its row after the entries
+    equal to x, not before them."""
+    i = bisect_left(t, x, key=extra._last)
+    if i == len(t):
+        return t + ((x,),)
+    row = t[i]
+    j = bisect_right(row, x)
+    return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
+
+
+_qword_less = chinese.qword_less
+
+
+def _qword_less_on_equal_words(u, v, gens):
+    """`chinese.qword_less` holding between a word and itself."""
+    return u == v or _qword_less(u, v, gens)
+
+
+def _replay_without_target_check(system, path):
+    """`rewriting.replay` returning the replayed word whatever the path's target."""
+    word = path.source
+    for step in path.steps:
+        word = rewriting.apply_step(system, word, step)
+    return word
+
+
+def _on_short_words(name):
+    def killer():
+        insertion.test_insertions_match_the_oracle_on_every_short_word(name)
+    killer.__name__ = f"test_insertions_match_the_oracle_on_every_short_word[{name}]"
+    return killer
 
 
 @dataclass(frozen=True)
@@ -90,11 +121,27 @@ MUTANTS = [
     Mutant("schensted-right-bisect-left",
            "ROADMAP item 11, census",
            young, "schensted_right", _schensted_right_bisect_left,
-           (_young_right_on_short_words,)),
+           (_on_short_words("young-right"),)),
     Mutant("termination-witness-passes-ties",
            "A generator presentation carries its generating set once",
            rewriting, "termination_witness", _witness_passing_ties,
            (test_rewriting.test_termination_witness_ties_need_letter_drop,)),
+    Mutant("hypoplactic-left-bisect-right",
+           "One signature for every insertion",
+           extra, "hypoplactic_left_insert", _hypoplactic_left_bisect_right,
+           (_on_short_words("hypoplactic-left"),)),
+    Mutant("lps-searches-like-rps",
+           "One signature for every insertion",
+           extra, "lps_insert", extra.rps_insert,
+           (_on_short_words("lps"),)),
+    Mutant("qword-less-on-equal-words",
+           "One failure type for the cell builders",
+           chinese, "qword_less", _qword_less_on_equal_words,
+           (test_chinese.test_qword_less_compares_lengths_first_and_is_strict,)),
+    Mutant("replay-skips-target-check",
+           "One failure type for the cell builders",
+           rewriting, "replay", _replay_without_target_check,
+           (test_rewriting.test_replay_checks_target,)),
 ]
 
 
@@ -105,7 +152,7 @@ def test_mutant_is_killed(mutant, monkeypatch):
     for killer in mutant.killers:
         try:
             killer()
-        except AssertionError:
+        except (AssertionError, pytest.fail.Exception):
             continue
         survived_by.append(killer.__name__)
     assert not survived_by, f"{mutant.name} survives {survived_by}"

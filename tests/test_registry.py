@@ -1,6 +1,7 @@
 """Registry-wide invariants: every named structure obeys the shared contract."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -54,6 +55,16 @@ def test_datum_text_round_trip(name):
             parsed = entry.parse_datum(text, n)
             assert parsed == d, (n, text)
             assert entry.format_datum(parsed) == text
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_insertion_and_reading_are_functions_their_module_names(name):
+    # a structure takes its family's (datum, letter) insertion and its
+    # reading as they are, not through an adapter
+    s = get_structure(name, 3)
+    for fn in (s.insert_one, s.read):
+        assert fn.__name__ != "<lambda>", (name, fn)
+        assert fn in vars(sys.modules[fn.__module__]).values(), (name, fn)
 
 
 @pytest.mark.parametrize("name", sorted(COMMUTATION_PAIRS))

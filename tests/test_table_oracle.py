@@ -289,8 +289,7 @@ def test_broken_pairs_match_the_oracle(monkeypatch):
     # the same for patience sorting: both probes end on a counterexample
     fake_young = StringDataStructure("fake-left", 2, (), young_right(2).insert_one,
                                      read_tableau, RIGHT_TO_LEFT)
-    fake_lps = StringDataStructure("fake-left", 2, (),
-                                   lambda t, x: extra.patience_insert(t, x, extra.LPS),
+    fake_lps = StringDataStructure("fake-left", 2, (), extra.lps_insert,
                                    extra.ps_read, RIGHT_TO_LEFT)
     for right, left in ((young_right(2), fake_young), (extra.lps_right(2), fake_lps)):
         for max_len in range(5):

@@ -138,13 +138,12 @@ def test_a_non_confluent_branching_is_a_verified_failure(monkeypatch, capsys):
     assert left != right
     assert all(rewriting.is_normal_form(faulty.system, w) for w in (left, right))
     # a verified failure exits 1, never 2 (the usage-error code)
-    monkeypatch.setattr(coherence, "column_presentation", lambda n: faulty)
+    monkeypatch.setattr(young, "column_presentation", lambda n: faulty)
     out = coherence.verify_cell_shapes_young(3)
     assert out["result"] == "fail"
     assert out["witness"] == bad.witness
     assert _check(["check", "cell-shapes", "--structure", "young", "--n", "3"],
                   capsys) == (1, out)
-    monkeypatch.setattr(young, "column_presentation", lambda n: faulty)
     assert main(["cells", "--structure", "young", "--n", "3", "--kind", "squier"]) == 1
     assert capsys.readouterr() == ("", "error: non-confluent branching (0, 4, 3)\n")
 
@@ -159,7 +158,6 @@ def test_the_three_failure_surfaces_agree(n, budget, faulty, monkeypatch, capsys
     if faulty:
         bad = _column_cut(n)
         monkeypatch.setattr(young, "column_presentation", lambda n: bad)
-        monkeypatch.setattr(coherence, "column_presentation", lambda n: bad)
     extra = ["--n", str(n)] + ([] if budget is None else ["--budget", str(budget)])
     code, confluence = _check(["check", "confluence", "--structure", "column", *extra], capsys)
     shapes_code, shapes = _check(["check", "cell-shapes", "--structure", "young", *extra],
@@ -207,7 +205,6 @@ def test_strategy_targets_that_miss_the_decomposition_raise(monkeypatch, capsys)
     assert main(["cells", "--structure", "chinese", "--n", "3", "--kind", "strategy"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {mismatch}\n"
-    monkeypatch.setattr(coherence, "completed_presentation", lambda n: faulty)
     out = coherence.verify_cell_shapes_chinese(3)
     assert out["result"] == "fail"
     assert out["witness"] == witness

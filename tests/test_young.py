@@ -18,6 +18,7 @@ from sdskit.young import (
     is_tableau,
     knuth_srs,
     parse_tableau,
+    read_rows,
     read_tableau,
     row_presentation,
     schensted_left,
@@ -35,12 +36,12 @@ def test_right_insertion_figure():
 
 
 def test_left_insertion_figure():
-    assert schensted_left(2, FIGURE) == ((1, 2, 3, 5), (2, 4), (6,))
+    assert schensted_left(FIGURE, 2) == ((1, 2, 3, 5), (2, 4), (6,))
 
 
 def test_insert_into_empty():
     assert schensted_right((), 3) == ((3,),)
-    assert schensted_left(3, ()) == ((3,),)
+    assert schensted_left((), 3) == ((3,),)
 
 
 def test_left_insertion_matches_derived_form():
@@ -48,7 +49,7 @@ def test_left_insertion_matches_derived_form():
     s = young_right(3)
     for key, t in reachable_set(s, 5).by_read.items():
         for x in range(1, 4):
-            assert schensted_left(x, t) == s.insert_word(((x,),), key)
+            assert schensted_left(t, x) == s.insert_word(((x,),), key)
 
 
 @given(st.lists(st.integers(1, 4), max_size=7))
@@ -58,7 +59,7 @@ def test_insertions_preserve_tableau_invariants(word):
     u = ()
     for x in word:
         t = schensted_right(t, x)
-        u = schensted_left(x, u)
+        u = schensted_left(u, x)
         assert is_tableau(t)
         assert is_tableau(u)
     assert sorted(read_tableau(t)) == sorted(word)
@@ -67,10 +68,9 @@ def test_insertions_preserve_tableau_invariants(word):
 
 def test_readings_golden():
     t = ((1, 2, 6), (3, 5), (4,))
-    assert read_tableau(t, "col") == (4, 3, 1, 5, 2, 6)
-    assert read_tableau(t, "row") == (4, 3, 5, 1, 2, 6)
-    assert read_tableau(t, "col_op") == (6, 2, 5, 1, 3, 4)
-    assert read_tableau((), "col") == ()
+    assert read_tableau(t) == (4, 3, 1, 5, 2, 6)
+    assert read_rows(t) == (4, 3, 5, 1, 2, 6)
+    assert read_tableau(()) == ()
 
 
 def test_reading_injective_on_reachable():
