@@ -425,38 +425,34 @@ def rps_right(n: int) -> StringDataStructure:
 def hypoplactic_srs(n: int) -> RewritingSystem:
     """Knuth relations plus the two quartic exchange families."""
     base = knuth_srs(n)
-    pairs = [(r.lhs, r.rhs) for r in base.rules]
-    for x in range(1, n + 1):
-        for y in range(x, n + 1):
-            for z in range(y + 1, n + 1):
-                for t in range(z, n + 1):
-                    pairs.append(((z - 1, x - 1, t - 1, y - 1),
-                                  (x - 1, z - 1, y - 1, t - 1)))
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            for z in range(y, n + 1):
-                for t in range(z + 1, n + 1):
-                    pairs.append(((t - 1, y - 1, z - 1, x - 1),
-                                  (y - 1, t - 1, x - 1, z - 1)))
+    pairs = itertools.chain(
+        ((r.lhs, r.rhs) for r in base.rules),
+        (((z - 1, x - 1, t - 1, y - 1), (x - 1, z - 1, y - 1, t - 1))
+         for x in range(1, n + 1)
+         for y in range(x, n + 1)
+         for z in range(y + 1, n + 1)
+         for t in range(z, n + 1)),
+        (((t - 1, y - 1, z - 1, x - 1), (y - 1, t - 1, x - 1, z - 1))
+         for x in range(1, n + 1)
+         for y in range(x + 1, n + 1)
+         for z in range(y, n + 1)
+         for t in range(z + 1, n + 1)))
     return RewritingSystem.from_pairs(base.alphabet, pairs)
 
 
 def sylvester_srs(n: int, max_w: int) -> RewritingSystem:
     """Exchange rules z x w y -> x z w y with the inner word bounded."""
-    pairs = []
-    for wlen in range(max_w + 1):
-        for w in itertools.product(range(n), repeat=wlen):
-            for x in range(1, n + 1):
-                for y in range(x, n + 1):
-                    for z in range(y + 1, n + 1):
-                        pairs.append(((z - 1, x - 1) + w + (y - 1,),
-                                      (x - 1, z - 1) + w + (y - 1,)))
-    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
+    return RewritingSystem.from_pairs(Alphabet.letters(n), (
+        ((z - 1, x - 1) + w + (y - 1,), (x - 1, z - 1) + w + (y - 1,))
+        for wlen in range(max_w + 1)
+        for w in itertools.product(range(n), repeat=wlen)
+        for x in range(1, n + 1)
+        for y in range(x, n + 1)
+        for z in range(y + 1, n + 1)))
 
 
 def _ps_pairs(n: int, max_p: int, strict_head: bool):
     # strict_head selects between x < y <= x1 < ... and x <= y < x1 <= ...
-    pairs = []
     for p in range(1, max_p + 1):
         for x in range(1, n + 1):
             ys = range(x + 1, n + 1) if strict_head else range(x, n + 1)
@@ -466,8 +462,7 @@ def _ps_pairs(n: int, max_p: int, strict_head: bool):
                     xs = tuple(c - 1 for c in reversed(chain))
                     lhs = (y - 1,) + xs + (x - 1,)
                     rhs = (y - 1, x - 1) + xs
-                    pairs.append((lhs, rhs))
-    return pairs
+                    yield lhs, rhs
 
 
 def _chains(values, length, strict):

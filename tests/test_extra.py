@@ -1,6 +1,7 @@
 """Quasi-ribbon, search-tree, and patience-sorting structures with their probes."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +117,28 @@ def test_sylvester_insert_duplicates_go_left():
 def test_sylvester_cross_section():
     report = check_cross_section(sylvester_left(3), sylvester_srs(3, 2), 5)
     assert report["result"] == "pass"
+
+
+def _sylvester_pairs(n, max_w):
+    # the family as a list, built by the same nested loops in the same
+    # order: the reference for the streamed sylvester_srs
+    pairs = []
+    for wlen in range(max_w + 1):
+        for w in itertools.product(range(n), repeat=wlen):
+            for x in range(1, n + 1):
+                for y in range(x, n + 1):
+                    for z in range(y + 1, n + 1):
+                        pairs.append(((z - 1, x - 1) + w + (y - 1,),
+                                      (x - 1, z - 1) + w + (y - 1,)))
+    return pairs
+
+
+@pytest.mark.parametrize("max_w", range(4))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sylvester_srs_matches_the_list_oracle(n, max_w):
+    rules = sylvester_srs(n, max_w).rules
+    assert len(rules) == comb(n + 1, 3) * sum(n**k for k in range(max_w + 1))
+    assert [(r.lhs, r.rhs) for r in rules] == _sylvester_pairs(n, max_w)
 
 
 def test_sylvester_srs_zero_inner_word_is_knuth_xi():

@@ -1,10 +1,11 @@
 """Mutation gate: faults that the tests must keep noticing.
 
-Each row patches one fault into one function of an sdskit module, in
-process, and names the change that first ran that mutant (by its
+Each row patches one fault into one function of an sdskit module or
+class, in process, and names the change that first ran that mutant (by its
 `CHANGES.md` heading, or the ROADMAP item that measured it) and the tests
-that must notice it.  A killer must call the target through its module,
-since a name imported before the patch is not patched.  With the fault in
+that must notice it.  A killer must call a module's function through its
+module, since a name imported before the patch is not patched; a class
+attribute is reached through any name for the class.  With the fault in
 place, every named test must fail an assertion or a `pytest.raises`; a
 mutant that some named test lets pass survives, and fails the gate.
 """
@@ -92,6 +93,29 @@ def _replay_without_target_check(system, path):
     return word
 
 
+def _post_init_passing_duplicates(self):
+    """`RewritingSystem.__post_init__` letting a repeated rule through."""
+    n = len(self.alphabet)
+    for rule in self.rules:
+        for letter in rule.lhs + rule.rhs:
+            if not 0 <= letter < n:
+                raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
+
+
+def _post_init_letter_at_size(self):
+    """`RewritingSystem.__post_init__` accepting a letter equal to the
+    alphabet size."""
+    n = len(self.alphabet)
+    seen = set()
+    for rule in self.rules:
+        for letter in rule.lhs + rule.rhs:
+            if not 0 <= letter <= n:
+                raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
+        if rule in seen:
+            raise ValueError(f"duplicate rule {rule.lhs} -> {rule.rhs}")
+        seen.add(rule)
+
+
 def _on_short_words(name):
     def killer():
         insertion.test_insertions_match_the_oracle_on_every_short_word(name)
@@ -103,7 +127,7 @@ def _on_short_words(name):
 class Mutant:
     name: str
     first_run: str
-    module: ModuleType
+    module: ModuleType | type
     target: str
     fault: Callable
     killers: tuple[Callable[[], None], ...]
@@ -142,6 +166,15 @@ MUTANTS = [
            "One failure type for the cell builders",
            rewriting, "replay", _replay_without_target_check,
            (test_rewriting.test_replay_checks_target,)),
+    Mutant("system-passes-duplicate-rules",
+           "A presentation's rules cost their two sides and nothing more",
+           rewriting.RewritingSystem, "__post_init__", _post_init_passing_duplicates,
+           (test_rewriting.test_duplicate_rule_rejected,
+            test_rewriting.test_faults_are_named_in_rule_order)),
+    Mutant("system-accepts-letter-at-alphabet-size",
+           "A presentation's rules cost their two sides and nothing more",
+           rewriting.RewritingSystem, "__post_init__", _post_init_letter_at_size,
+           (test_rewriting.test_rule_letter_out_of_range_rejected,)),
 ]
 
 

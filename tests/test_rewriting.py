@@ -57,6 +57,8 @@ def test_alphabet_labels_must_be_distinct():
 def test_rule_letter_out_of_range_rejected():
     with pytest.raises(ValueError, match="^letter 2 out of range for alphabet of size 2$"):
         make(AB, [((0, 1), (1, 2))])
+    with pytest.raises(ValueError, match="^letter -1 out of range for alphabet of size 2$"):
+        make(AB, [((0, -1), (1, 0))])
 
 
 def test_apply_step_replaces_at_position():
@@ -94,8 +96,15 @@ def test_empty_lhs_rejected():
 
 
 def test_duplicate_rule_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate rule \(0, 1\) -> \(1, 0\)$"):
         make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0))])
+
+
+def test_faults_are_named_in_rule_order():
+    # the second rule repeats the first and the third has a bad letter:
+    # the duplicate comes first, so it is the fault named
+    with pytest.raises(ValueError, match=r"^duplicate rule \(0, 1\) -> \(1, 0\)$"):
+        make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0)), ((0, 2), (1,))])
 
 
 def _assert_picks(system, word):
