@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
-from . import coherence, registry
+from . import coherence, registry, rewriting
 from .rewriting import check_local_confluence, system_to_json, termination_witness
 from .sds import (
     check_associativity,
@@ -335,6 +335,11 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    finally:
+        # a command's step tables die with it, so that a later command that
+        # builds an equal system does not compare it with the cached one,
+        # rule by rule, at every step it selects
+        rewriting.release_step_tables()
 
 
 if __name__ == "__main__":

@@ -111,11 +111,22 @@ class Branching:
 
 @lru_cache(maxsize=None)
 def _rules_by_first_letter(system: RewritingSystem) -> dict[int, tuple[tuple[int, Word], ...]]:
-    """Each first letter's (rule id, lhs) pairs, in id order."""
+    """Each first letter's (rule id, lhs) pairs, in id order.
+
+    A table, and the system it is keyed on, lives until
+    `release_step_tables` is called: `cli.main` calls it as each command
+    returns, and a library caller keeps its tables for the whole process.
+    """
     table: dict[int, list[tuple[int, Word]]] = {}
     for rule_id, rule in enumerate(system.rules):
         table.setdefault(rule.lhs[0], []).append((rule_id, rule.lhs))
     return {k: tuple(v) for k, v in table.items()}
+
+
+# Drops every cached step table.  Bound once, here, so that it clears the
+# real cache even while `_rules_by_first_letter` is swapped for a plain
+# function, which has no `cache_clear` to call.
+release_step_tables = _rules_by_first_letter.cache_clear
 
 
 def apply_step(system: RewritingSystem, word: Word, step: RewriteStep) -> Word:

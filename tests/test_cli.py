@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdskit import rewriting, young
 from sdskit.cli import CHECKS, _to_json, main
 from sdskit.registry import COMMUTATION_PAIRS, PRESENTATION_NAMES, PROBE_PAIRS, STRUCTURES
 
@@ -310,6 +311,33 @@ def test_shared_parser_carries_no_state_between_calls():
     fresh = [(proc.returncode, proc.stdout) for proc in (run_cli(*argv) for argv in sequence)]
     assert in_process == fresh
     assert [code for code, _ in in_process] == [0, 1, 2, 0]
+
+
+def test_a_command_releases_its_step_tables_on_every_exit():
+    # a pass, a verified failure with a report, and a verified failure
+    # raised as a CellFailure; the mutation gate calls this test directly
+    for argv, code, err in [
+        (["check", "confluence", "--structure", "column", "--n", "3"], 0, ""),
+        (["check", "path-bounds", "--n", "4"], 1, ""),
+        (["cells", "--structure", "chinese", "--n", "4", "--budget", "1"], 1,
+         "error: budget exhausted"),
+    ]:
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert _main_in_process(argv)[0] == code, argv
+        assert stderr.getvalue().startswith(err), argv
+        assert rewriting._rules_by_first_letter.cache_info().currsize == 0, argv
+
+
+def test_tables_left_by_earlier_calls_do_not_change_a_command_s_bytes():
+    argv = ["check", "confluence", "--structure", "column", "--n", "3"]
+    rewriting.release_step_tables()    # the first run starts with no table
+    first = _main_in_process(argv)
+    assert _main_in_process(argv) == first
+    # a library call keeps its tables: the command meets an equal system cached
+    rewriting.classify(young.column_presentation(3).system)
+    assert rewriting._rules_by_first_letter.cache_info().currsize == 1
+    assert _main_in_process(argv) == first
 
 
 @pytest.mark.parametrize("argv", [

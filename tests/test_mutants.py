@@ -23,6 +23,7 @@ from sdskit import chinese, extra, rewriting, young
 from sdskit.rewriting import RewriteStep
 import test_branching_oracle as oracle
 import test_chinese
+import test_cli
 import test_insertion_oracle as insertion
 import test_rewriting
 
@@ -116,6 +117,10 @@ def _post_init_letter_at_size(self):
         seen.add(rule)
 
 
+def _release_no_step_table():
+    """`rewriting.release_step_tables` leaving every cached table in place."""
+
+
 def _on_short_words(name):
     def killer():
         insertion.test_insertions_match_the_oracle_on_every_short_word(name)
@@ -175,6 +180,10 @@ MUTANTS = [
            "A presentation's rules cost their two sides and nothing more",
            rewriting.RewritingSystem, "__post_init__", _post_init_letter_at_size,
            (test_rewriting.test_rule_letter_out_of_range_rejected,)),
+    Mutant("command-keeps-its-step-tables",
+           "A command's step tables die with the command",
+           rewriting, "release_step_tables", _release_no_step_table,
+           (test_cli.test_a_command_releases_its_step_tables_on_every_exit,)),
 ]
 
 
