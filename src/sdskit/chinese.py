@@ -273,14 +273,16 @@ def qword_less(u: Word, v: Word, gens: list[Gen]) -> bool:
 
 
 def chinese_relations(n: int) -> RewritingSystem:
-    """The defining relations on single letters, as four oriented families."""
+    """The defining relations over the alphabet's indices (the paper's
+    letters shifted by one): z y x -> y z x and z x y -> y z x for
+    x < y < z, then y y x -> y x y and y x x -> x y x for x < y."""
     pairs = []
-    for x, y, z in itertools.combinations(range(1, n + 1), 3):
-        pairs.append(((z - 1, y - 1, x - 1), (y - 1, z - 1, x - 1)))
-        pairs.append(((z - 1, x - 1, y - 1), (y - 1, z - 1, x - 1)))
-    for x, y in itertools.combinations(range(1, n + 1), 2):
-        pairs.append(((y - 1, y - 1, x - 1), (y - 1, x - 1, y - 1)))
-        pairs.append(((y - 1, x - 1, x - 1), (x - 1, y - 1, x - 1)))
+    for x, y, z in itertools.combinations(range(n), 3):
+        pairs.append(((z, y, x), (y, z, x)))
+        pairs.append(((z, x, y), (y, z, x)))
+    for x, y in itertools.combinations(range(n), 2):
+        pairs.append(((y, y, x), (y, x, y)))
+        pairs.append(((y, x, x), (x, y, x)))
     return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 

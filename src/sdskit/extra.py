@@ -420,56 +420,45 @@ def rps_right(n: int) -> StringDataStructure:
 
 
 # --- congruences -----------------------------------------------------------
+#
+# Each family ranges over the alphabet's indices: index i is the paper's
+# letter i + 1 (`Alphabet.letters`), a monotone shift that keeps every
+# inequality of the paper's relations.
 
 
 def hypoplactic_srs(n: int) -> RewritingSystem:
-    """Knuth relations plus the two quartic exchange families."""
+    """The Knuth rules, then the quartic exchanges z x t y -> x z y t for
+    x <= y < z <= t and t y z x -> y t x z for x < y <= z < t."""
     base = knuth_srs(n)
     pairs = itertools.chain(
         ((r.lhs, r.rhs) for r in base.rules),
-        (((z - 1, x - 1, t - 1, y - 1), (x - 1, z - 1, y - 1, t - 1))
-         for x in range(1, n + 1)
-         for y in range(x, n + 1)
-         for z in range(y + 1, n + 1)
-         for t in range(z, n + 1)),
-        (((t - 1, y - 1, z - 1, x - 1), (y - 1, t - 1, x - 1, z - 1))
-         for x in range(1, n + 1)
-         for y in range(x + 1, n + 1)
-         for z in range(y, n + 1)
-         for t in range(z + 1, n + 1)))
+        (((z, x, t, y), (x, z, y, t))
+         for x in range(n) for y in range(x, n) for z in range(y + 1, n) for t in range(z, n)),
+        (((t, y, z, x), (y, t, x, z))
+         for x in range(n) for y in range(x + 1, n) for z in range(y, n) for t in range(z + 1, n)))
     return RewritingSystem.from_pairs(base.alphabet, pairs)
 
 
 def sylvester_srs(n: int, max_w: int) -> RewritingSystem:
-    """Exchange rules z x w y -> x z w y with the inner word bounded."""
+    """Exchange rules z x w y -> x z w y for x <= y < z, the inner word w
+    of at most max_w letters; streamed, so no list of pairs is held."""
     return RewritingSystem.from_pairs(Alphabet.letters(n), (
-        ((z - 1, x - 1) + w + (y - 1,), (x - 1, z - 1) + w + (y - 1,))
+        ((z, x) + w + (y,), (x, z) + w + (y,))
         for wlen in range(max_w + 1)
         for w in itertools.product(range(n), repeat=wlen)
-        for x in range(1, n + 1)
-        for y in range(x, n + 1)
-        for z in range(y + 1, n + 1)))
+        for x in range(n) for y in range(x, n) for z in range(y + 1, n)))
 
 
 def _ps_pairs(n: int, max_p: int, strict_head: bool):
-    # strict_head selects between x < y <= x1 < ... and x <= y < x1 <= ...
+    # strict_head selects the inequalities of lps_srs, else those of rps_srs
+    chains = itertools.combinations if strict_head else itertools.combinations_with_replacement
     for p in range(1, max_p + 1):
-        for x in range(1, n + 1):
-            ys = range(x + 1, n + 1) if strict_head else range(x, n + 1)
-            for y in ys:
-                lows = range(y, n + 1) if strict_head else range(y + 1, n + 1)
-                for chain in _chains(lows, p, strict=strict_head):
-                    xs = tuple(c - 1 for c in reversed(chain))
-                    lhs = (y - 1,) + xs + (x - 1,)
-                    rhs = (y - 1, x - 1) + xs
-                    yield lhs, rhs
-
-
-def _chains(values, length, strict):
-    values = list(values)
-    if strict:
-        return itertools.combinations(values, length)
-    return itertools.combinations_with_replacement(values, length)
+        for x in range(n):
+            for y in (range(x + 1, n) if strict_head else range(x, n)):
+                lows = range(y, n) if strict_head else range(y + 1, n)
+                for chain in chains(lows, p):
+                    xs = chain[::-1]
+                    yield (y,) + xs + (x,), (y, x) + xs
 
 
 def lps_srs(n: int, max_p: int) -> RewritingSystem:

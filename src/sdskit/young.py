@@ -165,24 +165,20 @@ def young_right_mirror(n: int) -> StringDataStructure:
 
 
 def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
-    """The Knuth relations (or their reversed pairing) as oriented rules."""
-    pairs = []
+    """The Knuth relations as oriented rules over the alphabet's indices
+    (the paper's letters shifted by one): z x y -> x z y for x <= y < z,
+    then y z x -> y x z for x < y <= z.  The "reversed" variant swaps the
+    two sets of triples."""
+    weak = [(x, y, z) for x in range(n) for y in range(x, n) for z in range(y + 1, n)]
+    strict = [(x, y, z) for x in range(n) for y in range(x + 1, n) for z in range(y, n)]
     if variant == "standard":
-        xi = [(x, y, z) for x in range(1, n + 1) for y in range(x, n + 1)
-              for z in range(y + 1, n + 1)]
-        zeta = [(x, y, z) for x in range(1, n + 1) for y in range(x + 1, n + 1)
-                for z in range(y, n + 1)]
+        xi, zeta = weak, strict
     elif variant == "reversed":
-        xi = [(x, y, z) for x in range(1, n + 1) for y in range(x + 1, n + 1)
-              for z in range(y, n + 1)]
-        zeta = [(x, y, z) for x in range(1, n + 1) for y in range(x, n + 1)
-                for z in range(y + 1, n + 1)]
+        xi, zeta = strict, weak
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    for x, y, z in xi:
-        pairs.append(((z - 1, x - 1, y - 1), (x - 1, z - 1, y - 1)))
-    for x, y, z in zeta:
-        pairs.append(((y - 1, z - 1, x - 1), (y - 1, x - 1, z - 1)))
+    pairs = [((z, x, y), (x, z, y)) for x, y, z in xi]
+    pairs += [((y, z, x), (y, x, z)) for x, y, z in zeta]
     return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
 
 

@@ -1,31 +1,38 @@
 """Mutation gate: faults that the tests must keep noticing.
 
 Each row patches one fault into one function of an sdskit module or
-class, in process, and names the change that first ran that mutant (by its
-`CHANGES.md` heading, or the ROADMAP item that measured it) and the tests
-that must notice it.  A killer must call a module's function through its
-module, since a name imported before the patch is not patched; a class
-attribute is reached through any name for the class.  With the fault in
-place, every named test must fail an assertion or a `pytest.raises`; a
-mutant that some named test lets pass survives, and fails the gate.
+class, or into one entry of a registry table, in process, and names the
+change that first ran that mutant (by its `CHANGES.md` heading, or the
+ROADMAP item that measured it) and the tests that must notice it.  A
+killer must call a module's function through its module, since a name
+imported before the patch is not patched; a class attribute or a table
+entry is reached through any name for the class or the table.  With the
+fault in place, every named test must fail an assertion or a
+`pytest.raises`; a mutant that some named test lets pass survives, and
+fails the gate.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import ModuleType
 from typing import Callable
 
 import pytest
 
-from sdskit import chinese, extra, rewriting, young
-from sdskit.rewriting import RewriteStep
+from sdskit import chinese, cli, coherence, extra, registry, rewriting, sds, young
+from sdskit.rewriting import RewriteStep, RewritingSystem
 import test_branching_oracle as oracle
 import test_chinese
 import test_cli
+import test_family_oracle as family
 import test_insertion_oracle as insertion
+import test_registry
 import test_rewriting
+import test_sds
 
 _rules_by_first_letter = rewriting._rules_by_first_letter
 
@@ -121,20 +128,80 @@ def _release_no_step_table():
     """`rewriting.release_step_tables` leaving every cached table in place."""
 
 
-def _on_short_words(name):
+def _staircase_display_unreversed(t):
+    """`chinese.staircase_display` writing each row as it is stored."""
+    return [list(row) for row in t]
+
+
+def _with_congruence_at_max_len_0(name, n, L):
+    """`cli._with_congruence` without its `--max-len 0` guard."""
+    entry = registry.lookup(registry.STRUCTURES, name, "congruence")
+    return entry.factory(n), entry.congruence(n, L)
+
+
+def _ps_text_top_down(t):
+    """`registry._format_ps` writing each patience column top down."""
+    return json.dumps({"columns_bottom_up": [col[::-1] for col in t]})
+
+
+def _datum_label_concatenating(structure, d):
+    """`sds.datum_label` concatenating the letters at every rank."""
+    word = structure.read(d)
+    return "c_" + "".join(map(str, word)) if word else "e"
+
+
+_legs_witness = coherence.legs_witness
+
+
+def _legs_witness_right_from_left(source, left, right, expected=None):
+    """`coherence.legs_witness` taking `right` from the left leg."""
+    witness = _legs_witness(source, left, right, expected)
+    if witness and "right" in witness:
+        witness["right"] = list(left.target)
+    return witness
+
+
+_knuth_srs = young.knuth_srs
+
+
+def _knuth_standard_pairs_reversed(n, variant="standard"):
+    """`young.knuth_srs` with its weak and strict triples swapped for "standard"."""
+    return _knuth_srs(n, "reversed" if variant == "standard" else variant)
+
+
+def _hypoplactic_t_from_z(n):
+    """`extra.hypoplactic_srs` with the t of its second quartic family
+    ranging from z, not z + 1.  A z ranging from y, not y + 1, in a family
+    with x <= y < z is no row: at x = y = z it adds a rule whose two sides
+    are equal, which `RewritingSystem` refuses with a ValueError."""
+    base = young.knuth_srs(n)
+    return RewritingSystem.from_pairs(base.alphabet, itertools.chain(
+        ((r.lhs, r.rhs) for r in base.rules),
+        (((z, x, t, y), (x, z, y, t))
+         for x in range(n) for y in range(x, n) for z in range(y + 1, n) for t in range(z, n)),
+        (((t, y, z, x), (y, t, x, z))
+         for x in range(n) for y in range(x + 1, n) for z in range(y, n) for t in range(z, n))))
+
+
+def _case(test, *args):
+    """The case `args` of a parametrized test, as a killer."""
     def killer():
-        insertion.test_insertions_match_the_oracle_on_every_short_word(name)
-    killer.__name__ = f"test_insertions_match_the_oracle_on_every_short_word[{name}]"
+        test(*args)
+    killer.__name__ = f"{test.__name__}[{'-'.join(map(str, args))}]"
     return killer
+
+
+def _on_short_words(name):
+    return _case(insertion.test_insertions_match_the_oracle_on_every_short_word, name)
 
 
 @dataclass(frozen=True)
 class Mutant:
     name: str
     first_run: str
-    module: ModuleType | type
+    module: ModuleType | type | dict
     target: str
-    fault: Callable
+    fault: object
     killers: tuple[Callable[[], None], ...]
 
 
@@ -184,12 +251,48 @@ MUTANTS = [
            "A command's step tables die with the command",
            rewriting, "release_step_tables", _release_no_step_table,
            (test_cli.test_a_command_releases_its_step_tables_on_every_exit,)),
+    Mutant("staircase-display-unreversed",
+           "One registry entry per structure",
+           chinese, "staircase_display", _staircase_display_unreversed,
+           (test_chinese.test_staircase_display_round_trip,)),
+    Mutant("max-len-0-guard-removed",
+           "One registry entry per structure",
+           cli, "_with_congruence", _with_congruence_at_max_len_0,
+           tuple(_case(test_cli.test_degenerate_bounds_exit_2,
+                       ["check", check, "--structure", name, "--n", "2", "--max-len", "0"])
+                 for check, name in [("cross-section", "young-right"),
+                                     ("compatibility", "sylvester-left")])),
+    Mutant("patience-columns-written-top-down",
+           "One registry entry per structure",
+           registry.STRUCTURES, "lps-right",
+           replace(registry.STRUCTURES["lps-right"], format_datum=_ps_text_top_down),
+           (_case(test_registry.test_patience_text_writes_each_column_bottom_up, "lps-right",
+                  '{"columns_bottom_up": [[1], [1, 2, 4], [2, 3], [4]]}'),)),
+    Mutant("datum-label-concatenates-two-digit-letters",
+           "One naming rule for generators",
+           sds, "datum_label", _datum_label_concatenating,
+           (test_sds.test_datum_label,)),
+    Mutant("legs-witness-right-from-left-leg",
+           "One walk and one witness rule for critical branchings",
+           coherence, "legs_witness", _legs_witness_right_from_left,
+           (test_rewriting.test_local_confluence_detects_failure,)),
+    Mutant("knuth-standard-pairs-like-reversed",
+           "The letter rule families range over alphabet indices",
+           young, "knuth_srs", _knuth_standard_pairs_reversed,
+           (_case(family.test_knuth_matches_the_oracle, "standard", 3),)),
+    Mutant("hypoplactic-t-from-z",
+           "The letter rule families range over alphabet indices",
+           extra, "hypoplactic_srs", _hypoplactic_t_from_z,
+           (_case(family.test_hypoplactic_matches_the_oracle, 3),)),
 ]
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_is_killed(mutant, monkeypatch):
-    monkeypatch.setattr(mutant.module, mutant.target, mutant.fault)
+    if isinstance(mutant.module, dict):
+        monkeypatch.setitem(mutant.module, mutant.target, mutant.fault)
+    else:
+        monkeypatch.setattr(mutant.module, mutant.target, mutant.fault)
     survived_by = []
     for killer in mutant.killers:
         try:

@@ -57,6 +57,18 @@ def test_datum_text_round_trip(name):
             assert entry.format_datum(parsed) == text
 
 
+@pytest.mark.parametrize("name,text", [
+    ("lps-right", '{"columns_bottom_up": [[1], [1, 2, 4], [2, 3], [4]]}'),
+    ("rps-right", '{"columns_bottom_up": [[1, 1], [2, 2, 4], [3], [4]]}'),
+])
+def test_patience_text_writes_each_column_bottom_up(name, text):
+    # the patience tableaux of 1 4 2 3 2 4 1; a column written top down
+    # fails to parse back rather than fails the round trip's assertion, so
+    # the mutation gate calls this test directly
+    entry = STRUCTURES[name]
+    assert entry.format_datum(entry.factory(4).constructor((1, 4, 2, 3, 2, 4, 1))) == text
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_insertion_and_reading_are_functions_their_module_names(name):
     # a structure takes its family's (datum, letter) insertion and its

@@ -391,14 +391,15 @@ def test_derived_insertion_identities_small():
 
 
 def test_datum_label():
+    # through the module, since the mutation gate calls this test directly
     s = young_right(3)
-    assert datum_label(s, s.empty) == "e"
-    assert datum_label(s, ((1,), (3,))) == "c_31"
-    assert datum_label(young_right(9), ((1,), (9,))) == "c_91"
+    assert sds.datum_label(s, s.empty) == "e"
+    assert sds.datum_label(s, ((1,), (3,))) == "c_31"
+    assert sds.datum_label(young_right(9), ((1,), (9,))) == "c_91"
     # from rank 10 on, the letters of every label are joined with "-"
-    assert datum_label(young_right(10), ((1,), (3,))) == "c_3-1"
-    assert datum_label(young_right(11), ((2, 11), (10,))) == "c_10-2-11"
-    assert datum_label(young_right(11), ((11,),)) == "c_11"
+    assert sds.datum_label(young_right(10), ((1,), (3,))) == "c_3-1"
+    assert sds.datum_label(young_right(11), ((2, 11), (10,))) == "c_10-2-11"
+    assert sds.datum_label(young_right(11), ((11,),)) == "c_11"
 
 
 @pytest.mark.parametrize("gen", [lambda: row_generating_set(12, 3),
