@@ -289,13 +289,8 @@ def chinese_relations(n: int) -> RewritingSystem:
 def precolumn_pairs(n: int) -> list[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
     """Defining rules for the two-letter columns and squares, plus the
     reduced forms of the defining relations rewritten over them."""
-    pairs: list[tuple[tuple[Gen, ...], tuple[Gen, ...]]] = []
     # column and square defining rules
-    for y in range(2, n + 1):
-        for x in range(1, y):
-            pairs.append((((y, 0), (x, 0)), ((y, x),)))
-    for x in range(2, n):
-        pairs.append((((x, 0), (x, 0)), ((x, x),)))
+    pairs = [(((y, 0), (x, 0)), ((y, x),)) for y, x in qn_generators(n) if x]
     # commutation of a column with its head letter
     for y in range(2, n + 1):
         for x in range(1, y):
@@ -379,37 +374,20 @@ def completed_order_less(n: int):
     return lambda u, v: qword_less(u, v, gens)
 
 
+def rule_shapes(n: int) -> dict[tuple[tuple[Gen, ...], tuple[Gen, ...]], str]:
+    """The head-led rules of the paper's families: each rule of
+    `precolumn_pairs` and `completion_pairs` whose right-hand side is two
+    generators led by the head letter of its source.  A rule is tagged
+    "commutation" when its right-hand side is its source's two generators
+    swapped, and "square" otherwise."""
+    return {(lhs, rhs): "commutation" if rhs == lhs[::-1] else "square"
+            for lhs, rhs in itertools.chain(precolumn_pairs(n), completion_pairs(n))
+            if len(rhs) == 2 and rhs[0][0] == lhs[0][0]}
+
+
 def commutation_rule_pairs(n: int) -> set[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
-    """The commutation shapes: a rule is one of these exactly when its
-    right-hand side starts again with the head letter of its source."""
-    pairs = set()
-    for y in range(2, n + 1):
-        for x in range(1, y):
-            pairs.add((((y, 0), (y, x)), ((y, x), (y, 0))))
-            if 1 < y < n:
-                pairs.add((((y, y), (y, x)), ((y, x), (y, y))))
-    for z in range(2, n + 1):
-        for y in range(1, z):
-            for x in range(1, y):
-                pairs.add((((z, y), (z, x)), ((z, x), (z, y))))
-    for y in range(2, n):
-        pairs.add((((y, y), (y, 0)), ((y, 0), (y, y))))
-    return pairs
-
-
-def square_rule_pairs(n: int) -> set[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
-    """Rules led by a square generator whose right-hand side keeps the head."""
-    pairs = set()
-    for y in range(2, n):
-        for x in range(1, y):
-            pairs.add((((y, y), (x, 0)), ((y, x), (y, 0))))
-            if x > 1:
-                pairs.add((((y, y), (x, x)), ((y, x), (y, x))))
-    for z in range(2, n):
-        for y in range(2, z + 1):
-            for x in range(1, y):
-                pairs.add((((z, z), (y, x)), ((z, x), (z, y))))
-    return pairs
+    """The rules that `rule_shapes` tags "commutation"."""
+    return {rule for rule, shape in rule_shapes(n).items() if shape == "commutation"}
 
 
 def _rule_gens(gens: list[Gen], word: Word) -> tuple[Gen, ...]:
@@ -422,14 +400,13 @@ def verify_rule_shape(n: int) -> dict:
     The head of a rule's first generator reappears as the head of the last
     right-hand generator, and the remaining indices are a permutation of
     the ones on the left (zeros padding single letters).  Rules whose
-    right-hand side starts again with the head letter must be one of the
-    commutation or square shapes; the report counts both families.
+    right-hand side starts again with the head letter must be rules of
+    `rule_shapes`; the report counts both of its shapes.
     """
     pres = completed_presentation(n)
     gens = qn_generators(n)
     name = pres.system.alphabet.name
-    commutation = commutation_rule_pairs(n)
-    square = square_rule_pairs(n)
+    shapes = rule_shapes(n)
     counts = {"commutation": 0, "square": 0}
     for rule in pres.system.rules:
         lhs = _rule_gens(gens, rule.lhs)
@@ -446,14 +423,12 @@ def verify_rule_shape(n: int) -> dict:
                           witness={"rule": [name(i) for i in rule.lhs],
                                    "reason": "index multiset"})
         if len(rhs) == 2 and rhs[0][0] == head:
-            if (lhs, rhs) in commutation:
-                counts["commutation"] += 1
-            elif (lhs, rhs) in square:
-                counts["square"] += 1
-            else:
+            shape = shapes.get((lhs, rhs))
+            if shape is None:
                 return report("rule-shape", None, {"n": n}, "fail",
                               witness={"rule": [name(i) for i in rule.lhs],
                                        "reason": "unclassified head-led rule"})
+            counts[shape] += 1
     return report("rule-shape", None, {"n": n}, "pass",
                   rule_count=len(pres.system.rules), family_counts=counts)
 

@@ -283,24 +283,18 @@ def schuetzenberger_involution(n: int, max_len: int = 3) -> dict:
     system = pres.system
     gens, index = pres.generating.generators, pres.generating.index
 
-    def star_letter(i: int) -> tuple[int, ...]:
-        image = column_complement(gens[i], n)
-        if not image:
-            return ()
-        return (index[read_tableau(image)],)
+    # star[i] is the generator of column i's complement, None for the full
+    # column, whose complement is empty
+    images = (column_complement(g, n) for g in gens)
+    star = [index[read_tableau(image)] if image else None for image in images]
 
     def star_word(word):
-        out = ()
-        for letter in reversed(word):
-            out += star_letter(letter)
-        return out
+        return tuple(star[i] for i in reversed(word) if star[i] is not None)
 
-    involutive = all(
-        (not star_letter(i)) or star_word(star_letter(i)) == (i,)
-        for i in range(len(gens)))
-    full = index[read_tableau(tuple((x,) for x in range(1, n + 1)))]
+    full = index[tuple(range(n, 0, -1))]
     # the full column maps to the empty word and back to the full column
-    involutive = involutive and star_letter(full) == ()
+    involutive = star[full] is None and all(s is None or star[s] == i
+                                            for i, s in enumerate(star))
 
     def normal_form(word, check: dict):
         # a truncated normalization cannot support the sub-check's verdict
@@ -337,9 +331,8 @@ def schuetzenberger_involution(n: int, max_len: int = 3) -> dict:
         "congruence_preserved": condition_i,
         "normal_forms_preserved": condition_ii,
         "normalization_commutes": identity,
-        "map": {system.alphabet.name(i): (system.alphabet.name(star_letter(i)[0])
-                                          if star_letter(i) else "e")
-                for i in range(len(gens))},
+        "map": {system.alphabet.name(i): "e" if s is None else system.alphabet.name(s)
+                for i, s in enumerate(star)},
     }
 
 

@@ -7,7 +7,10 @@ critical), the three loops that normalized branching legs on their own
 (`check_local_confluence`, `knuth_bendix_pass`, `squier_cells`), the
 `classify` that built one system per rule, and `verify_path_bounds` with
 its own scan of reducible triples, and the reports that `verify_rule_shape`
-and `verify_knuth_decomposition` built by hand.  They serve as test-only oracles: the
+and `verify_knuth_decomposition` built by hand.  The two staircase
+verifiers read the hand-written commutation and square lists that
+`chinese.rule_shapes` replaced, copied here too, so that they do not
+compare the rule shapes with themselves.  They serve as test-only oracles: the
 new code must agree with them on every registered presentation at small
 bounds and on random systems.  The two staircase verifiers name their
 witness letters from the system's alphabet, as `sds.datum_label` now names
@@ -22,18 +25,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdskit import chinese, coherence, registry, rewriting, young
 from sdskit.chinese import (
+    Gen,
     _rule_gens,
-    commutation_rule_pairs,
     completed_order_less,
     completed_presentation,
     qn_generators,
-    square_rule_pairs,
 )
 from sdskit.coherence import ThreeCell
 from sdskit.rewriting import (
@@ -232,6 +235,39 @@ def squier_cells(system: RewritingSystem, budget: int | None = None) -> list[Thr
             raise ValueError(f"non-confluent branching {branching.source}")
         cells.append(ThreeCell(branching.source, left, right, branching))
     return cells
+
+
+def commutation_rule_pairs(n: int) -> set[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
+    """The commutation shapes: a rule is one of these exactly when its
+    right-hand side starts again with the head letter of its source."""
+    pairs = set()
+    for y in range(2, n + 1):
+        for x in range(1, y):
+            pairs.add((((y, 0), (y, x)), ((y, x), (y, 0))))
+            if 1 < y < n:
+                pairs.add((((y, y), (y, x)), ((y, x), (y, y))))
+    for z in range(2, n + 1):
+        for y in range(1, z):
+            for x in range(1, y):
+                pairs.add((((z, y), (z, x)), ((z, x), (z, y))))
+    for y in range(2, n):
+        pairs.add((((y, y), (y, 0)), ((y, 0), (y, y))))
+    return pairs
+
+
+def square_rule_pairs(n: int) -> set[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:
+    """Rules led by a square generator whose right-hand side keeps the head."""
+    pairs = set()
+    for y in range(2, n):
+        for x in range(1, y):
+            pairs.add((((y, y), (x, 0)), ((y, x), (y, 0))))
+            if x > 1:
+                pairs.add((((y, y), (x, x)), ((y, x), (y, x))))
+    for z in range(2, n):
+        for y in range(2, z + 1):
+            for x in range(1, y):
+                pairs.add((((z, z), (y, x)), ((z, x), (z, y))))
+    return pairs
 
 
 def verify_path_bounds(n: int) -> dict:
@@ -510,6 +546,18 @@ def test_branching_sources_are_the_reducible_triples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rule_shape_matches_the_oracle(n):
     assert _same_report(chinese.verify_rule_shape(n), verify_rule_shape(n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rule_shapes_are_the_hand_written_lists(n):
+    """The head-led family rules are the two hand-written lists; the lists
+    share the C(n-1, 2) swaps c_zz.c_zx -> c_zx.c_zz, tagged commutation."""
+    shapes = chinese.rule_shapes(n)
+    commutation, square = commutation_rule_pairs(n), square_rule_pairs(n)
+    assert shapes.keys() == commutation | square
+    assert {rule for rule, shape in shapes.items() if shape == "commutation"} == commutation
+    assert {rule for rule, shape in shapes.items() if shape == "square"} == square - commutation
+    assert len(commutation & square) == math.comb(n - 1, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -558,6 +558,9 @@ GOLDEN = [
      "f0c6c74750907bc34c215a3af5e584d22b2a569f2a933099ef92b8aedd596af5"),
     ("check path-bounds --structure chinese --n 4", 1,
      "67633c18d098a6bf3401c5353455e005578d4ccf3aaa9685a7d6bda42174096f"),
+    # the commutation rules feed the late-step witness list
+    ("check path-bounds --n 5", 1,
+     "56c9d3e2bc9398f2643fa3d3e5970621eeac54dc9558cbf2029a7b9d096c9d3b"),
     ("check cell-shapes --structure chinese --n 3", 0,
      "eb808e7f7f4620da3b961ec988c68b08e7acd9fd01e499d34551842465938444"),
     ("check cell-shapes --structure young --n 4", 0,

@@ -33,6 +33,7 @@ import test_insertion_oracle as insertion
 import test_registry
 import test_rewriting
 import test_sds
+import test_young
 
 _rules_by_first_letter = rewriting._rules_by_first_letter
 
@@ -183,6 +184,29 @@ def _hypoplactic_t_from_z(n):
          for x in range(n) for y in range(x + 1, n) for z in range(y, n) for t in range(z, n))))
 
 
+def _rule_shapes_precolumn_only(n):
+    """`chinese.rule_shapes` reading the head-led rules of `precolumn_pairs`
+    alone, without the completion families."""
+    return {(lhs, rhs): "commutation" if rhs == lhs[::-1] else "square"
+            for lhs, rhs in chinese.precolumn_pairs(n)
+            if len(rhs) == 2 and rhs[0][0] == lhs[0][0]}
+
+
+_rule_shapes = chinese.rule_shapes
+
+
+def _rule_shapes_all_commutation(n):
+    """`chinese.rule_shapes` tagging every head-led rule "commutation"."""
+    return dict.fromkeys(_rule_shapes(n), "commutation")
+
+
+def _column_complement_unreflected(col, n):
+    """`young.column_complement` keeping the entries outside the column as
+    they are, not as n + 1 - a."""
+    entries = {row[0] for row in col}
+    return tuple((a,) for a in range(1, n + 1) if a not in entries)
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -284,6 +308,18 @@ MUTANTS = [
            "The letter rule families range over alphabet indices",
            extra, "hypoplactic_srs", _hypoplactic_t_from_z,
            (_case(family.test_hypoplactic_matches_the_oracle, 3),)),
+    Mutant("rule-shapes-precolumn-only",
+           "The staircase rule shapes are read off the paper's rule families",
+           chinese, "rule_shapes", _rule_shapes_precolumn_only,
+           (test_chinese.test_verify_rule_shape,)),
+    Mutant("rule-shapes-all-commutation",
+           "The staircase rule shapes are read off the paper's rule families",
+           chinese, "rule_shapes", _rule_shapes_all_commutation,
+           (_case(oracle.test_rule_shape_matches_the_oracle, 3),)),
+    Mutant("column-complement-unreflected",
+           "The staircase rule shapes are read off the paper's rule families",
+           young, "column_complement", _column_complement_unreflected,
+           (test_young.test_schuetzenberger_report,)),
 ]
 
 

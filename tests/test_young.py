@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit.coherence import legs_witness
-from sdskit.rewriting import check_local_confluence, classify, termination_witness
+from sdskit.rewriting import (
+    LEFTMOST,
+    check_local_confluence,
+    classify,
+    is_normal_form,
+    normalize,
+    termination_witness,
+)
 from sdskit.sds import reachable_set
 from sdskit import young
 from sdskit.young import (
@@ -178,6 +185,27 @@ def test_schuetzenberger_report():
     assert "witness" in report["normal_forms_preserved"]
     assert not any("budget_hits" in value for value in report.values()
                    if isinstance(value, dict))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_schuetzenberger_witnesses_hold_for_the_reversed_complement(n):
+    """The word map complements each column and reverses their order; the
+    report's witnesses are witnesses for that map, computed here column by
+    column."""
+    pres = column_presentation(n)
+    system, gens, index = pres.system, pres.generating.generators, pres.generating.index
+    def image(word):
+        images = (column_complement(gens[i], n) for i in reversed(word))
+        return tuple(index[read_tableau(c)] for c in images if c)
+    def nf(word):
+        return normalize(system, word, LEFTMOST).target
+    report = schuetzenberger_involution(n)
+    assert report["normal_forms_preserved"]["result"] == "fail"
+    word = tuple(report["normal_forms_preserved"]["witness"]["word"])
+    assert is_normal_form(system, word) and not is_normal_form(system, image(word))
+    assert report["normalization_commutes"]["result"] == "fail"
+    word = tuple(report["normalization_commutes"]["witness"]["word"])
+    assert nf(image(word)) != image(nf(word))
 
 
 def test_schuetzenberger_counts_budget_hits(monkeypatch):
