@@ -29,13 +29,18 @@ from .sds import (
 )
 
 
-def _to_json(value, indent: str = ""):
+def _to_json(value, indent: str = "", templates: dict | None = None):
     """The pieces of `json.dumps(value, indent=2)`, in order and byte for
     byte, for a value nested at `indent`; an iterator is written as an
     array and consumed once.  With an indent `json` falls back to its
     pure-Python encoder; writing dicts and lists here, and each flat value
-    in one piece, is about twice as fast on large reports."""
-    text = _flat(value, indent)
+    in one piece, is about three times as fast on the 54,425 rules of
+    `build sylvester --n 6 --max-len 4` and 1.3 times on a cells export.
+    `templates` holds the `%`-template of each flat dict shape met so far;
+    the outermost call makes it, and it dies with that call."""
+    if templates is None:
+        templates = {}
+    text = _flat(value, indent, templates)
     if text is not None:
         yield text
         return
@@ -46,10 +51,10 @@ def _to_json(value, indent: str = ""):
         brackets, items = "[]", (("", v) for v in value)
     sep = brackets[0] + "\n" + inner
     for key, v in items:
-        text = _flat(v, inner)
+        text = _flat(v, inner, templates)
         if text is None:
             yield sep + key
-            yield from _to_json(v, inner)
+            yield from _to_json(v, inner, templates)
         else:
             yield sep + key + text
         sep = ",\n" + inner
@@ -59,17 +64,60 @@ def _to_json(value, indent: str = ""):
         yield brackets
 
 
-def _flat(value, indent: str) -> str | None:
+_INT = {int}
+
+
+def _flat(value, indent: str, templates: dict) -> str | None:
     """The text of a scalar, of a list of ints or of a nonempty dict of
-    those; None for any other value, which is written piece by piece."""
+    those; None for any other value, which is written piece by piece.  A
+    dict is written by one `%` of the template of its shape: its indent
+    and, per key, 0 for a value given as its `_scalar` text, -1 for an
+    int and k for a list of k ints, which are given as themselves."""
     if not isinstance(value, dict):
         return _scalar(value, indent)
-    inner = indent + "  "
-    texts = [_scalar(v, inner) for v in value.values()]
-    if not texts or None in texts:
+    if not value:
         return None
-    items = [f"{_json_key(k)}: {text}" for k, text in zip(value, texts)]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    shape, args = [indent], []
+    for key, v in value.items():
+        if type(key) is not str:    # 1, 1.0 and True hash alike but are written apart
+            key = (type(key), key)
+        t = type(v)
+        if t is int:
+            shape += key, -1
+            args.append(v)
+        elif (t is tuple or t is list) and v and set(map(type, v)) == _INT:
+            shape += key, len(v)
+            args += v
+        else:
+            text = _scalar(v, indent + "  ")
+            if text is None:
+                return None
+            shape += key, 0
+            args.append(text)
+    shape = tuple(shape)
+    template = templates.get(shape)
+    if template is None:
+        template = templates[shape] = _template(shape)
+    return template % tuple(args)
+
+
+def _template(shape: tuple) -> str:
+    """The `%`-template of a flat dict shape (see `_flat`)."""
+    indent = shape[0]
+    inner = indent + "  "
+    items = []
+    for key, kind in zip(shape[1::2], shape[2::2]):
+        if type(key) is tuple:
+            key = key[1]
+        text = _lines("[]", ["%d"] * kind, inner) if kind > 0 else "%d" if kind else "%s"
+        items.append(_json_key(key).replace("%", "%%") + ": " + text)
+    return _lines("{}", items, indent)
+
+
+def _lines(brackets: str, texts, indent: str) -> str:
+    """`texts` between `brackets`, one a line at `indent` plus two spaces."""
+    inner = indent + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + brackets[1]
 
 
 def _scalar(value, indent: str) -> str | None:
@@ -77,10 +125,9 @@ def _scalar(value, indent: str) -> str | None:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) != {int}:
+        if set(map(type, value)) != _INT:
             return None
-        inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join(map(str, value)) + "\n" + indent + "]"
+        return _lines("[]", map(str, value), indent)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, (dict, Iterator)):

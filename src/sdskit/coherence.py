@@ -152,7 +152,7 @@ def verify_cell_shapes_chinese(n: int, budget: int | None = None) -> dict:
 
 def cell_to_json(cell: ThreeCell) -> dict:
     return {
-        "source_word": list(cell.source),
+        "source_word": cell.source,
         "left": [{"rule": s.rule_id, "pos": s.position} for s in cell.left_path.steps],
         "right": [{"rule": s.rule_id, "pos": s.position} for s in cell.right_path.steps],
     }

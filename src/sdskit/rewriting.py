@@ -71,14 +71,17 @@ class RewritingSystem:
 
     def __post_init__(self):
         n = len(self.alphabet)
+        letters = frozenset(range(n))
+        within = letters.issuperset
         seen = set()  # the rules themselves: a Rule hashes and compares by its sides
         for rule in self.rules:
-            for letter in rule.lhs + rule.rhs:
-                if not 0 <= letter < n:
-                    raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
-            if rule in seen:
-                raise ValueError(f"duplicate rule {rule.lhs} -> {rule.rhs}")
+            if not (within(rule.lhs) and within(rule.rhs)):
+                letter = next(x for x in rule.lhs + rule.rhs if x not in letters)
+                raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
+            size = len(seen)
             seen.add(rule)
+            if len(seen) == size:
+                raise ValueError(f"duplicate rule {rule.lhs} -> {rule.rhs}")
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> "RewritingSystem":
@@ -470,5 +473,5 @@ def system_to_json(system: RewritingSystem) -> dict:
     dict per rule as it is consumed, so a writer need not hold them all."""
     return {
         "alphabet": list(system.alphabet.labels),
-        "rules": ({"lhs": list(r.lhs), "rhs": list(r.rhs)} for r in system.rules),
+        "rules": ({"lhs": r.lhs, "rhs": r.rhs} for r in system.rules),
     }

@@ -207,6 +207,27 @@ def _column_complement_unreflected(col, n):
     return tuple((a,) for a in range(1, n + 1) if a not in entries)
 
 
+_flat = cli._flat
+
+
+class _KeyedWithoutIndent:
+    """A template table that keys each shape without its indent."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def get(self, shape):
+        return self.table.get(shape[1:])
+
+    def __setitem__(self, shape, template):
+        self.table[shape[1:]] = template
+
+
+def _flat_keyed_without_indent(value, indent, templates):
+    """`cli._flat` with its template table keyed by shape without the indent."""
+    return _flat(value, indent, _KeyedWithoutIndent(templates))
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -320,6 +341,10 @@ MUTANTS = [
            "The staircase rule shapes are read off the paper's rule families",
            young, "column_complement", _column_complement_unreflected,
            (test_young.test_schuetzenberger_report,)),
+    Mutant("templates-keyed-without-indent",
+           "One writer, one %-template per record shape",
+           cli, "_flat", _flat_keyed_without_indent,
+           (test_cli.test_emitter_matches_json_dumps_indent_2,)),
 ]
 
 
