@@ -46,12 +46,34 @@ def is_staircase(t: Staircase) -> bool:
 def chinese_right_insert(t: Staircase, x: int) -> Staircase:
     """Insert x through the bottom rows; every step moves one letter down.
 
-    Never drives an entry negative: entries are only decremented right
-    after being observed non-zero.
+    Walking up from row n, a row's last nonzero column y > x gives one unit
+    to column x, and y travels on unless it was the diagonal; x equal to
+    the row lands on the diagonal.  Never drives an entry negative: entries
+    are only decremented right after being observed non-zero.  Only the
+    rows a step changes are copied; the others are shared with t.
     """
-    if not 1 <= x <= len(t):
-        raise ValueError(f"letter {x} out of range 1..{len(t)}")
-    return _right_kernel(t, (x,))
+    n = len(t)
+    if not 1 <= x <= n:
+        raise ValueError(f"letter {x} out of range 1..{n}")
+    rows = list(t)
+    r = n
+    while True:
+        row = t[r - 1]
+        if x == r:
+            rows[r - 1] = row[:-1] + (row[-1] + 1,)
+            return tuple(rows)
+        y = r
+        while y > x and not row[y - 1]:
+            y -= 1
+        if y > x:
+            new = list(row)
+            new[y - 1] -= 1
+            new[x - 1] += 1
+            rows[r - 1] = tuple(new)
+            if y == r:
+                return tuple(rows)
+            x = y
+        r -= 1
 
 
 def _right_insert(rows: list[list[int]], x: int, last: list[int]) -> None:
@@ -97,14 +119,37 @@ def chinese_left_insert(t: Staircase, x: int) -> Staircase:
     """Two-step left insertion of x into t (the paper writes x before t):
     sweep rows 1..x-1 with a marker, then land in row x.
 
-    The landing increments the marked column of row x.  A final decrement
-    there would drive a multiplicity negative, so the increment is the only
-    variant compatible with the right insertion through the reading; the
-    tests pin that equality exhaustively.
+    In row i the first nonzero column z moves one unit to the diagonal
+    while no marker is set, and to the marked column y when z < y; either
+    way z becomes the marker.  The landing increments the marked column of
+    row x (its diagonal if none was set).  A final decrement there would
+    drive a multiplicity negative, so the increment is the only variant
+    compatible with the right insertion through the reading; the tests pin
+    that equality exhaustively.  Only the rows a step changes are copied;
+    the others are shared with t.
     """
     if not 1 <= x <= len(t):
         raise ValueError(f"letter {x} out of range 1..{len(t)}")
-    return _left_kernel(t, (x,))
+    rows = list(t)
+    y = 0  # marker; 0 plays the empty value
+    for i in range(1, x):
+        row = t[i - 1]
+        end = y - 1 if y else i  # once marked, only a column before y moves
+        z = 1
+        while z <= end and not row[z - 1]:
+            z += 1
+        if z > end:
+            continue
+        new = list(row)
+        new[z - 1] -= 1
+        if z < i:
+            new[(y or i) - 1] += 1
+        rows[i - 1] = tuple(new)
+        y = z
+    row = t[x - 1]
+    y = y or x
+    rows[x - 1] = row[:y - 1] + (row[y - 1] + 1,) + row[y:]
+    return tuple(rows)
 
 
 def _left_insert(rows: list[list[int]], x: int, first: list[int]) -> None:
@@ -153,9 +198,11 @@ def _left_insert(rows: list[list[int]], x: int, first: list[int]) -> None:
 
 
 def _staircase_kernel(step):
-    """The word kernel of a staircase insertion `step(rows, x, cache)`: the
-    rows are copied to lists once, one cache of row extremes serves the
-    whole word, and the rows are frozen once."""
+    """The word kernel of a staircase insertion `step(rows, x, cache)`,
+    behind `insert_long` only: the rows are copied to lists once, one cache
+    of row extremes serves the whole word, and the rows are frozen once.
+    Fed one letter it would copy and freeze every row, so the one-letter
+    insertions are written apart and copy only the rows they change."""
     def insert_many(t: Staircase, letters: tuple[int, ...]) -> Staircase:
         rows = [list(row) for row in t]
         cache = [-1] * len(rows)

@@ -22,8 +22,9 @@ long runs of one letter and of strictly decreasing runs.
 
 The staircase steps as they were before they cached each row's extreme
 nonzero column, which scan every row they visit, are compared with the
-one-letter staircase insertions on every datum reachable within length 6
-at n = 4, and, folded, with both staircase kernels, whose one cache serves
+one-letter staircase insertions on every datum reachable within a length
+bound at n = 1, 2, 4 and 6 (which must also share every row they leave
+alone), and, folded, with both staircase kernels, whose one cache serves
 a whole word, on words made of runs n..1, runs 1..n and runs of one letter,
 which empty a row's cached column and fill it again.
 
@@ -623,24 +624,31 @@ def _fold(step, t, letters):
     return tuple(map(tuple, rows))
 
 
-def test_one_letter_staircase_insertions_match_the_scanning_steps():
-    # every datum reachable within length 6 at n = 4, by either side
-    n = 4
+@pytest.mark.parametrize("n, length, count", [(1, 12, 13), (2, 12, 252), (4, 8, 4191),
+                                               (6, 6, 8114)])
+def test_one_letter_staircase_insertions_match_the_scanning_steps(n, length, count):
+    # every datum reachable within `length` letters, by either side: the
+    # `count` staircases of weight <= length (a descent weighs 2); the
+    # input is left as it was, and every row an insertion leaves equal is
+    # the input's own row
     seen, frontier = {chinese.empty_staircase(n)}, [chinese.empty_staircase(n)]
-    for _ in range(6):
+    for _ in range(length):
         nxt = []
         for t in frontier:
+            before = tuple(map(tuple, t))
             for x in range(1, n + 1):
                 right = chinese.chinese_right_insert(t, x)
                 left = chinese.chinese_left_insert(t, x)
                 assert right == _fold(_right_insert, t, (x,)), (t, x)
                 assert left == _fold(_left_insert, t, (x,)), (t, x)
+                assert t == before, (t, x)
                 for u in (right, left):
+                    assert all(new is old for new, old in zip(u, t) if new == old), (t, x, u)
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)
         frontier = nxt
-    assert len(seen) > 1000
+    assert len(seen) == count
 
 
 def _staircase_word(data, n: int, label: str) -> tuple[int, ...]:

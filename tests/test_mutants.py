@@ -207,6 +207,54 @@ def _column_complement_unreflected(col, n):
     return tuple((a,) for a in range(1, n + 1) if a not in entries)
 
 
+def _right_insert_scanning_from_r_minus_1(t, x):
+    """`chinese.chinese_right_insert` scanning row r for its last nonzero
+    column from r - 1, not r, so a nonzero diagonal is never seen."""
+    rows = list(t)
+    r = len(t)
+    while True:
+        row = t[r - 1]
+        if x == r:
+            rows[r - 1] = row[:-1] + (row[-1] + 1,)
+            return tuple(rows)
+        y = r - 1
+        while y > x and not row[y - 1]:
+            y -= 1
+        if y > x:
+            new = list(row)
+            new[y - 1] -= 1
+            new[x - 1] += 1
+            rows[r - 1] = tuple(new)
+            if y == r:
+                return tuple(rows)
+            x = y
+        r -= 1
+
+
+def _left_insert_landing_on_x(t, x):
+    """`chinese.chinese_left_insert` landing in column x of row x even
+    after a marker was set."""
+    rows = list(t)
+    y = 0
+    for i in range(1, x):
+        row = t[i - 1]
+        end = y - 1 if y else i
+        z = 1
+        while z <= end and not row[z - 1]:
+            z += 1
+        if z > end:
+            continue
+        new = list(row)
+        new[z - 1] -= 1
+        if z < i:
+            new[(y or i) - 1] += 1
+        rows[i - 1] = tuple(new)
+        y = z
+    row = t[x - 1]
+    rows[x - 1] = row[:-1] + (row[-1] + 1,)
+    return tuple(rows)
+
+
 _flat = cli._flat
 
 
@@ -238,6 +286,10 @@ def _case(test, *args):
 
 def _on_short_words(name):
     return _case(insertion.test_insertions_match_the_oracle_on_every_short_word, name)
+
+
+_staircase_steps_at_4 = _case(
+    insertion.test_one_letter_staircase_insertions_match_the_scanning_steps, 4, 8, 4191)
 
 
 @dataclass(frozen=True)
@@ -345,6 +397,14 @@ MUTANTS = [
            "One writer, one %-template per record shape",
            cli, "_flat", _flat_keyed_without_indent,
            (test_cli.test_emitter_matches_json_dumps_indent_2,)),
+    Mutant("staircase-right-scans-from-r-minus-1",
+           "A staircase's one-letter insertion copies only the rows it changes",
+           chinese, "chinese_right_insert", _right_insert_scanning_from_r_minus_1,
+           (_staircase_steps_at_4,)),
+    Mutant("staircase-left-lands-on-x-after-a-marker",
+           "A staircase's one-letter insertion copies only the rows it changes",
+           chinese, "chinese_left_insert", _left_insert_landing_on_x,
+           (_staircase_steps_at_4,)),
 ]
 
 
