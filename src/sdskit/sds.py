@@ -136,6 +136,8 @@ class Row:
     `like` another shares its data and ids, so the two structures' ids
     agree.  `delta` and `reads` grow to cover the ids only when an id past
     their end is asked for, so interning through one row touches no other.
+    `products` memoises the structure's product of two ids, and belongs to
+    this row alone.
     """
 
     def __init__(self, structure: StringDataStructure, like: Row | None = None):
@@ -144,12 +146,13 @@ class Row:
         self.structure, self.n = structure, structure.n
         self.delta: list = []       # id after letter x from id i, at i * n + x - 1
         self.reads: list = []       # id -> reading
+        self.products: dict[tuple[int, int], int] = {}     # (i, j) -> id of i star j
 
     def state(self, d: Datum) -> int:
         """The id of datum d, interning it."""
-        i = self.ids.get(d)
-        if i is None:
-            i = self.ids[d] = len(self.data)
+        new = len(self.data)
+        i = self.ids.setdefault(d, new)
+        if i == new:
             self.data.append(d)
         return i
 
@@ -173,12 +176,25 @@ class Row:
         return key
 
     def walk(self, i: int, word: tuple[int, ...]) -> int:
-        """`insert_word` from id i: each letter checked, in reading order."""
-        structure = self.structure
+        """`insert_word` from id i: each letter checked, in reading order.
+        A letter already in `delta` is read there; `step` runs on a miss."""
+        structure, n, delta = self.structure, self.n, self.delta
         for x in word if structure.direction == LEFT_TO_RIGHT else reversed(word):
-            structure._check_letter(x)
-            i = self.step(i, x)
+            if not 1 <= x <= n:
+                structure._check_letter(x)
+            k = i * n + x - 1
+            j = delta[k] if k < len(delta) else None
+            i = self.step(i, x) if j is None else j
         return i
+
+    def product(self, i: int, j: int) -> int:
+        """The id of data[i] star data[j]: the reading of j walked from i,
+        memoised, so the row walks each pair once."""
+        products = self.products
+        k = products.get((i, j))
+        if k is None:
+            k = products[i, j] = self.walk(i, self.read(j))
+        return k
 
 
 @dataclass
@@ -278,14 +294,13 @@ def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
             continue
         for a in by_weight[wa]:
             for b in by_weight[wb]:
-                ab = row.walk(a, row.read(b))
+                ab = row.product(a, b)
                 for c in by_weight[wc]:
-                    rc = row.read(c)
-                    if row.walk(ab, rc) != row.walk(a, row.read(row.walk(b, rc))):
+                    if row.product(ab, c) != row.product(a, row.product(b, c)):
                         return report("associativity", structure.name, params, "fail",
                                       witness={"a": list(row.read(a)),
                                                "b": list(row.read(b)),
-                                               "c": list(rc)})
+                                               "c": list(row.read(c))})
     return report("associativity", structure.name, params, "pass")
 
 
@@ -542,7 +557,7 @@ class GeneratingSet:
         """The product of a nonempty generator word, walked in the set's row."""
         row, i = self.row, word[0]
         for j in word[1:]:
-            i = row.walk(i, row.read(j))
+            i = row.product(i, j)
         return row.data[i]
 
 
@@ -597,7 +612,8 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
     row = gen.row
     if mode == READINGS:
         words = [row.read(i) for i in range(len(data))]
-        seen = {(u + v, row.read(row.walk(i, v))) for i, u in enumerate(words) for v in words}
+        seen = {(u + v, row.read(row.product(i, j)))
+                for i, u in enumerate(words) for j, v in enumerate(words)}
         pairs = sorted((_letters_to_indices(l), _letters_to_indices(r))
                        for l, r in seen if l != r)
         return Presentation(RewritingSystem.from_pairs(Alphabet.letters(structure.n), pairs))
@@ -667,8 +683,8 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
         # the generators multiply to datum d, and no adjacent two multiply to a generator
         s = empty
         for i in word:
-            s = row.walk(s, read(i))
-        return s == d and all(read(row.walk(a, read(b))) not in index
+            s = row.product(s, i)
+        return s == d and all(read(row.product(a, b)) not in index
                               for a, b in zip(word, word[1:]))
 
     max_valid = 1

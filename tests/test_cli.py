@@ -760,9 +760,10 @@ def test_check_matrix_bytes_are_pinned(line, capsys):
 # matrix's bound: cross-section and compatibility on every structure at
 # n = 3, --max-len 5 and 6, and on hypoplactic-right at n = 4, --max-len 6,
 # recorded before the congruence closure looked factors up by lhs; then
-# compatibility on the long-rule families at --max-len 7, and commutation
+# compatibility on the long-rule families at --max-len 7, commutation
 # and probes past the matrix, recorded before every insertion from an id
-# was interned
+# was interned, and associativity past the matrix, recorded before a row
+# memoised its products
 BOUNDS = json.loads(Path(__file__).with_name("bounds_golden.json").read_text())
 
 
@@ -777,6 +778,8 @@ def test_bounds_golden_covers_every_structure():
               for s in ("young", "chinese", "hypoplactic")}
     lines |= {"check probe --structure hypoplactic --n 4 --max-len 7",
               "check probe --structure sylvester --n 3 --max-len 8"}
+    lines |= {"check associativity --structure young-right --n 3 --max-len 8",
+              "check associativity --structure chinese-right --n 4 --max-len 7"}
     assert set(BOUNDS) == lines
 
 

@@ -273,7 +273,7 @@ STRUCTURES = {**{name: entry.factory for name, entry in registry.STRUCTURES.item
 def test_reachable_data_modes_match_the_oracle(name):
     for n in (1, 2, 3):
         structure = STRUCTURES[name](n)
-        for bound in range(4):
+        for bound in range(5):
             for mode in (FULL, MINIMAL, READINGS):
                 assert _outcome(_as_oracle(sds.build_srs), structure, mode, bound=bound) == \
                     _outcome(build_srs, structure, mode, bound=bound)

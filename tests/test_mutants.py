@@ -33,6 +33,7 @@ import test_insertion_oracle as insertion
 import test_registry
 import test_rewriting
 import test_sds
+import test_table_oracle as table
 import test_young
 
 _rules_by_first_letter = rewriting._rules_by_first_letter
@@ -276,6 +277,27 @@ def _flat_keyed_without_indent(value, indent, templates):
     return _flat(value, indent, _KeyedWithoutIndent(templates))
 
 
+def _product_keyed_by_left_id(self, i, j):
+    """`sds.Row.product` with its memo keyed by the left id alone."""
+    products = self.products
+    k = products.get(i)
+    if k is None:
+        k = products[i] = self.walk(i, self.read(j))
+    return k
+
+
+def _walk_offset_by_one(self, i, word):
+    """`sds.Row.walk` reading `delta` one slot past the letter's."""
+    structure, n, delta = self.structure, self.n, self.delta
+    for x in word if structure.direction == sds.LEFT_TO_RIGHT else reversed(word):
+        if not 1 <= x <= n:
+            structure._check_letter(x)
+        k = i * n + x
+        j = delta[k] if k < len(delta) else None
+        i = self.step(i, x) if j is None else j
+    return i
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -405,6 +427,14 @@ MUTANTS = [
            "A staircase's one-letter insertion copies only the rows it changes",
            chinese, "chinese_left_insert", _left_insert_landing_on_x,
            (_staircase_steps_at_4,)),
+    Mutant("product-memo-keyed-by-left-id",
+           "The structure monoid's product gets one memoised home on the Row",
+           sds.Row, "product", _product_keyed_by_left_id,
+           (_case(table.test_row_products_match_the_star_fold, "young-right-3"),)),
+    Mutant("walk-table-offset-by-one",
+           "The structure monoid's product gets one memoised home on the Row",
+           sds.Row, "walk", _walk_offset_by_one,
+           (_case(table.test_row_products_match_the_star_fold, "young-right-3"),)),
 ]
 
 

@@ -209,6 +209,29 @@ def test_commutation_inserts_each_datum_and_letter_once(family, monkeypatch):
         assert all(t is None or type(t) is int for row in (r, l) for t in row.delta)
 
 
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
+def test_reachable_set_and_axioms_insert_each_datum_and_letter_once(name):
+    # the search steps each id's letters once and the constructor walks
+    # read them back from `delta`; only the n single-letter checks, which
+    # insert through `iota`, run outside the row
+    structure = get_structure(name, 3)
+    calls = []
+
+    def insert_one(d, x):
+        calls.append((d, x))
+        return structure.insert_one(d, x)
+
+    counted = dataclasses.replace(structure, insert_one=insert_one)
+    reach = reachable_set(counted, 4)
+    assert calls and len(set(calls)) == len(calls)
+    assert len(calls) == len(reach.row.delta) - reach.row.delta.count(None)
+    calls.clear()
+    assert check_axioms(counted, 4)["data_count"] == len(reach.index)
+    iotas, walked = calls[:3], calls[3:]
+    assert iotas == [(structure.empty, x) for x in (1, 2, 3)]
+    assert walked and len(set(walked)) == len(walked)
+
+
 @pytest.mark.parametrize("make", [column_generating_set, qn_generating_set])
 def test_generating_layer_inserts_each_datum_and_letter_once(make):
     # products walk the set's row, which interns every insertion, so the

@@ -6,6 +6,10 @@ are compared with the table-backed ones in `sdskit.sds` on every registered
 structure, commutation pair and probe pair at small bounds, and on
 structures with a broken reading, a broken pair or a mirrored product, so
 that every verdict, witness and counter must agree.
+
+The last section checks the row's memoised product (`Row.product`) against
+a fold of `star` on the same structures, and generating-set products against
+the same fold.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Any
 
 import pytest
 
-from sdskit import extra, registry, sds
+from sdskit import chinese, extra, registry, sds, young
 from sdskit.rewriting import RewritingSystem, Word, congruence_classes
 from sdskit.sds import (
     LEFT_TO_RIGHT,
@@ -324,3 +328,57 @@ def test_a_pair_failing_only_on_the_diagonal_is_reported(monkeypatch):
     probe = _same_commutation(right, left, 4, monkeypatch)
     assert probe["result"] == "counterexample"
     assert {key: probe["witness"][key] for key in witness} == witness
+
+
+# --- the product of two ids ----------------------------------------------------
+
+
+PRODUCT_CASES = {**{f"{name}-{n}": (lambda name=name, n=n: registry.get_structure(name, n))
+                    for name in registry.STRUCTURES for n in (1, 2, 3)},
+                 **{f"fault-{name}": (lambda s=s: s) for name, s in FAULTS.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_row_products_match_the_star_fold(case):
+    # every product of two reachable data, each asked for twice so that the
+    # second answer comes from the memo, is the fold of `star`
+    structure = PRODUCT_CASES[case]()
+    for max_len in range(5):
+        reach = sds.reachable_set(structure, max_len)
+        row, ids = reach.row, list(reach.index.values())
+        for _ in range(2):
+            for i, j in itertools.product(ids, repeat=2):
+                assert row.data[row.product(i, j)] == structure.star(row.data[i], row.data[j])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generating_set_products_match_the_star_fold(n):
+    # generator words of length <= 3 over the column, row (rows of length
+    # <= 3) and staircase generating sets
+    for gen in (young.column_generating_set(n), young.row_generating_set(n, 3),
+                chinese.qn_generating_set(n)):
+        ids = range(len(gen.generators))
+        for length in (1, 2, 3):
+            for word in itertools.product(ids, repeat=length):
+                d = gen.generators[word[0]]
+                for j in word[1:]:
+                    d = gen.structure.star(d, gen.generators[j])
+                assert gen.product(word) == d
+
+
+@pytest.mark.parametrize("case", ["young-right-3", "chinese-right-3", "sylvester-left-3",
+                                  "fault-mirror-star"])
+def test_associativity_walks_each_product_once(case, monkeypatch):
+    # b star c is asked for once per a, and a star c once per b; the memo
+    # walks each pair of ids once per row
+    walked = []
+
+    class Recorded(sds.Row):
+        def walk(self, i, word):
+            walked.append((self, i, word))
+            return super().walk(i, word)
+
+    monkeypatch.setattr(sds, "Row", Recorded)
+    structure = PRODUCT_CASES[case]()
+    assert sds.check_associativity(structure, 5) == check_associativity(structure, 5)
+    assert walked and len(set(walked)) == len(walked)
