@@ -14,7 +14,7 @@ shapes and reduction-path bounds.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .rewriting import Alphabet, RewritingSystem, Word, strategy_paths
 from .sds import (
@@ -319,18 +319,21 @@ def qword_less(u: Word, v: Word, gens: list[Gen]) -> bool:
     return False
 
 
-def chinese_relations(n: int) -> RewritingSystem:
+def chinese_pairs(n: int) -> Iterator[tuple[Word, Word]]:
     """The defining relations over the alphabet's indices (the paper's
     letters shifted by one): z y x -> y z x and z x y -> y z x for
     x < y < z, then y y x -> y x y and y x x -> x y x for x < y."""
-    pairs = []
     for x, y, z in itertools.combinations(range(n), 3):
-        pairs.append(((z, y, x), (y, z, x)))
-        pairs.append(((z, x, y), (y, z, x)))
+        yield (z, y, x), (y, z, x)
+        yield (z, x, y), (y, z, x)
     for x, y in itertools.combinations(range(n), 2):
-        pairs.append(((y, y, x), (y, x, y)))
-        pairs.append(((y, x, x), (x, y, x)))
-    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
+        yield (y, y, x), (y, x, y)
+        yield (y, x, x), (x, y, x)
+
+
+def chinese_relations(n: int) -> RewritingSystem:
+    """The rules of `chinese_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), chinese_pairs(n))
 
 
 def precolumn_pairs(n: int) -> list[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:

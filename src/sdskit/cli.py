@@ -17,7 +17,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import coherence, registry, rewriting
-from .rewriting import check_local_confluence, system_to_json, termination_witness
+from .rewriting import check_local_confluence, termination_witness
 from .sds import (
     check_associativity,
     check_axioms,
@@ -204,9 +204,19 @@ def cmd_insert(args) -> int:
     return 0
 
 
+def _build_report(name: str, n: int, max_len: int | None) -> dict:
+    """The report of `build`.  Its rules are checked in a first pass that
+    holds one hash per rule, so a bad rule raises before anything is
+    written; the report's rules are a second pass, one dict per rule as it
+    is written."""
+    rules = registry.presentation_rules(name, n, max_len)
+    rewriting.check_rule_pairs(rules.alphabet, rules)
+    return {"alphabet": list(rules.alphabet.labels),
+            "rules": ({"lhs": lhs, "rhs": rhs} for lhs, rhs in rules)}
+
+
 def cmd_build(args) -> int:
-    _emit(args, system_to_json(registry.build_presentation(args.name, args.n,
-                                                           args.max_len).system))
+    _emit(args, _build_report(args.name, args.n, args.max_len))
     return 0
 
 

@@ -17,8 +17,9 @@ import itertools
 from bisect import bisect_left, bisect_right
 from math import inf
 from operator import itemgetter, le, lt
+from typing import Iterator
 
-from .rewriting import Alphabet, RewritingSystem
+from .rewriting import Alphabet, RewritingSystem, Word
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -28,7 +29,7 @@ from .sds import (
     report,
     rows_kernel,
 )
-from .young import knuth_srs
+from .young import knuth_pairs
 
 _first, _last = itemgetter(0), itemgetter(-1)
 _but_first, _but_last = itemgetter(slice(1, None)), itemgetter(slice(None, -1))
@@ -426,31 +427,39 @@ def rps_right(n: int) -> StringDataStructure:
 # inequality of the paper's relations.
 
 
-def hypoplactic_srs(n: int) -> RewritingSystem:
+def hypoplactic_pairs(n: int) -> Iterator[tuple[Word, Word]]:
     """The Knuth rules, then the quartic exchanges z x t y -> x z y t for
     x <= y < z <= t and t y z x -> y t x z for x < y <= z < t."""
-    base = knuth_srs(n)
-    pairs = itertools.chain(
-        ((r.lhs, r.rhs) for r in base.rules),
-        (((z, x, t, y), (x, z, y, t))
-         for x in range(n) for y in range(x, n) for z in range(y + 1, n) for t in range(z, n)),
-        (((t, y, z, x), (y, t, x, z))
-         for x in range(n) for y in range(x + 1, n) for z in range(y, n) for t in range(z + 1, n)))
-    return RewritingSystem.from_pairs(base.alphabet, pairs)
+    yield from knuth_pairs(n)
+    yield from (((z, x, t, y), (x, z, y, t))
+                for x in range(n) for y in range(x, n) for z in range(y + 1, n)
+                for t in range(z, n))
+    yield from (((t, y, z, x), (y, t, x, z))
+                for x in range(n) for y in range(x + 1, n) for z in range(y, n)
+                for t in range(z + 1, n))
+
+
+def hypoplactic_srs(n: int) -> RewritingSystem:
+    """The rules of `hypoplactic_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), hypoplactic_pairs(n))
+
+
+def sylvester_pairs(n: int, max_w: int) -> Iterator[tuple[Word, Word]]:
+    """Exchange rules z x w y -> x z w y for x <= y < z, the inner word w
+    of at most max_w letters."""
+    return (((z, x) + w + (y,), (x, z) + w + (y,))
+            for wlen in range(max_w + 1)
+            for w in itertools.product(range(n), repeat=wlen)
+            for x in range(n) for y in range(x, n) for z in range(y + 1, n))
 
 
 def sylvester_srs(n: int, max_w: int) -> RewritingSystem:
-    """Exchange rules z x w y -> x z w y for x <= y < z, the inner word w
-    of at most max_w letters; streamed, so no list of pairs is held."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), (
-        ((z, x) + w + (y,), (x, z) + w + (y,))
-        for wlen in range(max_w + 1)
-        for w in itertools.product(range(n), repeat=wlen)
-        for x in range(n) for y in range(x, n) for z in range(y + 1, n)))
+    """The rules of `sylvester_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), sylvester_pairs(n, max_w))
 
 
-def _ps_pairs(n: int, max_p: int, strict_head: bool):
-    # strict_head selects the inequalities of lps_srs, else those of rps_srs
+def _ps_pairs(n: int, max_p: int, strict_head: bool) -> Iterator[tuple[Word, Word]]:
+    # strict_head selects the inequalities of lps_pairs, else those of rps_pairs
     chains = itertools.combinations if strict_head else itertools.combinations_with_replacement
     for p in range(1, max_p + 1):
         for x in range(n):
@@ -461,14 +470,24 @@ def _ps_pairs(n: int, max_p: int, strict_head: bool):
                     yield (y,) + xs + (x,), (y, x) + xs
 
 
-def lps_srs(n: int, max_p: int) -> RewritingSystem:
+def lps_pairs(n: int, max_p: int) -> Iterator[tuple[Word, Word]]:
     """Rules y x_p..x_1 x -> y x x_p..x_1 for x < y <= x_1 < ... < x_p."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), _ps_pairs(n, max_p, True))
+    return _ps_pairs(n, max_p, True)
+
+
+def lps_srs(n: int, max_p: int) -> RewritingSystem:
+    """The rules of `lps_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), lps_pairs(n, max_p))
+
+
+def rps_pairs(n: int, max_p: int) -> Iterator[tuple[Word, Word]]:
+    """Rules y x_p..x_1 x -> y x x_p..x_1 for x <= y < x_1 <= ... <= x_p."""
+    return _ps_pairs(n, max_p, False)
 
 
 def rps_srs(n: int, max_p: int) -> RewritingSystem:
-    """Rules y x_p..x_1 x -> y x x_p..x_1 for x <= y < x_1 <= ... <= x_p."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), _ps_pairs(n, max_p, False))
+    """The rules of `rps_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), rps_pairs(n, max_p))
 
 
 def commutation_probe(right: StringDataStructure, left: StringDataStructure,

@@ -1,8 +1,9 @@
 """Name-based registry of structures, presentations, datum formats, and the
-per-family verifiers.  The entries of `PRESENTATIONS`, `PROBE_PAIRS`,
-`TERMINATION_ORDERS`, `CELLS` and `PATH_BOUNDS`, and the congruences of
-`STRUCTURES`, look up the functions of the other sdskit modules when
-called, so rebinding such a function (as a tracer does) takes effect.
+per-family verifiers.  The entries of `LETTER_FAMILIES`, `PRESENTATIONS`,
+`PROBE_PAIRS`, `TERMINATION_ORDERS`, `CELLS` and `PATH_BOUNDS`, and the
+congruences of `STRUCTURES`, look up the functions of the other sdskit
+modules when called, so rebinding such a function (as a tracer does)
+takes effect.
 The factories, `format_datum` and `parse_datum` of `STRUCTURES` are bound
 at import: rebinding a module's function leaves them as they are, and a
 tracer replaces the entries."""
@@ -13,13 +14,16 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import chinese, coherence, extra, young
-from .rewriting import RewritingSystem
+from .rewriting import Alphabet, RewritingSystem, Word
 from .sds import Presentation, StringDataStructure
 
 _last = itemgetter(-1)
+
+# the default bound of the variable-length families
+MAX_LEN = 4
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,15 @@ def _format_qr(t):
 def _parse_qr(text: str, n: int):
     if not text.strip():
         return ()
-    _, rows = _json_rows(text, "rows")
+    data, rows = _json_rows(text, "rows")
     if not extra.is_quasi_ribbon(rows):
         raise ValueError("not a valid quasi-ribbon tableau")
+    # the offsets are derived from the rows: given ones must be those
+    offsets = list(extra.qr_offsets(rows))
+    if "offsets" in data and (data["offsets"] != offsets
+                              or not set(map(type, data["offsets"])) <= {int}):
+        raise ValueError(f"offsets {json.dumps(data['offsets'])} are not "
+                         f"the rows' offsets {offsets}")
     # read row after row, the entries weakly increase
     if rows:
         _in_range(rows[0][0], rows[-1][-1], n)
@@ -163,19 +173,32 @@ def _with_derived_right(left: StringDataStructure):
     return extra.derived_right_insertion(left), left
 
 
+# the rules of each letter family by presentation name, (n, L) -> the
+# (lhs, rhs) pairs over the letters 1..n, made afresh by each call; L
+# bounds the variable-length families
+LETTER_FAMILIES: dict[str, Callable[[int, int], Iterable[tuple[Word, Word]]]] = {
+    "knuth": lambda n, L: young.knuth_pairs(n),
+    "knuth-reversed": lambda n, L: young.knuth_pairs(n, "reversed"),
+    "chinese-relations": lambda n, L: chinese.chinese_pairs(n),
+    "hypoplactic": lambda n, L: extra.hypoplactic_pairs(n),
+    "sylvester": lambda n, L: extra.sylvester_pairs(n, L),
+    "lps": lambda n, L: extra.lps_pairs(n, L),
+    "rps": lambda n, L: extra.rps_pairs(n, L),
+}
+
+
+def _letter_presentation(name: str) -> Callable[[int, int], Presentation]:
+    return lambda n, L: Presentation(RewritingSystem.from_pairs(
+        Alphabet.letters(n), LETTER_FAMILIES[name](n, L)))
+
+
 # presentations by name; L bounds the variable-length families
 PRESENTATIONS: dict[str, Callable[[int, int], Presentation]] = {
-    "knuth": lambda n, L: Presentation(young.knuth_srs(n)),
-    "knuth-reversed": lambda n, L: Presentation(young.knuth_srs(n, "reversed")),
+    **{name: _letter_presentation(name) for name in LETTER_FAMILIES},
     "column": lambda n, L: young.column_presentation(n),
     "row": lambda n, L: young.row_presentation(n, L),
-    "chinese-relations": lambda n, L: Presentation(chinese.chinese_relations(n)),
     "chinese-precolumn": lambda n, L: chinese.precolumn_presentation(n),
     "chinese-completed": lambda n, L: chinese.completed_presentation(n),
-    "hypoplactic": lambda n, L: Presentation(extra.hypoplactic_srs(n)),
-    "sylvester": lambda n, L: Presentation(extra.sylvester_srs(n, L)),
-    "lps": lambda n, L: Presentation(extra.lps_srs(n, L)),
-    "rps": lambda n, L: Presentation(extra.rps_srs(n, L)),
 }
 
 PRESENTATION_NAMES = tuple(PRESENTATIONS)
@@ -233,4 +256,28 @@ def get_structure(name: str, n: int) -> StringDataStructure:
 def build_presentation(name: str, n: int, max_len: int | None = None) -> Presentation:
     """Presentations by name; max_len bounds the variable-length families."""
     builder = lookup(PRESENTATIONS, name, "presentation")
-    return builder(n, max_len if max_len is not None else 4)
+    return builder(n, max_len if max_len is not None else MAX_LEN)
+
+
+@dataclass(frozen=True)
+class Rules:
+    """A presentation's alphabet and its rules as (lhs, rhs) pairs; each
+    iteration calls `pairs()` afresh, so the rules can be read twice
+    without being held."""
+    alphabet: Alphabet
+    pairs: Callable[[], Iterable[tuple[Word, Word]]]
+
+    def __iter__(self) -> Iterator[tuple[Word, Word]]:
+        return iter(self.pairs())
+
+
+def presentation_rules(name: str, n: int, max_len: int | None = None) -> Rules:
+    """The rules of the presentation `name`.  A letter family's come from
+    its `LETTER_FAMILIES` generator, and no system is built; any other
+    presentation is built, and its rules are read off its system."""
+    L = max_len if max_len is not None else MAX_LEN
+    family = LETTER_FAMILIES.get(name)
+    if family is not None:
+        return Rules(Alphabet.letters(n), lambda: family(n, L))
+    system = build_presentation(name, n, L).system
+    return Rules(system.alphabet, lambda: ((r.lhs, r.rhs) for r in system.rules))

@@ -92,6 +92,29 @@ class RewritingSystem:
         return {(rule.lhs, rule.rhs) for rule in self.rules}
 
 
+def check_rule_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> None:
+    """Raise the ValueError that `RewritingSystem.from_pairs(alphabet,
+    pairs)` would raise, holding one hash per rule instead of the rules.
+
+    Each pair (two tuples of letters) is tested as `RewritingSystem` tests
+    it: a nonempty lhs that differs from its rhs, every letter in range,
+    and no rule twice.  `pairs` is read once.  When a test fails or two
+    hashes meet, it is handed to `from_pairs`, which reads it again and
+    raises its own error, or, on a mere hash collision, finds the rules
+    distinct; so `pairs` must give the same pairs each time it is read.
+    """
+    within = frozenset(range(len(alphabet))).issuperset
+    hashes: set[int] = set()
+    add = hashes.add
+    for pair in pairs:
+        lhs, rhs = pair
+        size = len(hashes)
+        add(hash(pair))
+        if len(hashes) == size or not lhs or lhs == rhs or not (within(lhs) and within(rhs)):
+            RewritingSystem.from_pairs(alphabet, pairs)
+            return
+
+
 @dataclass(frozen=True)
 class RewriteStep:
     rule_id: int
@@ -466,12 +489,3 @@ def termination_witness(system: RewritingSystem,
                                    and not letter_less(rhs[0], lhs[0])):
             return rule
     return None
-
-
-def system_to_json(system: RewritingSystem) -> dict:
-    """The system as JSON data; its rules are an iterator that makes one
-    dict per rule as it is consumed, so a writer need not hold them all."""
-    return {
-        "alphabet": list(system.alphabet.labels),
-        "rules": ({"lhs": r.lhs, "rhs": r.rhs} for r in system.rules),
-    }

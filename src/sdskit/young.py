@@ -15,11 +15,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import combinations, zip_longest
 from operator import le, lt
+from typing import Iterator
 
 from .rewriting import (
     LEFTMOST,
     Alphabet,
     RewritingSystem,
+    Word,
     is_normal_form,
     normalize,
     words_up_to,
@@ -164,7 +166,7 @@ def young_right_mirror(n: int) -> StringDataStructure:
                                read_tableau, RIGHT_TO_LEFT)
 
 
-def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
+def knuth_pairs(n: int, variant: str = "standard") -> Iterator[tuple[Word, Word]]:
     """The Knuth relations as oriented rules over the alphabet's indices
     (the paper's letters shifted by one): z x y -> x z y for x <= y < z,
     then y z x -> y x z for x < y <= z.  The "reversed" variant swaps the
@@ -177,9 +179,15 @@ def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
         xi, zeta = strict, weak
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    pairs = [((z, x, y), (x, z, y)) for x, y, z in xi]
-    pairs += [((y, z, x), (y, x, z)) for x, y, z in zeta]
-    return RewritingSystem.from_pairs(Alphabet.letters(n), pairs)
+    for x, y, z in xi:
+        yield (z, x, y), (x, z, y)
+    for x, y, z in zeta:
+        yield (y, z, x), (y, x, z)
+
+
+def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
+    """The rules of `knuth_pairs` over the letters 1..n."""
+    return RewritingSystem.from_pairs(Alphabet.letters(n), knuth_pairs(n, variant))
 
 
 def enumerate_columns(n: int) -> list[Tableau]:

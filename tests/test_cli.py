@@ -52,6 +52,22 @@ def test_insert_with_starting_datum(capsys):
     assert capsys.readouterr().out == "1 2 5\n2 3\n4\n6\n"
 
 
+@pytest.mark.parametrize("structure", ["hypoplactic-right", "hypoplactic-left"])
+def test_quasi_ribbon_offsets_must_be_the_rows_offsets(structure, capsys):
+    # the offsets are derived from the rows; a datum that gives others
+    # contradicts itself
+    argv = ["insert", "--structure", structure, "--n", "3", "--word", "2", "--datum"]
+    for offsets in ("[7, 9]", "[0.0, 1.0]", "[0]", '"0 1"'):
+        assert main(argv + ['{"rows": [[1, 2], [3]], "offsets": %s}' % offsets]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: offsets {offsets} are not the rows' offsets [0, 1]\n")
+    # the offsets that insert writes, or none, are accepted alike
+    assert main(argv + ['{"rows": [[1, 2], [3]], "offsets": [0, 1]}']) == 0
+    out = capsys.readouterr().out
+    assert main(argv + ['{"rows": [[1, 2], [3]]}']) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_insert_unknown_structure_exits_2():
     assert main(["insert", "--structure", "nope", "--word", "1"]) == 2
 

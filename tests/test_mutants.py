@@ -14,7 +14,6 @@ fails the gate.
 
 from __future__ import annotations
 
-import itertools
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ import pytest
 from sdskit import chinese, cli, coherence, extra, registry, rewriting, sds, young
 from sdskit.rewriting import RewriteStep, RewritingSystem
 import test_branching_oracle as oracle
+import test_build_stream as build
 import test_chinese
 import test_cli
 import test_family_oracle as family
@@ -163,26 +163,26 @@ def _legs_witness_right_from_left(source, left, right, expected=None):
     return witness
 
 
-_knuth_srs = young.knuth_srs
+_knuth_pairs = young.knuth_pairs
 
 
 def _knuth_standard_pairs_reversed(n, variant="standard"):
-    """`young.knuth_srs` with its weak and strict triples swapped for "standard"."""
-    return _knuth_srs(n, "reversed" if variant == "standard" else variant)
+    """`young.knuth_pairs` with its weak and strict triples swapped for "standard"."""
+    return _knuth_pairs(n, "reversed" if variant == "standard" else variant)
 
 
 def _hypoplactic_t_from_z(n):
-    """`extra.hypoplactic_srs` with the t of its second quartic family
+    """`extra.hypoplactic_pairs` with the t of its second quartic family
     ranging from z, not z + 1.  A z ranging from y, not y + 1, in a family
     with x <= y < z is no row: at x = y = z it adds a rule whose two sides
     are equal, which `RewritingSystem` refuses with a ValueError."""
-    base = young.knuth_srs(n)
-    return RewritingSystem.from_pairs(base.alphabet, itertools.chain(
-        ((r.lhs, r.rhs) for r in base.rules),
-        (((z, x, t, y), (x, z, y, t))
-         for x in range(n) for y in range(x, n) for z in range(y + 1, n) for t in range(z, n)),
-        (((t, y, z, x), (y, t, x, z))
-         for x in range(n) for y in range(x + 1, n) for z in range(y, n) for t in range(z, n))))
+    yield from young.knuth_pairs(n)
+    yield from (((z, x, t, y), (x, z, y, t))
+                for x in range(n) for y in range(x, n) for z in range(y + 1, n)
+                for t in range(z, n))
+    yield from (((t, y, z, x), (y, t, x, z))
+                for x in range(n) for y in range(x + 1, n) for z in range(y, n)
+                for t in range(z, n))
 
 
 def _rule_shapes_precolumn_only(n):
@@ -298,6 +298,29 @@ def _walk_offset_by_one(self, i, word):
     return i
 
 
+def _check_missing_repeats(alphabet, pairs):
+    """`rewriting.check_rule_pairs` never flagging a repeated hash."""
+    within = frozenset(range(len(alphabet))).issuperset
+    for lhs, rhs in pairs:
+        if not lhs or lhs == rhs or not (within(lhs) and within(rhs)):
+            RewritingSystem.from_pairs(alphabet, pairs)
+            return
+
+
+def _build_report_writing_while_checking(name, n, max_len):
+    """`cli._build_report` writing each rule in the pass that checks them."""
+    rules = registry.presentation_rules(name, n, max_len)
+
+    def checked():
+        read = []
+        for lhs, rhs in rules:
+            read.append((lhs, rhs))
+            yield {"lhs": lhs, "rhs": rhs}
+        rewriting.check_rule_pairs(rules.alphabet, read)
+
+    return {"alphabet": list(rules.alphabet.labels), "rules": checked()}
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -309,6 +332,10 @@ def _case(test, *args):
 def _on_short_words(name):
     return _case(insertion.test_insertions_match_the_oracle_on_every_short_word, name)
 
+
+_duplicate_family = _case(
+    build.test_a_faulty_family_exits_2_with_the_system_s_error_and_writes_nothing,
+    "duplicate", "json")
 
 _staircase_steps_at_4 = _case(
     insertion.test_one_letter_staircase_insertions_match_the_scanning_steps, 4, 8, 4191)
@@ -397,11 +424,11 @@ MUTANTS = [
            (test_rewriting.test_local_confluence_detects_failure,)),
     Mutant("knuth-standard-pairs-like-reversed",
            "The letter rule families range over alphabet indices",
-           young, "knuth_srs", _knuth_standard_pairs_reversed,
+           young, "knuth_pairs", _knuth_standard_pairs_reversed,
            (_case(family.test_knuth_matches_the_oracle, "standard", 3),)),
     Mutant("hypoplactic-t-from-z",
            "The letter rule families range over alphabet indices",
-           extra, "hypoplactic_srs", _hypoplactic_t_from_z,
+           extra, "hypoplactic_pairs", _hypoplactic_t_from_z,
            (_case(family.test_hypoplactic_matches_the_oracle, 3),)),
     Mutant("rule-shapes-precolumn-only",
            "The staircase rule shapes are read off the paper's rule families",
@@ -435,6 +462,14 @@ MUTANTS = [
            "The structure monoid's product gets one memoised home on the Row",
            sds.Row, "walk", _walk_offset_by_one,
            (_case(table.test_row_products_match_the_star_fold, "young-right-3"),)),
+    Mutant("build-check-misses-repeats",
+           "A `build` holds no rules",
+           rewriting, "check_rule_pairs", _check_missing_repeats,
+           (_duplicate_family,)),
+    Mutant("build-writes-while-checking",
+           "A `build` holds no rules",
+           cli, "_build_report", _build_report_writing_while_checking,
+           (_duplicate_family,)),
 ]
 
 

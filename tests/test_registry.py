@@ -8,6 +8,7 @@ import pytest
 from sdskit.registry import (
     CELLS,
     COMMUTATION_PAIRS,
+    LETTER_FAMILIES,
     PRESENTATION_NAMES,
     PRESENTATIONS,
     PROBE_PAIRS,
@@ -16,6 +17,7 @@ from sdskit.registry import (
     build_presentation,
     get_structure,
     lookup,
+    presentation_rules,
 )
 from sdskit.rewriting import LEFTMOST, RIGHTMOST, normalize, words_up_to
 from sdskit.sds import check_axioms, reachable_set
@@ -133,6 +135,25 @@ def test_cells_presentations_carry_their_generating_set(name):
 
 def test_presentation_names_follow_the_table():
     assert PRESENTATION_NAMES == tuple(PRESENTATIONS)
+
+
+@pytest.mark.parametrize("name", PRESENTATION_NAMES)
+def test_presentation_rules_read_twice_are_the_built_system_s(name):
+    for n, max_len in [(1, 2), (3, 2), (3, None)]:
+        rules = presentation_rules(name, n, max_len)
+        system = build_presentation(name, n, max_len).system
+        assert rules.alphabet == system.alphabet
+        assert list(rules) == list(rules) == [(r.lhs, r.rhs) for r in system.rules]
+
+
+def test_letter_presentations_read_their_family_when_called(monkeypatch):
+    # each letter family is registered once, in LETTER_FAMILIES, whose
+    # entries look up the module's generator when called
+    from sdskit import extra
+    assert set(LETTER_FAMILIES) < set(PRESENTATIONS)
+    monkeypatch.setattr(extra, "sylvester_pairs", lambda n, max_w: iter([((1, 0), (0, 1))]))
+    assert build_presentation("sylvester", 2, 3).system.pairs == {((1, 0), (0, 1))}
+    assert list(presentation_rules("sylvester", 2, 3)) == [((1, 0), (0, 1))]
 
 
 def test_tables_resolve_functions_when_called(monkeypatch):

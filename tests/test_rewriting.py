@@ -18,6 +18,7 @@ from sdskit.rewriting import (
     _last_step,
     apply_step,
     check_local_confluence,
+    check_rule_pairs,
     classify,
     congruence_classes,
     critical_branchings,
@@ -25,7 +26,6 @@ from sdskit.rewriting import (
     knuth_bendix_pass,
     normalize,
     replay,
-    system_to_json,
     termination_witness,
     words_up_to,
 )
@@ -104,6 +104,54 @@ def test_faults_are_named_in_rule_order():
     # the duplicate comes first, so it is the fault named
     with pytest.raises(ValueError, match=r"^duplicate rule \(0, 1\) -> \(1, 0\)$"):
         make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0)), ((0, 2), (1,))])
+
+
+def _system_error(alphabet, pairs) -> str | None:
+    try:
+        make(alphabet, pairs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _check_error(alphabet, pairs) -> str | None:
+    try:
+        check_rule_pairs(alphabet, pairs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-1, 2), max_size=2).map(tuple),
+                          st.lists(st.integers(-1, 2), max_size=2).map(tuple)),
+                max_size=6))
+def test_rule_pair_check_raises_what_the_system_raises(pairs):
+    # pairs over a tiny range meet every fault: an empty lhs, equal sides,
+    # a letter out of range (-1 or 2) and a repeat, alone and together
+    assert _check_error(AB, pairs) == _system_error(AB, pairs)
+
+
+def test_rule_pair_check_reads_its_pairs_once_when_they_are_good():
+    reads = []
+
+    class Counted:
+        def __iter__(self):
+            reads.append(1)
+            return iter([((0, 1), (1, 0)), ((1, 1), (0,))])
+
+    assert check_rule_pairs(AB, Counted()) is None
+    assert len(reads) == 1
+
+
+def test_rule_pair_check_survives_hash_collisions(monkeypatch):
+    # with every hash equal each repeat test is a doubt, which the system
+    # settles: distinct rules pass and a real repeat is still named
+    monkeypatch.setattr(rewriting, "hash", lambda value: 0, raising=False)
+    good = [((0, 1), (1, 0)), ((1, 0), (0,)), ((1, 1), ())]
+    assert check_rule_pairs(AB, good) is None
+    with pytest.raises(ValueError, match=r"^duplicate rule \(1, 0\) -> \(0,\)$"):
+        check_rule_pairs(AB, good + [((1, 0), (0,))])
 
 
 def _assert_picks(system, word):
@@ -350,15 +398,6 @@ def test_termination_witness_ties_need_letter_drop():
     rs = make(AB, [((1, 0), (0, 1))])
     assert rewriting.termination_witness(rs, lambda a, b: a < b) is None
     assert rewriting.termination_witness(rs, lambda a, b: a > b) is rs.rules[0]
-
-
-def test_json_round_trip():
-    from sdskit.young import knuth_srs
-    rs = knuth_srs(2)
-    data = system_to_json(rs)
-    assert data["alphabet"] == ["1", "2"]
-    assert {(tuple(r["lhs"]), tuple(r["rhs"])) for r in data["rules"]} == \
-        {((1, 0, 0), (0, 1, 0)), ((1, 1, 0), (1, 0, 1))}
 
 
 def test_words_up_to_order():
