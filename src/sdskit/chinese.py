@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .rewriting import Alphabet, RewritingSystem, Word, strategy_paths
+from .rewriting import RewritingSystem, Word, strategy_paths
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -329,11 +329,6 @@ def chinese_pairs(n: int) -> Iterator[tuple[Word, Word]]:
     for x, y in itertools.combinations(range(n), 2):
         yield (y, y, x), (y, x, y)
         yield (y, x, x), (x, y, x)
-
-
-def chinese_relations(n: int) -> RewritingSystem:
-    """The rules of `chinese_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), chinese_pairs(n))
 
 
 def precolumn_pairs(n: int) -> list[tuple[tuple[Gen, ...], tuple[Gen, ...]]]:

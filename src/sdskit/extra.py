@@ -1,7 +1,7 @@
 """Quasi-ribbon tableaux, binary search trees, and patience sorting tableaux.
 
-Each carrier gets its insertion(s), its reading, and the rewriting system
-of its congruence.  Each insertion is a function of (datum, letter) that
+Each carrier gets its insertion(s), its reading, and the rule pairs of
+its congruence.  Each insertion is a function of (datum, letter) that
 its structure takes as it is: `hypoplactic_right_insert` and
 `hypoplactic_left_insert`, `sylvester_insert` (a left insertion, which the
 paper writes with the letter first), and `lps_insert` and `rps_insert`,
@@ -19,7 +19,7 @@ from math import inf
 from operator import itemgetter, le, lt
 from typing import Iterator
 
-from .rewriting import Alphabet, RewritingSystem, Word
+from .rewriting import Word
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -439,11 +439,6 @@ def hypoplactic_pairs(n: int) -> Iterator[tuple[Word, Word]]:
                 for t in range(z + 1, n))
 
 
-def hypoplactic_srs(n: int) -> RewritingSystem:
-    """The rules of `hypoplactic_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), hypoplactic_pairs(n))
-
-
 def sylvester_pairs(n: int, max_w: int) -> Iterator[tuple[Word, Word]]:
     """Exchange rules z x w y -> x z w y for x <= y < z, the inner word w
     of at most max_w letters."""
@@ -451,11 +446,6 @@ def sylvester_pairs(n: int, max_w: int) -> Iterator[tuple[Word, Word]]:
             for wlen in range(max_w + 1)
             for w in itertools.product(range(n), repeat=wlen)
             for x in range(n) for y in range(x, n) for z in range(y + 1, n))
-
-
-def sylvester_srs(n: int, max_w: int) -> RewritingSystem:
-    """The rules of `sylvester_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), sylvester_pairs(n, max_w))
 
 
 def _ps_pairs(n: int, max_p: int, strict_head: bool) -> Iterator[tuple[Word, Word]]:
@@ -475,19 +465,9 @@ def lps_pairs(n: int, max_p: int) -> Iterator[tuple[Word, Word]]:
     return _ps_pairs(n, max_p, True)
 
 
-def lps_srs(n: int, max_p: int) -> RewritingSystem:
-    """The rules of `lps_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), lps_pairs(n, max_p))
-
-
 def rps_pairs(n: int, max_p: int) -> Iterator[tuple[Word, Word]]:
     """Rules y x_p..x_1 x -> y x x_p..x_1 for x <= y < x_1 <= ... <= x_p."""
     return _ps_pairs(n, max_p, False)
-
-
-def rps_srs(n: int, max_p: int) -> RewritingSystem:
-    """The rules of `rps_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), rps_pairs(n, max_p))
 
 
 def commutation_probe(right: StringDataStructure, left: StringDataStructure,

@@ -130,28 +130,31 @@ def _parse_tree(text: str, n: int):
     return tree
 
 
+def _congruence(family: str, bound: Callable[[int], int] = lambda L: L):
+    """The congruence `(n, L) -> system` of the letter family `family`, at
+    the family bound `bound(L)`; the system is built when called."""
+    return lambda n, L: build_presentation(family, n, bound(L)).system
+
+
 STRUCTURES: dict[str, StructureEntry] = {
-    "young-right": StructureEntry(young.young_right, lambda n, L: young.knuth_srs(n),
+    "young-right": StructureEntry(young.young_right, _congruence("knuth"),
                                   young.format_tableau, _parse_tableau),
-    "young-left": StructureEntry(young.young_left, lambda n, L: young.knuth_srs(n),
+    "young-left": StructureEntry(young.young_left, _congruence("knuth"),
                                  young.format_tableau, _parse_tableau),
-    "chinese-right": StructureEntry(chinese.chinese_right,
-                                    lambda n, L: chinese.chinese_relations(n),
+    "chinese-right": StructureEntry(chinese.chinese_right, _congruence("chinese-relations"),
                                     _format_staircase, _parse_staircase),
-    "chinese-left": StructureEntry(chinese.chinese_left, lambda n, L: chinese.chinese_relations(n),
+    "chinese-left": StructureEntry(chinese.chinese_left, _congruence("chinese-relations"),
                                    _format_staircase, _parse_staircase),
-    "hypoplactic-right": StructureEntry(extra.hypoplactic_right,
-                                        lambda n, L: extra.hypoplactic_srs(n),
+    "hypoplactic-right": StructureEntry(extra.hypoplactic_right, _congruence("hypoplactic"),
                                         _format_qr, _parse_qr),
-    "hypoplactic-left": StructureEntry(extra.hypoplactic_left,
-                                       lambda n, L: extra.hypoplactic_srs(n),
+    "hypoplactic-left": StructureEntry(extra.hypoplactic_left, _congruence("hypoplactic"),
                                        _format_qr, _parse_qr),
     "sylvester-left": StructureEntry(extra.sylvester_left,
-                                     lambda n, L: extra.sylvester_srs(n, max(0, L - 3)),
+                                     _congruence("sylvester", lambda L: max(0, L - 3)),
                                      extra.format_tree, _parse_tree),
-    "lps-right": StructureEntry(extra.lps_right, lambda n, L: extra.lps_srs(n, max(1, L - 2)),
+    "lps-right": StructureEntry(extra.lps_right, _congruence("lps", lambda L: max(1, L - 2)),
                                 _format_ps, lambda text, n: _parse_ps(text, n, extra.LPS)),
-    "rps-right": StructureEntry(extra.rps_right, lambda n, L: extra.rps_srs(n, max(1, L - 2)),
+    "rps-right": StructureEntry(extra.rps_right, _congruence("rps", lambda L: max(1, L - 2)),
                                 _format_ps, lambda text, n: _parse_ps(text, n, extra.RPS)),
 }
 

@@ -480,12 +480,12 @@ def classify(system: RewritingSystem) -> SystemFlags:
 def termination_witness(system: RewritingSystem,
                         letter_less: Callable[[int, int], bool]) -> Rule | None:
     """The first rule, in rule order, that a length-lexicographic order does
-    not decrease: its rhs is longer than its lhs, or as long without a first
-    letter strictly below the lhs's first letter under `letter_less`.  None
-    when every rule decreases, which proves termination."""
+    not decrease: its rhs is longer than its lhs, or as long without a letter
+    strictly below the lhs's, under `letter_less`, where the two first differ.
+    None when every rule decreases, which proves termination."""
     for rule in system.rules:
         lhs, rhs = rule.lhs, rule.rhs
-        if len(rhs) > len(lhs) or (len(rhs) == len(lhs)
-                                   and not letter_less(rhs[0], lhs[0])):
+        first_diff = len(rhs) == len(lhs) and next((y, x) for x, y in zip(lhs, rhs) if x != y)
+        if len(rhs) > len(lhs) or (first_diff and not letter_less(*first_diff)):
             return rule
     return None

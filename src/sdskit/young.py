@@ -19,8 +19,6 @@ from typing import Iterator
 
 from .rewriting import (
     LEFTMOST,
-    Alphabet,
-    RewritingSystem,
     Word,
     is_normal_form,
     normalize,
@@ -185,11 +183,6 @@ def knuth_pairs(n: int, variant: str = "standard") -> Iterator[tuple[Word, Word]
         yield (y, z, x), (y, x, z)
 
 
-def knuth_srs(n: int, variant: str = "standard") -> RewritingSystem:
-    """The rules of `knuth_pairs` over the letters 1..n."""
-    return RewritingSystem.from_pairs(Alphabet.letters(n), knuth_pairs(n, variant))
-
-
 def enumerate_columns(n: int) -> list[Tableau]:
     """All single-column tableaux over 1..n, shortest first."""
     cols = []
@@ -256,9 +249,8 @@ def verify_knuth_decomposition(n: int) -> dict:
     def embed(letters):
         return tuple(index[(x,)] for x in letters)
     checked = 0
-    for rule in knuth_srs(n).rules:
-        lhs = tuple(x + 1 for x in rule.lhs)
-        rhs = tuple(x + 1 for x in rule.rhs)
+    for pair in knuth_pairs(n):
+        lhs, rhs = (tuple(x + 1 for x in w) for w in pair)
         a = normalize(system, embed(lhs), LEFTMOST)
         b = normalize(system, embed(rhs), LEFTMOST)
         if not (a.reached_normal_form and b.reached_normal_form) or a.target != b.target:

@@ -12,6 +12,7 @@ are asserted first.
 import time
 
 from sdskit import chinese, coherence, extra, young
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     check_local_confluence,
     classify,
@@ -84,14 +85,15 @@ def test_criterion_04_non_associativity_counterexample():
 
 def test_criterion_05_plactic_cross_section():
     t0 = time.monotonic()
-    out = check_cross_section(young.young_right(3), young.knuth_srs(3), 6)
+    out = check_cross_section(young.young_right(3), build_presentation("knuth", 3).system, 6)
     assert report(5, out["result"] == "pass",
                   "tableaux cut the Knuth congruence (n=3, L=6)", t0, 60)
 
 
 def test_criterion_06_chinese_cross_section():
     t0 = time.monotonic()
-    out = check_cross_section(chinese.chinese_right(3), chinese.chinese_relations(3), 6)
+    out = check_cross_section(chinese.chinese_right(3),
+                              build_presentation("chinese-relations", 3).system, 6)
     assert report(6, out["result"] == "pass",
                   "staircases cut the Chinese congruence (n=3, L=6)", t0, 60)
 

@@ -54,7 +54,7 @@ from sdskit.rewriting import (
     is_normal_form,
     normalize,
 )
-from sdskit.young import column_presentation, knuth_srs, read_tableau
+from sdskit.young import column_presentation, knuth_pairs, read_tableau
 
 ASPHERICAL = "aspherical"
 PEIFFER = "peiffer"
@@ -393,9 +393,9 @@ def verify_knuth_decomposition(n: int) -> dict:
     def embed(letters):
         return tuple(index[(x,)] for x in letters)
     checked = 0
-    for rule in knuth_srs(n).rules:
-        lhs = tuple(x + 1 for x in rule.lhs)
-        rhs = tuple(x + 1 for x in rule.rhs)
+    for l, r in knuth_pairs(n):
+        lhs = tuple(x + 1 for x in l)
+        rhs = tuple(x + 1 for x in r)
         a = normalize(system, embed(lhs), LEFTMOST)
         b = normalize(system, embed(rhs), LEFTMOST)
         if not (a.reached_normal_form and b.reached_normal_form) or a.target != b.target:

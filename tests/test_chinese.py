@@ -9,7 +9,6 @@ from sdskit import chinese
 from sdskit.chinese import (
     chinese_left,
     chinese_left_insert,
-    chinese_relations,
     chinese_right,
     chinese_right_insert,
     commutation_rule_pairs,
@@ -168,20 +167,19 @@ def test_staircase_letters_stand_for_the_generators_in_order(name):
 
 
 def test_chinese_relations_n2():
-    rs = chinese_relations(2)
+    rs = build_presentation("chinese-relations", 2).system
     assert rs.pairs == {((1, 1, 0), (1, 0, 1)), ((1, 0, 0), (0, 1, 0))}
 
 
 def test_chinese_relations_families_n3():
     # two strict-chain rules plus two families over each of the three pairs
-    assert len(chinese_relations(3).rules) == 2 + 2 * 3
+    assert len(build_presentation("chinese-relations", 3).system.rules) == 2 + 2 * 3
 
 
 def test_precolumn_matches_presentation_dispatch():
     assert build_presentation("chinese-precolumn", 3).system.pairs == \
         precolumn_presentation(3).system.pairs
-    assert build_presentation("chinese-relations", 3).system.pairs == \
-        chinese_relations(3).pairs
+    assert build_presentation("chinese-relations", 3).system.pairs == set(chinese.chinese_pairs(3))
 
 
 def test_completed_equals_precolumn_plus_families():

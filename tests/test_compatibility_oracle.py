@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit import registry, sds
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     Alphabet,
     CongruencePartition,
@@ -38,7 +39,7 @@ from sdskit.sds import (
     reachable_set,
     report,
 )
-from sdskit.young import knuth_srs, young_left, young_right
+from sdskit.young import young_left, young_right
 
 # --- the class-level check, verbatim ------------------------------------------
 
@@ -144,13 +145,14 @@ def test_a_fault_inside_the_deepest_context_fails_with_the_class_level_witness(b
     # 2 * max_len - 1 letters; the rule-level check reaches it through a
     # context of max_len - 3 letters before a Knuth rule's three
     structure = _dropping(base(3), 2 * max_len - 1)
-    result = _same_report(structure, knuth_srs(3), max_len)
+    result = _same_report(structure, build_presentation("knuth", 3).system, max_len)
     assert result["result"] == "fail"
     witness = result["witness"]
     # a Knuth rule inside a context of max_len - 3 >= 1 letters
     assert len(witness["datum"]) == len(witness["u"]) == max_len
     # one letter later the fault is past the bound on both sides
-    assert _same_report(_dropping(base(3), 2 * max_len), knuth_srs(3), max_len)["result"] \
+    knuth = build_presentation("knuth", 3).system
+    assert _same_report(_dropping(base(3), 2 * max_len), knuth, max_len)["result"] \
         == "pass"
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit import registry, rewriting, sds
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     Alphabet,
     CongruencePartition,
@@ -35,7 +36,7 @@ from sdskit.sds import (
     reachable_set,
     report,
 )
-from sdskit.young import knuth_srs, young_left, young_right
+from sdskit.young import young_left, young_right
 from test_compatibility_oracle import _dropping
 
 # --- the closure and the walks before the one-pass layer, verbatim --------------
@@ -247,7 +248,7 @@ def test_registered_structures_match_the_walk_per_word(name):
 @pytest.mark.parametrize("max_len", [4, 5])
 def test_fault_structures_match_the_walk_per_word(base, max_len):
     for size in (2 * max_len - 1, 2 * max_len):
-        _same_walks(_dropping(base(3), size), knuth_srs(3), max_len)
+        _same_walks(_dropping(base(3), size), build_presentation("knuth", 3).system, max_len)
 
 
 def test_constructor_walks_follow_the_reading_direction():

@@ -14,28 +14,25 @@ from sdskit.extra import (
     hypoplactic_left_insert,
     hypoplactic_right,
     hypoplactic_right_insert,
-    hypoplactic_srs,
     is_patience_tableau,
     is_quasi_ribbon,
     is_search_tree,
     lps_insert,
     lps_right,
-    lps_srs,
     parse_tree,
     ps_read,
     qr_offsets,
     qr_read,
     rps_insert,
     rps_right,
-    rps_srs,
     sylvester_insert,
     sylvester_left,
-    sylvester_srs,
     tree_read,
 )
+from sdskit.registry import build_presentation
 from sdskit.rewriting import congruence_classes
 from sdskit.sds import check_axioms, check_cross_section
-from sdskit.young import knuth_srs, young_left, young_right
+from sdskit.young import knuth_pairs, young_left, young_right
 
 
 def test_hypoplactic_right_golden():
@@ -53,7 +50,7 @@ def test_hypoplactic_left_reaches_same_tableau():
 
 
 @pytest.mark.parametrize("insert, what", [
-    (lambda: knuth_srs(2, "mirror"), "variant 'mirror'"),
+    (lambda: next(knuth_pairs(2, "mirror")), "variant 'mirror'"),
 ])
 def test_an_unknown_side_or_variant_is_refused(insert, what):
     with pytest.raises(ValueError, match=f"^unknown {what}$"):
@@ -84,13 +81,15 @@ def test_hypoplactic_insertions_preserve_invariants(word):
 
 
 def test_hypoplactic_cross_section():
-    report = check_cross_section(hypoplactic_right(3), hypoplactic_srs(3), 5)
+    hypoplactic = build_presentation("hypoplactic", 3).system
+    report = check_cross_section(hypoplactic_right(3), hypoplactic, 5)
     assert report["result"] == "pass"
 
 
 def test_hypoplactic_srs_families():
     # at rank 2 the first quartic family has one instance, the second none
-    quartic = hypoplactic_srs(2).pairs - knuth_srs(2).pairs
+    quartic = (build_presentation("hypoplactic", 2).system.pairs
+               - build_presentation("knuth", 2).system.pairs)
     assert quartic == {((1, 0, 1, 0), (0, 1, 0, 1))}
 
 
@@ -115,13 +114,14 @@ def test_sylvester_insert_duplicates_go_left():
 
 
 def test_sylvester_cross_section():
-    report = check_cross_section(sylvester_left(3), sylvester_srs(3, 2), 5)
+    sylvester = build_presentation("sylvester", 3, 2).system
+    report = check_cross_section(sylvester_left(3), sylvester, 5)
     assert report["result"] == "pass"
 
 
 def _sylvester_pairs(n, max_w):
     # the family as a list, built by the same nested loops in the same
-    # order: the reference for the streamed sylvester_srs
+    # order: the reference for the streamed sylvester family
     pairs = []
     for wlen in range(max_w + 1):
         for w in itertools.product(range(n), repeat=wlen):
@@ -136,14 +136,15 @@ def _sylvester_pairs(n, max_w):
 @pytest.mark.parametrize("max_w", range(4))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_sylvester_srs_matches_the_list_oracle(n, max_w):
-    rules = sylvester_srs(n, max_w).rules
+    rules = build_presentation("sylvester", n, max_w).system.rules
     assert len(rules) == comb(n + 1, 3) * sum(n**k for k in range(max_w + 1))
     assert [(r.lhs, r.rhs) for r in rules] == _sylvester_pairs(n, max_w)
 
 
 def test_sylvester_srs_zero_inner_word_is_knuth_xi():
-    rs = sylvester_srs(3, 0)
-    xi = {(l, r) for l, r in knuth_srs(3).pairs if len(l) == 3 and l[0] > l[1]
+    rs = build_presentation("sylvester", 3, 0).system
+    knuth = build_presentation("knuth", 3).system
+    xi = {(l, r) for l, r in knuth.pairs if len(l) == 3 and l[0] > l[1]
           and (l[1] < l[2] or l[1] == l[2]) and (l, r)[1][0] == l[1]}
     # zxy -> xzy with x <= y < z: compare against the directly filtered family
     expected = set()
@@ -183,8 +184,8 @@ def test_patience_insertions_preserve_invariants(word):
 def test_ps_srs_instances():
     # rank 2, one inner letter: x < y <= x1 forces 221 -> 212, while
     # x <= y < x1 forces 121 -> 112
-    assert lps_srs(2, 1).pairs == {((1, 1, 0), (1, 0, 1))}
-    assert rps_srs(2, 1).pairs == {((0, 1, 0), (0, 0, 1))}
+    assert build_presentation("lps", 2, 1).system.pairs == {((1, 1, 0), (1, 0, 1))}
+    assert build_presentation("rps", 2, 1).system.pairs == {((0, 1, 0), (0, 0, 1))}
     # rank 3, inner chains of length two
     expected = set()
     for x in range(1, 4):
@@ -193,7 +194,7 @@ def test_ps_srs_instances():
                 for x2 in range(x1 + 1, 4):
                     expected.add(((y - 1, x2 - 1, x1 - 1, x - 1),
                                   (y - 1, x - 1, x2 - 1, x1 - 1)))
-    two_inner = {(l, r) for l, r in lps_srs(3, 2).pairs if len(l) == 4}
+    two_inner = {(l, r) for l, r in build_presentation("lps", 3, 2).system.pairs if len(l) == 4}
     assert two_inner == expected
 
 
@@ -205,10 +206,10 @@ def test_extra_axioms():
 
 def test_constructor_fibers_refine_congruence_classes():
     cases = [
-        (hypoplactic_right(3), hypoplactic_srs(3)),
-        (sylvester_left(3), sylvester_srs(3, 2)),
-        (lps_right(3), lps_srs(3, 3)),
-        (rps_right(3), rps_srs(3, 3)),
+        (hypoplactic_right(3), build_presentation("hypoplactic", 3).system),
+        (sylvester_left(3), build_presentation("sylvester", 3, 2).system),
+        (lps_right(3), build_presentation("lps", 3, 3).system),
+        (rps_right(3), build_presentation("rps", 3, 3).system),
     ]
     for structure, congruence in cases:
         part = congruence_classes(congruence, 5)

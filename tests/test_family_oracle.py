@@ -1,12 +1,14 @@
 """Test-only oracle for the letter rule families.
 
-The five family builders as they were when they ranged over the letters
-1..n and shifted every letter of every rule down by one (`knuth_srs`,
+The family builders as they were when they ranged over the letters 1..n
+and shifted every letter of every rule down by one (`knuth_srs`,
 `chinese_relations`, `hypoplactic_srs`, `sylvester_srs`, and `lps_srs`
 and `rps_srs` through `_ps_pairs` and `_chains`), copied verbatim, are
-compared with `sdskit`'s, which range over the alphabet's indices: every
-system, its alphabet and its rules in order, must be equal.  The builders
-are called through their modules, so the mutation gate can patch them.
+compared with the systems of the registry's letter families, which range
+over the alphabet's indices: `build_presentation(name, n, L).system`, its
+alphabet and its rules in order, must equal the oracle's.  The registry
+reads each family's pair generator through its module when called, so
+the mutation gate can patch the generators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 
 import pytest
 
-from sdskit import chinese, extra, young
+from sdskit.registry import build_presentation
 from sdskit.rewriting import Alphabet, RewritingSystem
 
 
@@ -121,23 +123,25 @@ BOUNDS = range(5)
 @pytest.mark.parametrize("n", RANKS)
 @pytest.mark.parametrize("variant", ["standard", "reversed"])
 def test_knuth_matches_the_oracle(variant, n):
-    assert young.knuth_srs(n, variant) == knuth_srs(n, variant)
+    name = "knuth" if variant == "standard" else "knuth-reversed"
+    assert build_presentation(name, n).system == knuth_srs(n, variant)
 
 
 @pytest.mark.parametrize("n", RANKS)
 def test_chinese_relations_match_the_oracle(n):
-    assert chinese.chinese_relations(n) == chinese_relations(n)
+    # "chinese" alone names the completed staircase presentation
+    assert build_presentation("chinese-relations", n).system == chinese_relations(n)
 
 
 @pytest.mark.parametrize("n", RANKS)
 def test_hypoplactic_matches_the_oracle(n):
-    assert extra.hypoplactic_srs(n) == hypoplactic_srs(n)
+    assert build_presentation("hypoplactic", n).system == hypoplactic_srs(n)
 
 
 @pytest.mark.parametrize("bound", BOUNDS)
 @pytest.mark.parametrize("n", BOUNDED_RANKS)
-@pytest.mark.parametrize("family,oracle", [("sylvester_srs", sylvester_srs),
-                                           ("lps_srs", lps_srs), ("rps_srs", rps_srs)],
+@pytest.mark.parametrize("family,oracle", [("sylvester", sylvester_srs),
+                                           ("lps", lps_srs), ("rps", rps_srs)],
                          ids=["sylvester", "lps", "rps"])
 def test_bounded_families_match_the_oracle(family, oracle, n, bound):
-    assert getattr(extra, family)(n, bound) == oracle(n, bound)
+    assert build_presentation(family, n, bound).system == oracle(n, bound)

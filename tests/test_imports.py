@@ -54,3 +54,20 @@ def test_no_module_imports_one_that_imports_it_back():
 
 def test_the_rewriting_engine_imports_no_other_module():
     assert _imports(MODULES["rewriting"]) == set()
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind that the module never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: found for name, tree in MODULES.items() if (found := _unused_imports(tree))}
+    assert unused == {}

@@ -470,6 +470,18 @@ MUTANTS = [
            "A `build` holds no rules",
            cli, "_build_report", _build_report_writing_while_checking,
            (_duplicate_family,)),
+    Mutant("sylvester-congruence-bound-off-by-one",
+           "One way to build a letter family's system",
+           registry.STRUCTURES, "sylvester-left",
+           replace(registry.STRUCTURES["sylvester-left"], congruence=lambda n, L:
+                   registry.build_presentation("sylvester", n, max(0, L - 2)).system),
+           (_case(test_registry.test_default_congruences_build, "sylvester-left"),)),
+    Mutant("patience-congruence-floor-dropped",
+           "One way to build a letter family's system",
+           registry.STRUCTURES, "lps-right",
+           replace(registry.STRUCTURES["lps-right"], congruence=lambda n, L:
+                   registry.build_presentation("lps", n, L - 2).system),
+           (_case(test_registry.test_default_congruences_build, "lps-right"),)),
 ]
 
 

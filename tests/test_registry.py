@@ -21,6 +21,7 @@ from sdskit.registry import (
 )
 from sdskit.rewriting import LEFTMOST, RIGHTMOST, normalize, words_up_to
 from sdskit.sds import check_axioms, reachable_set
+import test_family_oracle as family
 
 ALL_NAMES = sorted(STRUCTURES)
 
@@ -89,10 +90,27 @@ def test_registered_pairs_share_carrier(name):
     assert right.read(right.empty) == left.read(left.empty) == ()
 
 
+# each structure's congruence at the word-length bound L, as the verbatim
+# family builders make it: the bounded families shrink their bound with L
+CONGRUENCE_ORACLES = {
+    "young-right": lambda n, L: family.knuth_srs(n),
+    "young-left": lambda n, L: family.knuth_srs(n),
+    "chinese-right": lambda n, L: family.chinese_relations(n),
+    "chinese-left": lambda n, L: family.chinese_relations(n),
+    "hypoplactic-right": lambda n, L: family.hypoplactic_srs(n),
+    "hypoplactic-left": lambda n, L: family.hypoplactic_srs(n),
+    "sylvester-left": lambda n, L: family.sylvester_srs(n, max(0, L - 3)),
+    "lps-right": lambda n, L: family.lps_srs(n, max(1, L - 2)),
+    "rps-right": lambda n, L: family.rps_srs(n, max(1, L - 2)),
+}
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_default_congruences_build(name):
-    rs = STRUCTURES[name].congruence(3, 5)
-    assert len(rs.alphabet) == 3
+    assert set(CONGRUENCE_ORACLES) == set(STRUCTURES)
+    for n in range(1, 5):
+        for L in range(8):
+            assert STRUCTURES[name].congruence(n, L) == CONGRUENCE_ORACLES[name](n, L), (n, L)
 
 
 @pytest.mark.parametrize("name", ["column", "chinese-completed"])

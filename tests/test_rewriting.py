@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit import coherence, rewriting
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     Alphabet,
     LEFTMOST,
@@ -164,8 +165,7 @@ def _assert_picks(system, word):
 
 def test_picks_ordering_and_oracle():
     # zzx with the rank-3 Knuth rules, z=3 > x=1
-    from sdskit.young import knuth_srs
-    rs = knuth_srs(3)
+    rs = build_presentation("knuth", 3).system
     for word in [(2, 2, 0), (2, 0, 1), (1, 2, 0, 2), (0, 0, 0)]:
         _assert_picks(rs, word)
     # three rules match at one position
@@ -302,8 +302,7 @@ def test_precolumn_has_the_expected_nonconfluent_branchings():
 
 
 def test_congruence_classes_chinese_321():
-    from sdskit.chinese import chinese_relations
-    part = congruence_classes(chinese_relations(3), 4)
+    part = congruence_classes(build_presentation("chinese-relations", 3).system, 4)
     assert part.exact
     block, = (c for c in part.classes() if (2, 1, 0) in c)  # the word 3 2 1
     assert block == frozenset({(2, 1, 0), (2, 0, 1), (1, 2, 0)})
@@ -315,8 +314,8 @@ def test_congruence_classes_empty_system_singletons():
 
 
 def test_congruence_classes_knuth_matches_fibers():
-    from sdskit.young import knuth_srs, young_right
-    part = congruence_classes(knuth_srs(3), 4)
+    from sdskit.young import young_right
+    part = congruence_classes(build_presentation("knuth", 3).system, 4)
     structure = young_right(3)
     for block in part.classes():
         images = {structure.read(structure.constructor(tuple(x + 1 for x in w)))
@@ -327,8 +326,7 @@ def test_congruence_classes_knuth_matches_fibers():
 @given(st.integers(min_value=1, max_value=3))
 @settings(max_examples=10, deadline=None)
 def test_congruence_refinement_monotone(max_len):
-    from sdskit.chinese import chinese_relations
-    rs = chinese_relations(3)
+    rs = build_presentation("chinese-relations", 3).system
     small = congruence_classes(rs, max_len)
     large = congruence_classes(rs, max_len + 1)
     for block in small.classes():
@@ -373,8 +371,7 @@ def test_knuth_bendix_flags_an_added_right_side_it_could_not_normalize():
 
 
 def test_classify_shapes():
-    from sdskit.young import knuth_srs
-    assert not classify(knuth_srs(3)).semi_quadratic
+    assert not classify(build_presentation("knuth", 3).system).semi_quadratic
     from sdskit.chinese import commutation_rule_pairs, qn_generating_set, qn_generators
     idx = {g: i for i, g in enumerate(qn_generators(3))}
     pairs = [(tuple(idx[g] for g in l), tuple(idx[g] for g in r))
@@ -395,9 +392,11 @@ def test_termination_witness_rejects_growth():
 
 def test_termination_witness_ties_need_letter_drop():
     # called through the module, so that a patched function is the one run
-    rs = make(AB, [((1, 0), (0, 1))])
-    assert rewriting.termination_witness(rs, lambda a, b: a < b) is None
-    assert rewriting.termination_witness(rs, lambda a, b: a > b) is rs.rules[0]
+    # the sides are compared at their first differing letter: 0 0 < 0 1
+    for pair in [((1, 0), (0, 1)), ((0, 1), (0, 0))]:
+        rs = make(AB, [pair])
+        assert rewriting.termination_witness(rs, lambda a, b: a < b) is None
+        assert rewriting.termination_witness(rs, lambda a, b: a > b) is rs.rules[0]
 
 
 def test_words_up_to_order():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from sdskit.chinese import (
     chinese_left,
-    chinese_relations,
     chinese_right,
     completed_presentation,
     precolumn_presentation,
@@ -19,7 +18,7 @@ from sdskit.chinese import (
 from sdskit import registry, sds
 from sdskit.coherence import strategy_cells
 from sdskit.extra import commutation_probe
-from sdskit.registry import COMMUTATION_PAIRS, get_structure
+from sdskit.registry import COMMUTATION_PAIRS, build_presentation, get_structure
 from sdskit.rewriting import normalize, words_up_to
 from sdskit.sds import (
     FULL,
@@ -40,7 +39,6 @@ from sdskit.sds import (
 from sdskit.young import (
     column_generating_set,
     column_presentation,
-    knuth_srs,
     read_tableau,
     row_generating_set,
     young_left,
@@ -284,7 +282,7 @@ def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
     monkeypatch.setattr(sds, "Row", Recorded)
     calls = [lambda: check_axioms(young_right(3), 4),
              lambda: check_commutation(young_right(3), young_left(3), 4),
-             lambda: check_compatibility(young_right(3), knuth_srs(3), 4),
+             lambda: check_compatibility(young_right(3), build_presentation("knuth", 3).system, 4),
              lambda: validate_generating_set(column_generating_set(3), 4),
              lambda: column_presentation(3),
              lambda: strategy_cells(completed_presentation(3)),
@@ -302,20 +300,22 @@ def test_rows_are_freed_without_the_cyclic_collector(monkeypatch):
 
 
 def test_cross_section_young_and_chinese():
-    assert check_cross_section(young_right(3), knuth_srs(3), 5)["result"] == "pass"
-    assert check_cross_section(chinese_right(3), chinese_relations(3), 5)["result"] == "pass"
+    knuth = build_presentation("knuth", 3).system
+    chinese = build_presentation("chinese-relations", 3).system
+    assert check_cross_section(young_right(3), knuth, 5)["result"] == "pass"
+    assert check_cross_section(chinese_right(3), chinese, 5)["result"] == "pass"
 
 
 def test_cross_section_wrong_congruence_fails():
-    report = check_cross_section(young_right(3), knuth_srs(3, "reversed"), 5)
+    report = check_cross_section(young_right(3), build_presentation("knuth-reversed", 3).system, 5)
     assert report["result"] == "fail"
 
 
 def test_compatibility_matches_cross_section():
     cases = [
-        (young_right(3), knuth_srs(3)),
-        (chinese_right(3), chinese_relations(3)),
-        (young_right(3), knuth_srs(3, "reversed")),
+        (young_right(3), build_presentation("knuth", 3).system),
+        (chinese_right(3), build_presentation("chinese-relations", 3).system),
+        (young_right(3), build_presentation("knuth-reversed", 3).system),
     ]
     for structure, congruence in cases:
         a = check_cross_section(structure, congruence, 4)["result"]

@@ -22,6 +22,7 @@ from typing import Any
 import pytest
 
 from sdskit import chinese, extra, registry, sds, young
+from sdskit.registry import build_presentation
 from sdskit.rewriting import RewritingSystem, Word, congruence_classes
 from sdskit.sds import (
     LEFT_TO_RIGHT,
@@ -31,7 +32,7 @@ from sdskit.sds import (
     _letters_to_indices,
     report,
 )
-from sdskit.young import knuth_srs, read_tableau, young_right, young_right_mirror
+from sdskit.young import read_tableau, young_right, young_right_mirror
 
 # --- the verifiers before the table, verbatim ---------------------------------
 
@@ -273,8 +274,9 @@ FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_fault_injected_structures_match_the_oracle(name):
+    knuth = build_presentation("knuth", 3).system
     for max_len in range(6):
-        _same_single_structure_reports(FAULTS[name], knuth_srs(3), max_len)
+        _same_single_structure_reports(FAULTS[name], knuth, max_len)
 
 
 def test_fault_injection_reaches_every_failure_path():
@@ -285,7 +287,8 @@ def test_fault_injection_reaches_every_failure_path():
                       "sorted-reading": "reading_injective",
                       "reversed-reading": "constructor_section"}
     assert check_associativity(FAULTS["mirror-star"], 4)["result"] == "fail"
-    assert check_compatibility(FAULTS["sorted-reading"], knuth_srs(3), 4)["result"] == "fail"
+    knuth = build_presentation("knuth", 3).system
+    assert check_compatibility(FAULTS["sorted-reading"], knuth, 4)["result"] == "fail"
 
 
 def test_broken_pairs_match_the_oracle(monkeypatch):

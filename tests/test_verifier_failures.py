@@ -17,7 +17,6 @@ import pytest
 from sdskit import chinese, coherence, registry, rewriting, young
 from sdskit.cli import main
 from sdskit.rewriting import (
-    Alphabet,
     NormalizeResult,
     RewritePath,
     RewriteStep,
@@ -217,8 +216,8 @@ def test_strategy_targets_that_miss_the_decomposition_raise(monkeypatch, capsys)
 
 def test_a_false_relation_fails_the_knuth_decomposition(monkeypatch):
     # 21 and 12 are two different tableaux, so their column words differ
-    monkeypatch.setattr(young, "knuth_srs", lambda n: RewritingSystem.from_pairs(
-        Alphabet.letters(n), [((1, 0), (0, 1))]))
+    monkeypatch.setattr(young, "knuth_pairs",
+                        lambda n, variant="standard": iter([((1, 0), (0, 1))]))
     out = young.verify_knuth_decomposition(3)
     assert out["result"] == "fail"
     assert out["witness"] == {"lhs": [2, 1], "rhs": [1, 2]}

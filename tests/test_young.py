@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdskit.coherence import legs_witness
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     LEFTMOST,
     check_local_confluence,
@@ -23,7 +24,6 @@ from sdskit.young import (
     enumerate_rows,
     format_tableau,
     is_tableau,
-    knuth_srs,
     parse_tableau,
     read_rows,
     read_tableau,
@@ -94,9 +94,9 @@ def test_columns_round_trip():
 
 
 def test_knuth_srs_n2_exact():
-    rs = knuth_srs(2)
+    rs = build_presentation("knuth", 2).system
     assert rs.pairs == {((1, 0, 0), (0, 1, 0)), ((1, 1, 0), (1, 0, 1))}
-    assert knuth_srs(1).rules == ()
+    assert build_presentation("knuth", 1).system.rules == ()
 
 
 def test_knuth_srs_count_matches_enumeration():
@@ -105,12 +105,12 @@ def test_knuth_srs_count_matches_enumeration():
           for z in range(y + 1, n + 1)]
     zeta = [(x, y, z) for x in range(1, n + 1) for y in range(x + 1, n + 1)
             for z in range(y, n + 1)]
-    assert len(knuth_srs(n).rules) == len(xi) + len(zeta)
+    assert len(build_presentation("knuth", n).system.rules) == len(xi) + len(zeta)
 
 
 def test_knuth_reversed_pairs_swap_index_ranges():
-    std = knuth_srs(3).pairs
-    rev = knuth_srs(3, "reversed").pairs
+    std = build_presentation("knuth", 3).system.pairs
+    rev = build_presentation("knuth-reversed", 3).system.pairs
     assert std != rev
     assert len(std) == len(rev)
 
