@@ -22,6 +22,7 @@ from typing import Iterator
 from .rewriting import Word
 from .sds import (
     LEFT_TO_RIGHT,
+    NUMERALS,
     RIGHT_TO_LEFT,
     StringDataStructure,
     first_noncommuting,
@@ -324,7 +325,10 @@ def parse_tree_bounds(text: str) -> tuple[Tree, bool, int | None, int | None]:
         while True:
             tok = tokens[i]
             if tok == "(":
-                open_nodes.append(list(parse_ints((tokens[i + 1],))))
+                label = NUMERALS.get(tokens[i + 1])
+                if label is None:   # int()'s reading, or the token's error
+                    (label,) = parse_ints((tokens[i + 1],))
+                open_nodes.append([label])
                 i += 2
                 continue
             i += 1

@@ -34,16 +34,25 @@ Datum = Any
 
 _INTEGER = re.compile(r"-?[0-9]+")
 
+# the numeral table: the canonical decimal spelling of each int 0-99, which
+# every reader of letters looks up before it falls back to int()
+NUMERALS = {str(i): i for i in range(100)}
+
 
 def parse_ints(tokens: Sequence[str]) -> tuple[int, ...]:
     """The integers that ASCII `-?[0-9]+` tokens spell; the first other token
     raises `int()`'s ValueError.  `int()` alone also reads `1_2`, `+3`, padded
-    and non-ASCII digits, but of tokens of 0-9 and `-` only, just that form."""
+    and non-ASCII digits, but of tokens of 0-9 and `-` only, just that form.
+    The tokens are read through `NUMERALS`, or all by `int()` if one of
+    them (100 and more, padded or signed) is not in it."""
     digits = "".join(tokens).replace("-", "")
     if digits and not (digits.isascii() and digits.isdigit()):
         bad = next(t for t in tokens if not _INTEGER.fullmatch(t))
         raise ValueError(f"invalid literal for int() with base 10: {bad!r:.200}")
-    return tuple(map(int, tokens))
+    try:
+        return tuple(map(NUMERALS.__getitem__, tokens))
+    except KeyError:
+        return tuple(map(int, tokens))
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,27 @@ def test_insert_deep_search_tree_exits_0_and_round_trips():
     assert again.stdout == proc.stdout
 
 
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_insert_reads_letters_past_the_numeral_table(name):
+    # letters of 100 and more, in the word and in the datum text of the
+    # second stage, and letters spelled with leading zeros are read by int()
+    rng = random.Random(120)
+    v, u = (rng.sample(range(100, 121), 21) + [rng.randint(1, 120) for _ in range(40)]
+            for _ in range(2))
+    entry = STRUCTURES[name]
+    s = entry.factory(120)
+    first = s.insert_long(s.empty, tuple(v))
+    want = [entry.format_datum(first) + "\n",
+            entry.format_datum(s.insert_long(first, tuple(u))) + "\n"]
+    for spell in (str, "{:03}".format):
+        datum = ""
+        for word, out in zip((v, u), want):
+            argv = ["insert", "--structure", name, "--n", "120", "--datum", datum,
+                    "--word", " ".join(map(spell, word))]
+            assert _main_in_process(argv) == (0, out), (spell(7), word)
+            datum = out.rstrip("\n")
+
+
 def _main_in_process(argv) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -32,17 +32,23 @@ The datum validators as they were before they compared with `map` (the
 JSON rows, quasi-ribbon and patience tableau checks) are compared with
 the ones in `sdskit` on random rows, and the one-pass tree parse with
 `is_search_tree` and the least and greatest label on any tree.
+
+`parse_ints` as it was before it read numerals through a table, which
+converted every token with `int()`, is compared with `sds.parse_ints` on
+token lists that mix the table's numerals with numerals past it, padded,
+signed and non-ASCII ones and tokens that are no integer at all.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sdskit import chinese, extra, registry, young
+from sdskit import chinese, extra, registry, sds, young
 from sdskit.registry import STRUCTURES, get_structure
 from sdskit.sds import LEFT_TO_RIGHT, RIGHT_TO_LEFT, StringDataStructure
 
@@ -329,6 +335,20 @@ def is_quasi_ribbon(t) -> bool:
     return all(prev[-1] < nxt[0] for prev, nxt in zip(t, t[1:]))
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_ints(tokens) -> tuple[int, ...]:
+    """The integers that ASCII `-?[0-9]+` tokens spell; the first other token
+    raises `int()`'s ValueError.  `int()` alone also reads `1_2`, `+3`, padded
+    and non-ASCII digits, but of tokens of 0-9 and `-` only, just that form."""
+    digits = "".join(tokens).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        bad = next(t for t in tokens if not _INTEGER.fullmatch(t))
+        raise ValueError(f"invalid literal for int() with base 10: {bad!r:.200}")
+    return tuple(map(int, tokens))
+
+
 def is_patience_tableau(t, variant: str) -> bool:
     bottoms = [c[0] for c in t if c]
     if variant == extra.LPS:
@@ -446,7 +466,8 @@ def _any_tree(labels):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_any_tree(st.integers(1, 5)))
+@given(_any_tree(st.integers(0, 300)))
+@example((99, (100, None, None), (7, None, None)))
 def test_tree_helpers_match_the_oracle_on_any_tree(t):
     _same_tree_helpers(t)
     # every truncation of the text fails (or parses) the same way
@@ -457,7 +478,9 @@ def test_tree_helpers_match_the_oracle_on_any_tree(t):
 
 
 @pytest.mark.parametrize("text", ["", "(", "(1", "(x · ·)", "(1 · · ·)", "(1 · ·) ·",
-                                  ")", "(1 (2 · ·)", "· ·", "(1 · )", "(1 · · x"])
+                                  ")", "(1 (2 · ·)", "· ·", "(1 · )", "(1 · · x",
+                                  # labels past the numeral table, read by int()
+                                  "(007 · ·)", "(-0 · ·)", "(100 · ·)", "(99 (100 · ·) ·)"])
 def test_parse_tree_errors_match_the_oracle(text):
     assert _parse_outcome(extra.parse_tree, text) == _parse_outcome(parse_tree, text)
 
@@ -737,3 +760,26 @@ def test_the_one_pass_tree_parse_is_the_search_check(t):
         assert (least, greatest) == (min(labels), max(labels))
     else:
         assert (least, greatest) == (None, None)
+
+
+# --- numerals ------------------------------------------------------------------
+
+# the table's numerals, numerals past it, padded and signed ones, tokens that
+# int() reads but parse_ints refuses, tokens that neither reads, and strings
+# of all of these characters
+_TOKEN = st.one_of(
+    st.integers(0, 99).map(str),
+    st.integers(100, 10**6).map(str),
+    st.integers(0, 300).map(lambda i: f"0{i}"),
+    st.integers(-300, 300).map(lambda i: f"{i:+}"),
+    st.sampled_from(["007", "-0", "-7", "+7", "1_0", "", "-", "--1", "1-2",
+                     "\uff17", "\u0663", "1\u0663", "x"]),
+    st.text(alphabet="0129-+_x \uff17\u0663", max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@example(["7"])
+@example(["99", "100", "07"])
+@given(st.lists(_TOKEN, max_size=8))
+def test_parse_ints_matches_the_oracle(tokens):
+    assert _parse_outcome(sds.parse_ints, tokens) == _parse_outcome(parse_ints, tokens)

@@ -321,6 +321,16 @@ def _build_report_writing_while_checking(name, n, max_len):
     return {"alphabet": list(rules.alphabet.labels), "rules": checked()}
 
 
+def _parse_ints_without_fallback(tokens):
+    """`sds.parse_ints` reading every valid token through the numeral table,
+    with no fallback to `int()` on a token that misses it."""
+    digits = "".join(tokens).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        bad = next(t for t in tokens if not sds._INTEGER.fullmatch(t))
+        raise ValueError(f"invalid literal for int() with base 10: {bad!r:.200}")
+    return tuple(map(sds.NUMERALS.get, tokens))
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -482,6 +492,16 @@ MUTANTS = [
            replace(registry.STRUCTURES["lps-right"], congruence=lambda n, L:
                    registry.build_presentation("lps", n, L - 2).system),
            (_case(test_registry.test_default_congruences_build, "lps-right"),)),
+    # the table is one dict, which the tree parser reads too
+    Mutant("numeral-table-entry-off-by-one",
+           "A letter costs one lookup",
+           sds.NUMERALS, "7", 8,
+           (insertion.test_parse_ints_matches_the_oracle,
+            insertion.test_tree_helpers_match_the_oracle_on_any_tree)),
+    Mutant("numeral-fallback-dropped",
+           "A letter costs one lookup",
+           sds, "parse_ints", _parse_ints_without_fallback,
+           (insertion.test_parse_ints_matches_the_oracle,)),
 ]
 
 
