@@ -14,9 +14,9 @@ shapes and reduction-path bounds.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .rewriting import RewritingSystem, Word, strategy_paths
+from .rewriting import RewritingSystem, Word, length_lex, strategy_paths
 from .sds import (
     LEFT_TO_RIGHT,
     RIGHT_TO_LEFT,
@@ -249,11 +249,6 @@ def read_qn(t: Staircase) -> tuple[Gen, ...]:
     return tuple(out)
 
 
-def gen_word(gen: Gen) -> tuple[int, ...]:
-    y, x = gen
-    return (y,) if x == 0 else (y, x)
-
-
 def gen_staircase(gen: Gen, n: int) -> Staircase:
     rows = [[0] * i for i in range(1, n + 1)]
     y, x = gen
@@ -292,31 +287,25 @@ def qn_generating_set(n: int) -> GeneratingSet:
     return GeneratingSet(structure, gens, decompose)
 
 
+def _order_key(gen: Gen) -> tuple[int, int, int]:
+    y, x = gen
+    return (y, 1, 0) if x == 0 else (y, 2, 0) if x == y else (y, 0, x)
+
+
 def order_ch_less(a: Gen, b: Gen) -> bool:
-    """Strict comparison on generators: a two-letter column sits below the
-    single letter it starts with (squares do not); otherwise shorter below
-    longer, ties by the lexicographic order of the words."""
-    ya, xa = a
-    yb, xb = b
-    if 0 < xa < ya and b == (ya, 0):
-        return True
-    if 0 < xb < yb and a == (yb, 0):
-        return False
-    wa, wb = gen_word(a), gen_word(b)
-    if len(wa) != len(wb):
-        return len(wa) < len(wb)
-    return wa < wb
+    """The generator order, a sort key and so a strict total order: by head
+    letter y, then the columns c_y1 < ... < c_y,y-1, then the letter c_y,
+    then the square c_yy.  A letter is not below every longer generator,
+    as no order that decreases the rules can have it: c_2.c_21 -> c_21.c_2
+    needs c_21 < c_2, and c_3.c_21 -> c_2.c_31 needs c_2 < c_3."""
+    return _order_key(a) < _order_key(b)
 
 
-def qword_less(u: Word, v: Word, gens: list[Gen]) -> bool:
-    """Word comparison used to orient completion: length first, then the
-    generator comparison letterwise from the left."""
-    if len(u) != len(v):
-        return len(u) < len(v)
-    for a, b in zip(u, v):
-        if a != b:
-            return order_ch_less(gens[a], gens[b])
-    return False
+def generator_less(n: int) -> Callable[[int, int], bool]:
+    """`order_ch_less` on the generator ids of rank n: id i is
+    `qn_generators(n)[i]`, as in both staircase presentations."""
+    gens = qn_generators(n)
+    return lambda a, b: order_ch_less(gens[a], gens[b])
 
 
 def chinese_pairs(n: int) -> Iterator[tuple[Word, Word]]:
@@ -414,9 +403,10 @@ def completed_presentation(n: int) -> Presentation:
     return generating_presentation(qn_generating_set(n))
 
 
-def completed_order_less(n: int):
-    gens = qn_generators(n)
-    return lambda u, v: qword_less(u, v, gens)
+def completed_order_less(n: int) -> Callable[[Word, Word], bool]:
+    """The word order that orients the completion: `length_lex` of the
+    generator order."""
+    return length_lex(generator_less(n))
 
 
 def rule_shapes(n: int) -> dict[tuple[tuple[Gen, ...], tuple[Gen, ...]], str]:

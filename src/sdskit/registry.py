@@ -77,7 +77,7 @@ def _parse_staircase(text: str, n: int):
         return chinese.empty_staircase(n)
     data, rows = _json_rows(text, "rows")
     if type(data.get("n")) is not int or data["n"] != n:
-        raise ValueError(f"staircase rank {data.get('n')} is not n = {n}")
+        raise ValueError(f"staircase rank {json.dumps(data.get('n'))} is not n = {n}")
     return chinese.staircase_from_display(n, rows)
 
 
@@ -210,16 +210,11 @@ PRESENTATION_NAMES = tuple(PRESENTATIONS)
 FAMILY_PRESENTATION: dict[str, str] = {"young": "column", "chinese": "chinese-completed"}
 
 
-def _generator_order(pres: Presentation) -> Callable[[int, int], bool]:
-    gens = chinese.qn_generators(pres.generating.structure.n)
-    return lambda a, b: chinese.order_ch_less(gens[a], gens[b])
-
-
 # letter order of each presentation's termination witness, from the presentation
 TERMINATION_ORDERS: dict[str, Callable[[Presentation], Callable[[int, int], bool]]] = {
     "column": lambda pres: young.column_length_less(pres),
-    "chinese-precolumn": _generator_order,
-    "chinese-completed": _generator_order,
+    "chinese-precolumn": lambda pres: chinese.generator_less(pres.generating.structure.n),
+    "chinese-completed": lambda pres: chinese.generator_less(pres.generating.structure.n),
 }
 
 

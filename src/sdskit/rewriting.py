@@ -477,15 +477,21 @@ def classify(system: RewritingSystem) -> SystemFlags:
     return SystemFlags(semi, quad, reduced)
 
 
+def length_lex(letter_less: Callable[[int, int], bool]) -> Callable[[Word, Word], bool]:
+    """The length-lexicographic extension of a strict letter order: a
+    shorter word is below a longer one, and two words of one length compare
+    by `letter_less` at the first letter where they differ."""
+    def less(u: Word, v: Word) -> bool:
+        if len(u) != len(v):
+            return len(u) < len(v)
+        return next((letter_less(a, b) for a, b in zip(u, v) if a != b), False)
+    return less
+
+
 def termination_witness(system: RewritingSystem,
                         letter_less: Callable[[int, int], bool]) -> Rule | None:
-    """The first rule, in rule order, that a length-lexicographic order does
-    not decrease: its rhs is longer than its lhs, or as long without a letter
-    strictly below the lhs's, under `letter_less`, where the two first differ.
-    None when every rule decreases, which proves termination."""
-    for rule in system.rules:
-        lhs, rhs = rule.lhs, rule.rhs
-        first_diff = len(rhs) == len(lhs) and next((y, x) for x, y in zip(lhs, rhs) if x != y)
-        if len(rhs) > len(lhs) or (first_diff and not letter_less(*first_diff)):
-            return rule
-    return None
+    """The first rule, in rule order, whose rhs is not below its lhs under
+    `length_lex(letter_less)`.  None when every rule decreases, which proves
+    termination."""
+    less = length_lex(letter_less)
+    return next((rule for rule in system.rules if not less(rule.rhs, rule.lhs)), None)

@@ -114,9 +114,7 @@ def test_criterion_08_completed_presentation():
     for n in (3, 4):
         system = chinese.completed_presentation(n).system
         flags = classify(system)
-        gens = chinese.qn_generators(n)
-        witness = termination_witness(
-            system, lambda a, b: chinese.order_ch_less(gens[a], gens[b]))
+        witness = termination_witness(system, chinese.generator_less(n))
         ok = ok and flags.semi_quadratic and witness is None and \
             _confluent(system)
     assert report(8, ok, "completed staircase presentation is semi-quadratic, "

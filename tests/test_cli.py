@@ -68,6 +68,15 @@ def test_quasi_ribbon_offsets_must_be_the_rows_offsets(structure, capsys):
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("given,shown", [
+    ('"n": "3", ', '"3"'), ("", "null"), ('"n": true, ', "true"), ('"n": 1.0, ', "1.0")])
+def test_staircase_rank_error_writes_the_given_rank_as_json(given, shown, capsys):
+    datum = '{%s"rows": [[1], [0, 0], [0, 0, 0]]}' % given
+    assert main(["insert", "--structure", "chinese-right", "--n", "3", "--word", "1",
+                 "--datum", datum]) == 2
+    assert capsys.readouterr() == ("", f"error: staircase rank {shown} is not n = 3\n")
+
+
 def test_insert_unknown_structure_exits_2():
     assert main(["insert", "--structure", "nope", "--word", "1"]) == 2
 

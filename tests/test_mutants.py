@@ -87,12 +87,29 @@ def _hypoplactic_left_bisect_right(t, x):
     return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
 
 
-_qword_less = chinese.qword_less
+_length_lex = rewriting.length_lex
 
 
-def _qword_less_on_equal_words(u, v, gens):
-    """`chinese.qword_less` holding between a word and itself."""
-    return u == v or _qword_less(u, v, gens)
+def _length_lex_on_equal_words(letter_less):
+    """`rewriting.length_lex` holding between a word and itself."""
+    less = _length_lex(letter_less)
+    return lambda u, v: u == v or less(u, v)
+
+
+def _order_ch_shorter_below_longer(a, b):
+    """`chinese.order_ch_less` as three clauses: a column below its head
+    letter, else a shorter generator below a longer one, else the
+    lexicographic order of their words; c_2 < c_3 < c_21 < c_2."""
+    ya, xa = a
+    yb, xb = b
+    if 0 < xa < ya and b == (ya, 0):
+        return True
+    if 0 < xb < yb and a == (yb, 0):
+        return False
+    wa, wb = ((ya,) if xa == 0 else a), ((yb,) if xb == 0 else b)
+    if len(wa) != len(wb):
+        return len(wa) < len(wb)
+    return wa < wb
 
 
 def _replay_without_target_check(system, path):
@@ -388,8 +405,12 @@ MUTANTS = [
            (_on_short_words("lps"),)),
     Mutant("qword-less-on-equal-words",
            "One failure type for the cell builders",
-           chinese, "qword_less", _qword_less_on_equal_words,
-           (test_chinese.test_qword_less_compares_lengths_first_and_is_strict,)),
+           rewriting, "length_lex", _length_lex_on_equal_words,
+           (test_rewriting.test_length_lex_compares_lengths_first_and_is_strict,)),
+    Mutant("order-ch-shorter-below-longer",
+           "One reduction order",
+           chinese, "order_ch_less", _order_ch_shorter_below_longer,
+           (test_chinese.test_order_ch_is_a_strict_total_order,)),
     Mutant("replay-skips-target-check",
            "One failure type for the cell builders",
            rewriting, "replay", _replay_without_target_check,

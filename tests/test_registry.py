@@ -144,6 +144,20 @@ def test_family_names_resolve_to_their_presentations():
         get_structure("young", 3)  # families are not structures
 
 
+@pytest.mark.parametrize("name", sorted(TERMINATION_ORDERS))
+def test_termination_orders_are_strict_orders(name):
+    # a termination proof by length-lex needs a strict order on the letters
+    for n in range(1, 7):
+        pres = build_presentation(name, n)
+        less = TERMINATION_ORDERS[name](pres)
+        letters = range(len(pres.system.alphabet))
+        above = [{b for b in letters if less(a, b)} for a in letters]
+        for a in letters:
+            assert a not in above[a]
+            for b in above[a]:
+                assert above[b] <= above[a], (n, a, b)
+
+
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_cells_presentations_carry_their_generating_set(name):
     # strategy cells read the generating set off the presentation

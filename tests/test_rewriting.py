@@ -399,6 +399,50 @@ def test_termination_witness_ties_need_letter_drop():
         assert rewriting.termination_witness(rs, lambda a, b: a > b) is rs.rules[0]
 
 
+def test_length_lex_compares_lengths_first_and_is_strict():
+    # through the module, so that a mutant patched into it is reached
+    less = rewriting.length_lex(lambda a, b: a < b)
+    last = 9
+    assert less((last,), (0, 0))        # shorter below longer
+    assert not less((0, 0), (last,))
+    assert not less((1, last), (1, last))   # a word is not below itself
+
+
+@st.composite
+def _ranked_words(draw):
+    """A random rank of at most 5 letters, and a list of words over them of
+    at most 6 letters each."""
+    k = draw(st.integers(1, 5))
+    rank = draw(st.permutations(range(k)))
+    words = draw(st.lists(st.lists(st.integers(0, k - 1), max_size=6).map(tuple),
+                          min_size=2, max_size=12))
+    return k, rank, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ranked_words(), st.data())
+def test_length_lex_is_the_length_then_rank_key(drawn, data):
+    k, rank, words = drawn
+    def key(word):
+        return len(word), [rank[x] for x in word]
+    less = rewriting.length_lex(lambda a, b: rank[a] < rank[b])
+    for u in words:
+        for v in words:
+            assert less(u, v) == (key(u) < key(v))
+    # a system whose rhs keeps its lhs's length or shrinks it: the witness is
+    # the first rule that the key comparison does not decrease
+    pairs = []
+    for lhs in words:
+        if lhs:
+            rhs = data.draw(st.lists(st.integers(0, k - 1), max_size=len(lhs)).map(tuple)
+                            | st.permutations(lhs).map(tuple))
+            if rhs != lhs:
+                pairs.append((lhs, rhs))
+    system = make(Alphabet.letters(k), dict.fromkeys(pairs))
+    expected = next((r for r in system.rules if not key(r.rhs) < key(r.lhs)), None)
+    assert rewriting.termination_witness(system, lambda a, b: rank[a] < rank[b]) is expected
+
+
 def test_words_up_to_order():
     words = words_up_to(2, 2)
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
