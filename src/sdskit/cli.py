@@ -199,18 +199,18 @@ def cmd_insert(args) -> int:
     entry = registry.lookup(registry.STRUCTURES, args.structure, "structure")
     word = parse_ints(args.word.split())
     n = args.n if args.n is not None else max(word, default=0)
+    if n < 1 and args.n is None and (word or args.datum.strip()):
+        raise ValueError("--n is needed, since the word has no letter of at least 1")
     datum, structure = entry.parse_datum(args.datum, n), entry.factory(n)
     _emit(args, entry.format_datum(structure.insert_long(datum, word)))
     return 0
 
 
 def _build_report(name: str, n: int, max_len: int | None) -> dict:
-    """The report of `build`.  Its rules are checked in a first pass that
-    holds one hash per rule, so a bad rule raises before anything is
-    written; the report's rules are a second pass, one dict per rule as it
-    is written."""
+    """The report of `build`.  `presentation_rules` has checked its rules,
+    so a bad rule raises before anything is written; the report's rules
+    are a second pass, one dict per rule as it is written."""
     rules = registry.presentation_rules(name, n, max_len)
-    rewriting.check_rule_pairs(rules.alphabet, rules)
     return {"alphabet": list(rules.alphabet.labels),
             "rules": ({"lhs": lhs, "rhs": rhs} for lhs, rhs in rules)}
 

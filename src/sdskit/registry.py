@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from . import chinese, coherence, extra, young
-from .rewriting import Alphabet, RewritingSystem, Word
+from . import chinese, coherence, extra, rewriting, young
+from .rewriting import Alphabet, RewritingSystem, Rules, Word
 from .sds import Presentation, StringDataStructure
 
 _last = itemgetter(-1)
@@ -257,25 +257,15 @@ def build_presentation(name: str, n: int, max_len: int | None = None) -> Present
     return builder(n, max_len if max_len is not None else MAX_LEN)
 
 
-@dataclass(frozen=True)
-class Rules:
-    """A presentation's alphabet and its rules as (lhs, rhs) pairs; each
-    iteration calls `pairs()` afresh, so the rules can be read twice
-    without being held."""
-    alphabet: Alphabet
-    pairs: Callable[[], Iterable[tuple[Word, Word]]]
-
-    def __iter__(self) -> Iterator[tuple[Word, Word]]:
-        return iter(self.pairs())
-
-
 def presentation_rules(name: str, n: int, max_len: int | None = None) -> Rules:
-    """The rules of the presentation `name`.  A letter family's come from
-    its `LETTER_FAMILIES` generator, and no system is built; any other
-    presentation is built, and its rules are read off its system."""
+    """The rules of the presentation `name`, checked.  A letter family's
+    come from its `LETTER_FAMILIES` generator and are checked here, in one
+    pass that holds a hash per rule, with no system built; any other
+    presentation's are read off its system, which checked them when built."""
     L = max_len if max_len is not None else MAX_LEN
     family = LETTER_FAMILIES.get(name)
-    if family is not None:
-        return Rules(Alphabet.letters(n), lambda: family(n, L))
-    system = build_presentation(name, n, L).system
-    return Rules(system.alphabet, lambda: ((r.lhs, r.rhs) for r in system.rules))
+    if family is None:
+        return build_presentation(name, n, L).system.rule_pairs
+    rules = Rules(Alphabet.letters(n), lambda: family(n, L))
+    rewriting.check_rule_pairs(rules.alphabet, rules)
+    return rules

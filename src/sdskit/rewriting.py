@@ -14,9 +14,9 @@ length-lexicographic termination witness.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -51,17 +51,23 @@ class Rule:
 
     Slotted, so a rule costs its two sides and no per-rule `__dict__`: the
     bounded families build tens of thousands of rules (`sylvester` has
-    54,425 at n = 6 with inner words of length <= 4).
+    54,425 at n = 6 with inner words of length <= 4).  It is checked where
+    it joins a system, by `check_rule_pairs`.
     """
 
     lhs: Word
     rhs: Word
 
-    def __post_init__(self):
-        if not self.lhs:
-            raise ValueError("rule lhs must be non-empty")
-        if self.lhs == self.rhs:
-            raise ValueError("rule lhs and rhs must differ")
+
+@dataclass(frozen=True)
+class Rules:
+    """An alphabet and rules over it as (lhs, rhs) pairs; each iteration
+    calls `pairs()` afresh, so the rules are read twice without being held."""
+    alphabet: Alphabet
+    pairs: Callable[[], Iterable[tuple[Word, Word]]]
+
+    def __iter__(self) -> Iterator[tuple[Word, Word]]:
+        return iter(self.pairs())
 
 
 @dataclass(frozen=True)
@@ -70,22 +76,16 @@ class RewritingSystem:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        n = len(self.alphabet)
-        letters = frozenset(range(n))
-        within = letters.issuperset
-        seen = set()  # the rules themselves: a Rule hashes and compares by its sides
-        for rule in self.rules:
-            if not (within(rule.lhs) and within(rule.rhs)):
-                letter = next(x for x in rule.lhs + rule.rhs if x not in letters)
-                raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
-            size = len(seen)
-            seen.add(rule)
-            if len(seen) == size:
-                raise ValueError(f"duplicate rule {rule.lhs} -> {rule.rhs}")
+        check_rule_pairs(self.alphabet, self.rule_pairs)
 
     @classmethod
     def from_pairs(cls, alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> "RewritingSystem":
         return cls(alphabet, tuple(Rule(tuple(l), tuple(r)) for l, r in pairs))
+
+    @property
+    def rule_pairs(self) -> Rules:
+        """The rules' (lhs, rhs) pairs in id order, made afresh by each iteration."""
+        return Rules(self.alphabet, lambda: ((rule.lhs, rule.rhs) for rule in self.rules))
 
     @property
     def pairs(self) -> set[tuple[Word, Word]]:
@@ -93,26 +93,35 @@ class RewritingSystem:
 
 
 def check_rule_pairs(alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]) -> None:
-    """Raise the ValueError that `RewritingSystem.from_pairs(alphabet,
-    pairs)` would raise, holding one hash per rule instead of the rules.
+    """Raise a ValueError naming the first faulty rule of `pairs` in rule
+    order: an empty lhs, an lhs equal to its rhs, a letter out of range,
+    or a rule that repeats an earlier one.
 
-    Each pair (two tuples of letters) is tested as `RewritingSystem` tests
-    it: a nonempty lhs that differs from its rhs, every letter in range,
-    and no rule twice.  `pairs` is read once.  When a test fails or two
-    hashes meet, it is handed to `from_pairs`, which reads it again and
-    raises its own error, or, on a mere hash collision, finds the rules
-    distinct; so `pairs` must give the same pairs each time it is read.
+    Each pair is two tuples of letters.  `pairs` is read once, holding one
+    hash per rule; when two hashes meet, it is read again up to that rule,
+    to tell a repeat from a collision.  So it must give the same pairs each
+    time it is read, and a one-shot iterator is refused with a TypeError.
     """
-    within = frozenset(range(len(alphabet))).issuperset
+    if isinstance(pairs, Iterator):
+        raise TypeError("rule pairs must be re-readable, not a one-shot iterator")
+    n = len(alphabet)
+    letters = frozenset(range(n))
+    within = letters.issuperset
     hashes: set[int] = set()
     add = hashes.add
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         lhs, rhs = pair
+        if not lhs:
+            raise ValueError("rule lhs must be non-empty")
+        if lhs == rhs:
+            raise ValueError("rule lhs and rhs must differ")
+        if not (within(lhs) and within(rhs)):
+            letter = next(x for x in lhs + rhs if x not in letters)
+            raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
         size = len(hashes)
         add(hash(pair))
-        if len(hashes) == size or not lhs or lhs == rhs or not (within(lhs) and within(rhs)):
-            RewritingSystem.from_pairs(alphabet, pairs)
-            return
+        if len(hashes) == size and pair in itertools.islice(pairs, i):
+            raise ValueError(f"duplicate rule {lhs} -> {rhs}")
 
 
 @dataclass(frozen=True)

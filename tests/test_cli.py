@@ -327,6 +327,19 @@ def test_insert_rejects_the_first_bad_letter_in_reading_order(argv, err, capsys)
     assert capsys.readouterr() == ("", f"error: {err} out of range 1..{n}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--word", "-1"], ["--word", "0"], ["--word", "0 -2"], ["--word", "", "--datum", "1 2"],
+    ["--word", "", "--datum", "1", "--format", "text"]])
+def test_insert_without_n_needs_a_letter_of_at_least_1(argv, capsys):
+    # --n defaults to the word's largest letter, which gives no range when
+    # that letter is below 1; the empty word alone is still the empty datum
+    assert main(["insert", "--structure", "young-right", *argv]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: --n is needed, since the word has no letter of at least 1\n")
+    assert main(["insert", "--structure", "young-right", "--word", ""]) == 0
+    assert capsys.readouterr() == ("(empty)\n", "")
+
+
 def test_usage_error_exits_2():
     proc = run_cli("build", "not-a-presentation", "--n", "2")
     assert proc.returncode == 2

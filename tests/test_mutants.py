@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 from types import ModuleType
-from typing import Callable
 
 import pytest
 
 from sdskit import chinese, cli, coherence, extra, registry, rewriting, sds, young
-from sdskit.rewriting import RewriteStep, RewritingSystem
+from sdskit.rewriting import RewriteStep
 import test_branching_oracle as oracle
 import test_build_stream as build
 import test_chinese
@@ -120,27 +121,33 @@ def _replay_without_target_check(system, path):
     return word
 
 
-def _post_init_passing_duplicates(self):
-    """`RewritingSystem.__post_init__` letting a repeated rule through."""
-    n = len(self.alphabet)
-    for rule in self.rules:
-        for letter in rule.lhs + rule.rhs:
-            if not 0 <= letter < n:
+def _rule_check_with(fault):
+    """A copy of `rewriting.check_rule_pairs` with the one fault `fault`:
+    "one-shot" reads a one-shot iterator, "letter-at-size" accepts a letter
+    equal to the alphabet size, "short-reread" reads the stream again one
+    rule short of the repeat, and "no-repeats" never flags a repeated hash."""
+    def check(alphabet, pairs):
+        if fault != "one-shot" and isinstance(pairs, Iterator):
+            raise TypeError("rule pairs must be re-readable, not a one-shot iterator")
+        n = len(alphabet)
+        letters = frozenset(range(n + (fault == "letter-at-size")))
+        within = letters.issuperset
+        hashes = set()
+        for i, pair in enumerate(pairs):
+            lhs, rhs = pair
+            if not lhs:
+                raise ValueError("rule lhs must be non-empty")
+            if lhs == rhs:
+                raise ValueError("rule lhs and rhs must differ")
+            if not (within(lhs) and within(rhs)):
+                letter = next(x for x in lhs + rhs if x not in letters)
                 raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
-
-
-def _post_init_letter_at_size(self):
-    """`RewritingSystem.__post_init__` accepting a letter equal to the
-    alphabet size."""
-    n = len(self.alphabet)
-    seen = set()
-    for rule in self.rules:
-        for letter in rule.lhs + rule.rhs:
-            if not 0 <= letter <= n:
-                raise ValueError(f"letter {letter} out of range for alphabet of size {n}")
-        if rule in seen:
-            raise ValueError(f"duplicate rule {rule.lhs} -> {rule.rhs}")
-        seen.add(rule)
+            size = len(hashes)
+            hashes.add(hash(pair))
+            if len(hashes) == size and fault != "no-repeats" and \
+                    pair in islice(pairs, i - (fault == "short-reread")):
+                raise ValueError(f"duplicate rule {lhs} -> {rhs}")
+    return check
 
 
 def _release_no_step_table():
@@ -315,27 +322,23 @@ def _walk_offset_by_one(self, i, word):
     return i
 
 
-def _check_missing_repeats(alphabet, pairs):
-    """`rewriting.check_rule_pairs` never flagging a repeated hash."""
-    within = frozenset(range(len(alphabet))).issuperset
-    for lhs, rhs in pairs:
-        if not lhs or lhs == rhs or not (within(lhs) and within(rhs)):
-            RewritingSystem.from_pairs(alphabet, pairs)
-            return
-
-
-def _build_report_writing_while_checking(name, n, max_len):
-    """`cli._build_report` writing each rule in the pass that checks them."""
-    rules = registry.presentation_rules(name, n, max_len)
+def _presentation_rules_checking_as_read(name, n, max_len):
+    """`registry.presentation_rules` checking a letter family's rules as
+    they are read, so that a build writes each rule before the check ends."""
+    L = max_len if max_len is not None else registry.MAX_LEN
+    family = registry.LETTER_FAMILIES.get(name)
+    if family is None:
+        return registry.build_presentation(name, n, L).system.rule_pairs
+    alphabet = rewriting.Alphabet.letters(n)
 
     def checked():
         read = []
-        for lhs, rhs in rules:
-            read.append((lhs, rhs))
-            yield {"lhs": lhs, "rhs": rhs}
-        rewriting.check_rule_pairs(rules.alphabet, read)
+        for pair in family(n, L):
+            read.append(pair)
+            yield pair
+        rewriting.check_rule_pairs(alphabet, read)
 
-    return {"alphabet": list(rules.alphabet.labels), "rules": checked()}
+    return rewriting.Rules(alphabet, checked)
 
 
 def _parse_ints_without_fallback(tokens):
@@ -417,13 +420,19 @@ MUTANTS = [
            (test_rewriting.test_replay_checks_target,)),
     Mutant("system-passes-duplicate-rules",
            "A presentation's rules cost their two sides and nothing more",
-           rewriting.RewritingSystem, "__post_init__", _post_init_passing_duplicates,
+           rewriting, "check_rule_pairs", _rule_check_with("short-reread"),
            (test_rewriting.test_duplicate_rule_rejected,
-            test_rewriting.test_faults_are_named_in_rule_order)),
+            *(_case(test_rewriting.test_faults_are_named_in_rule_order, *case)
+              for case in test_rewriting.RULE_ORDER_FAULTS[:2]))),
     Mutant("system-accepts-letter-at-alphabet-size",
            "A presentation's rules cost their two sides and nothing more",
-           rewriting.RewritingSystem, "__post_init__", _post_init_letter_at_size,
+           rewriting, "check_rule_pairs", _rule_check_with("letter-at-size"),
            (test_rewriting.test_rule_letter_out_of_range_rejected,)),
+    Mutant("one-shot-stream-accepted",
+           "One rule check",
+           rewriting, "check_rule_pairs", _rule_check_with("one-shot"),
+           (_case(test_rewriting.test_rule_pair_check_refuses_a_one_shot_stream,
+                  [test_rewriting.P, test_rewriting.P]),)),
     Mutant("command-keeps-its-step-tables",
            "A command's step tables die with the command",
            rewriting, "release_step_tables", _release_no_step_table,
@@ -495,11 +504,11 @@ MUTANTS = [
            (_case(table.test_row_products_match_the_star_fold, "young-right-3"),)),
     Mutant("build-check-misses-repeats",
            "A `build` holds no rules",
-           rewriting, "check_rule_pairs", _check_missing_repeats,
+           rewriting, "check_rule_pairs", _rule_check_with("no-repeats"),
            (_duplicate_family,)),
     Mutant("build-writes-while-checking",
            "A `build` holds no rules",
-           cli, "_build_report", _build_report_writing_while_checking,
+           registry, "presentation_rules", _presentation_rules_checking_as_read,
            (_duplicate_family,)),
     Mutant("sylvester-congruence-bound-off-by-one",
            "One way to build a letter family's system",

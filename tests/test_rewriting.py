@@ -33,6 +33,7 @@ from sdskit.rewriting import (
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
+P = ((0, 1), (1, 0))  # a well-formed rule over AB
 
 
 def make(alphabet, pairs):
@@ -86,13 +87,13 @@ def test_apply_step_and_replay_reject_a_bad_id_or_position(word, step, message):
 
 
 def test_rule_with_equal_sides_rejected():
-    with pytest.raises(ValueError):
-        Rule((1, 2), (1, 2))
+    with pytest.raises(ValueError, match="^rule lhs and rhs must differ$"):
+        RewritingSystem(AB, (Rule((1, 0), (1, 0)),))
 
 
 def test_empty_lhs_rejected():
-    with pytest.raises(ValueError):
-        Rule((), (1,))
+    with pytest.raises(ValueError, match="^rule lhs must be non-empty$"):
+        RewritingSystem(AB, (Rule((), (1,)),))
 
 
 def test_duplicate_rule_rejected():
@@ -100,11 +101,21 @@ def test_duplicate_rule_rejected():
         make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0))])
 
 
-def test_faults_are_named_in_rule_order():
-    # the second rule repeats the first and the third has a bad letter:
-    # the duplicate comes first, so it is the fault named
-    with pytest.raises(ValueError, match=r"^duplicate rule \(0, 1\) -> \(1, 0\)$"):
-        make(AB, [((0, 1), (1, 0)), ((0, 1), (1, 0)), ((0, 2), (1,))])
+# rules with two faults and the first one's message; in the first two the
+# second rule repeats the first, so the duplicate is named
+RULE_ORDER_FAULTS = [
+    ([P, P, ((0, 2), (1,))], r"^duplicate rule \(0, 1\) -> \(1, 0\)$"),
+    ([P, P, ((), (1,))], r"^duplicate rule \(0, 1\) -> \(1, 0\)$"),
+    ([((0, 2), (1,)), ((1,), (1,))], r"^letter 2 out of range for alphabet of size 2$"),
+]
+
+
+@pytest.mark.parametrize("pairs,message", RULE_ORDER_FAULTS)
+def test_faults_are_named_in_rule_order(pairs, message):
+    with pytest.raises(ValueError, match=message):
+        make(AB, pairs)
+    with pytest.raises(ValueError, match=message):
+        rewriting.check_rule_pairs(AB, pairs)
 
 
 def _system_error(alphabet, pairs) -> str | None:
@@ -112,6 +123,22 @@ def _system_error(alphabet, pairs) -> str | None:
         make(alphabet, pairs)
     except ValueError as exc:
         return str(exc)
+    return None
+
+
+def _first_fault(alphabet, pairs) -> str | None:
+    """The message for the first faulty pair in rule order, by a plain scan."""
+    n = len(alphabet)
+    for i, (lhs, rhs) in enumerate(pairs):
+        bad = [x for x in lhs + rhs if not 0 <= x < n]
+        if not lhs:
+            return "rule lhs must be non-empty"
+        if lhs == rhs:
+            return "rule lhs and rhs must differ"
+        if bad:
+            return f"letter {bad[0]} out of range for alphabet of size {n}"
+        if (lhs, rhs) in pairs[:i]:
+            return f"duplicate rule {lhs} -> {rhs}"
     return None
 
 
@@ -130,7 +157,7 @@ def _check_error(alphabet, pairs) -> str | None:
 def test_rule_pair_check_raises_what_the_system_raises(pairs):
     # pairs over a tiny range meet every fault: an empty lhs, equal sides,
     # a letter out of range (-1 or 2) and a repeat, alone and together
-    assert _check_error(AB, pairs) == _system_error(AB, pairs)
+    assert _check_error(AB, pairs) == _system_error(AB, pairs) == _first_fault(AB, pairs)
 
 
 def test_rule_pair_check_reads_its_pairs_once_when_they_are_good():
@@ -145,9 +172,20 @@ def test_rule_pair_check_reads_its_pairs_once_when_they_are_good():
     assert len(reads) == 1
 
 
+@pytest.mark.parametrize("pairs", [[P, P], [((0, 5), (1,))], [P]])
+def test_rule_pair_check_refuses_a_one_shot_stream(pairs):
+    # a repeat is confirmed by reading the stream again, which a one-shot
+    # iterator cannot give; it is refused before it is read
+    stream = iter(pairs)
+    with pytest.raises(TypeError, match="^rule pairs must be re-readable"):
+        rewriting.check_rule_pairs(AB, stream)
+    assert list(stream) == pairs
+
+
 def test_rule_pair_check_survives_hash_collisions(monkeypatch):
-    # with every hash equal each repeat test is a doubt, which the system
-    # settles: distinct rules pass and a real repeat is still named
+    # with every hash equal each repeat test is a doubt, which a second
+    # read of the pairs settles: distinct rules pass and a real repeat is
+    # still named
     monkeypatch.setattr(rewriting, "hash", lambda value: 0, raising=False)
     good = [((0, 1), (1, 0)), ((1, 0), (0,)), ((1, 1), ())]
     assert check_rule_pairs(AB, good) is None
