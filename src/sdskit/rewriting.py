@@ -14,9 +14,9 @@ length-lexicographic termination witness.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 Word = tuple[int, ...]
 
@@ -144,24 +144,21 @@ class Branching:
     right: RewriteStep
 
 
-@lru_cache(maxsize=None)
+# Each system's step table, weakly keyed on the system: a table is dropped
+# with its system, and an equal system finds the same table.
+_step_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _rules_by_first_letter(system: RewritingSystem) -> dict[int, tuple[tuple[int, Word], ...]]:
-    """Each first letter's (rule id, lhs) pairs, in id order.
-
-    A table, and the system it is keyed on, lives until
-    `release_step_tables` is called: `cli.main` calls it as each command
-    returns, and a library caller keeps its tables for the whole process.
-    """
-    table: dict[int, list[tuple[int, Word]]] = {}
-    for rule_id, rule in enumerate(system.rules):
-        table.setdefault(rule.lhs[0], []).append((rule_id, rule.lhs))
-    return {k: tuple(v) for k, v in table.items()}
-
-
-# Drops every cached step table.  Bound once, here, so that it clears the
-# real cache even while `_rules_by_first_letter` is swapped for a plain
-# function, which has no `cache_clear` to call.
-release_step_tables = _rules_by_first_letter.cache_clear
+    """Each first letter's (rule id, lhs) pairs, in id order; built on the
+    system's first step selection, and kept while the system lives."""
+    table = _step_tables.get(system)
+    if table is None:
+        rows: dict[int, list[tuple[int, Word]]] = {}
+        for rule_id, rule in enumerate(system.rules):
+            rows.setdefault(rule.lhs[0], []).append((rule_id, rule.lhs))
+        table = _step_tables[system] = {k: tuple(v) for k, v in rows.items()}
+    return table
 
 
 def apply_step(system: RewritingSystem, word: Word, step: RewriteStep) -> Word:
@@ -424,7 +421,7 @@ def knuth_bendix_pass(system: RewritingSystem, order_less: Callable[[Word, Word]
     unorientable: list[tuple[Word, Word]] = []
     exhausted = False
 
-    cur = RewritingSystem.from_pairs(system.alphabet, pairs)
+    cur = system
     changed = True
     while changed:
         changed = False

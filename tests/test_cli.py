@@ -405,29 +405,36 @@ def test_shared_parser_carries_no_state_between_calls():
 
 def test_a_command_releases_its_step_tables_on_every_exit():
     # a pass, a verified failure with a report, and a verified failure
-    # raised as a CellFailure; the mutation gate calls this test directly
+    # raised as a CellFailure: each leaves no step table, since a table
+    # dies with the command's systems; tables that other tests hold may
+    # be alive throughout, so the count is taken before each command
     for argv, code, err in [
         (["check", "confluence", "--structure", "column", "--n", "3"], 0, ""),
         (["check", "path-bounds", "--n", "4"], 1, ""),
         (["cells", "--structure", "chinese", "--n", "4", "--budget", "1"], 1,
          "error: budget exhausted"),
     ]:
+        before = len(rewriting._step_tables)
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             assert _main_in_process(argv)[0] == code, argv
         assert stderr.getvalue().startswith(err), argv
-        assert rewriting._rules_by_first_letter.cache_info().currsize == 0, argv
+        assert len(rewriting._step_tables) == before, argv
 
 
 def test_tables_left_by_earlier_calls_do_not_change_a_command_s_bytes():
     argv = ["check", "confluence", "--structure", "column", "--n", "3"]
-    rewriting.release_step_tables()    # the first run starts with no table
     first = _main_in_process(argv)
     assert _main_in_process(argv) == first
-    # a library call keeps its tables: the command meets an equal system cached
-    rewriting.classify(young.column_presentation(3).system)
-    assert rewriting._rules_by_first_letter.cache_info().currsize == 1
+    # a library caller holds its system, so its table is alive, and the
+    # command's equal system finds that table
+    system = young.column_presentation(3).system
+    before = len(rewriting._step_tables)
+    rewriting.classify(system)
+    assert system in rewriting._step_tables
+    assert len(rewriting._step_tables) == before + 1
     assert _main_in_process(argv) == first
+    assert len(rewriting._step_tables) == before + 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -150,10 +150,6 @@ def _rule_check_with(fault):
     return check
 
 
-def _release_no_step_table():
-    """`rewriting.release_step_tables` leaving every cached table in place."""
-
-
 def _staircase_display_unreversed(t):
     """`chinese.staircase_display` writing each row as it is stored."""
     return [list(row) for row in t]
@@ -433,10 +429,12 @@ MUTANTS = [
            rewriting, "check_rule_pairs", _rule_check_with("one-shot"),
            (_case(test_rewriting.test_rule_pair_check_refuses_a_one_shot_stream,
                   [test_rewriting.P, test_rewriting.P]),)),
-    Mutant("command-keeps-its-step-tables",
-           "A command's step tables die with the command",
-           rewriting, "release_step_tables", _release_no_step_table,
-           (test_cli.test_a_command_releases_its_step_tables_on_every_exit,)),
+    # `_rules_by_first_letter` keeping its tables in a plain dict, which
+    # holds every system it has a table for
+    Mutant("step-tables-pin-their-systems",
+           "A step table lives as long as its system",
+           rewriting, "_step_tables", {},
+           (test_rewriting.test_a_step_table_lives_as_long_as_its_system,)),
     Mutant("staircase-display-unreversed",
            "One registry entry per structure",
            chinese, "staircase_display", _staircase_display_unreversed,

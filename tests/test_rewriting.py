@@ -1,5 +1,6 @@
 """Unit tests for the string rewriting engine."""
 
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -421,6 +422,28 @@ def test_classify_shapes():
 def test_classify_reduced():
     reducible = make(AB, [((0, 1), (1,)), ((0, 1, 1), (0,))])
     assert not classify(reducible).reduced
+
+
+def test_a_step_table_lives_as_long_as_its_system():
+    # a library caller's tables live while it holds the system and die
+    # with it; the tables are read through the module, so that a patched
+    # dict is the one counted (the mutation gate calls this test directly)
+    from sdskit.chinese import completed_order_less, precolumn_presentation
+    from sdskit.young import column_presentation
+    tables = rewriting._step_tables
+    before = len(tables)
+    system = column_presentation(3).system
+    rewriting.classify(system)
+    assert system in tables and len(tables) == before + 1
+    held = weakref.ref(system)
+    del system
+    assert held() is None and len(tables) == before
+    # one pass selects steps in 82 systems, the input and one per rule added
+    result = rewriting.knuth_bendix_pass(precolumn_presentation(5).system,
+                                         completed_order_less(5))
+    assert len(result.added) == 81
+    del result
+    assert len(tables) == before
 
 
 def test_termination_witness_rejects_growth():
