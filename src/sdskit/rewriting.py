@@ -7,8 +7,8 @@ this module provides deterministic normalization strategies (leftmost and
 rightmost), critical-branching enumeration with its two walks (each
 branching's legs normalized leftmost, which local confluence and Squier
 cells read, and each source normalized by both strategies), bounded
-congruence closure, a single Knuth-Bendix completion pass, and a
-length-lexicographic termination witness.
+congruence closure of rules that keep length, a single Knuth-Bendix
+completion pass, and a length-lexicographic termination witness.
 """
 
 from __future__ import annotations
@@ -329,7 +329,6 @@ def words_up_to(alphabet_size: int, max_len: int) -> list[Word]:
 
 @dataclass
 class CongruencePartition:
-    exact: bool
     representative: dict[Word, Word]
 
     def classes(self) -> list[frozenset[Word]]:
@@ -342,22 +341,23 @@ class CongruencePartition:
 def congruence_classes(system: RewritingSystem, max_len: int) -> CongruencePartition:
     """Partition of all words of length <= max_len under the congruence of the rules.
 
-    The closure is computed over words of length up to max_len plus one
-    rule-length gap, so that joins through slightly longer internal
-    witnesses are found when rules change length; the reported partition is
-    restricted to length <= max_len.  It is exact when every rule preserves
-    length and flagged as a lower bound otherwise.
+    Every rule must keep length, so that a class of words of length <= max_len
+    is joined by those words alone; a ValueError names the first rule, in
+    rule order, whose two sides differ in length.
 
-    Each word is joined to every rewrite of one lhs occurrence that stays
-    within the working length, found by looking its factors up by lhs.  The
-    reverse orientation adds no join: if w' holds a rhs at p and its
-    rewrite w by the lhs fits, then w is a working word, and scanning w for
-    that lhs at p joins the same pair.
+    Each word is joined to every rewrite of one lhs occurrence, found by
+    looking its factors up by lhs.  The reverse orientation adds no join: if
+    w' holds a rhs at p, its rewrite w by the lhs is a word of the same
+    length, and scanning w for that lhs at p joins the same pair.
     """
-    gap = max((abs(len(r.lhs) - len(r.rhs)) for r in system.rules), default=0)
-    exact = gap == 0
-    work_len = max_len + gap
-    words = words_up_to(len(system.alphabet), work_len)
+    by_lhs: dict[Word, list[Word]] = {}
+    for rule in system.rules:
+        if len(rule.lhs) != len(rule.rhs):
+            lhs, rhs = (".".join(map(system.alphabet.name, w)) for w in (rule.lhs, rule.rhs))
+            raise ValueError(f"rule {lhs} -> {rhs} changes length; the congruence "
+                             "closure takes only rules that keep length")
+        by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
+    words = words_up_to(len(system.alphabet), max_len)
     index = {w: i for i, w in enumerate(words)}
     parent = list(range(len(words)))
 
@@ -372,27 +372,20 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    by_lhs: dict[Word, list[Word]] = {}
-    for rule in system.rules:
-        by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
     lengths = sorted({len(lhs) for lhs in by_lhs})
     for i, word in enumerate(words):
         for k in lengths:
             for p in range(len(word) - k + 1):
                 for rhs in by_lhs.get(word[p:p + k], ()):
-                    other = word[:p] + rhs + word[p + k:]
-                    if len(other) <= work_len:
-                        union(i, index[other])
+                    union(i, index[word[:p] + rhs + word[p + k:]])
     rep: dict[Word, Word] = {}
     root_word: dict[int, Word] = {}
     for word in words:  # shortest-first order makes the first-seen root word minimal
-        if len(word) > max_len:
-            continue
         root = find(index[word])
         if root not in root_word:
             root_word[root] = word
         rep[word] = root_word[root]
-    return CongruencePartition(exact, rep)
+    return CongruencePartition(rep)
 
 
 @dataclass(frozen=True)

@@ -387,15 +387,13 @@ def check_cross_section(structure: StringDataStructure, congruence: RewritingSys
                         max_len: int) -> dict:
     """Constructor fibers must coincide with the congruence classes."""
     params = {"n": structure.n, "max_len": max_len}
+    classes = set(congruence_classes(congruence, max_len).classes())
     fibers = _constructor_fibers(structure, max_len)
-    partition = congruence_classes(congruence, max_len)
-    classes = set(partition.classes())
     if fibers == classes:
         return report("cross-section", structure.name, params, "pass",
-                      exact=partition.exact, class_count=len(classes))
+                      exact=True, class_count=len(classes))
     bad = next(iter(fibers.symmetric_difference(classes)))
-    return report("cross-section", structure.name, params, "fail",
-                  exact=partition.exact,
+    return report("cross-section", structure.name, params, "fail", exact=True,
                   witness={"block": sorted([list(w) for w in bad])[:4]})
 
 
@@ -404,22 +402,22 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """Congruent words insert identically, and read-after-construct is congruent.
 
     Both halves are checked over all reachable data and words up to the
-    bound.  An exact partition is checked rule by rule (`_rules_compatible`);
-    the walk of every class from every datum runs only when that check
-    fails, to find the witness, or when the partition is a lower bound.
+    bound.  The congruence must keep length (`congruence_classes` names a
+    rule that does not) and be over the structure's n letters, or a
+    ValueError says so.  Rule by rule (`_rules_compatible`) decides the
+    first half; the walk of every class from every datum runs only when
+    that check fails, to find the witness.
     """
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
+    if len(congruence.alphabet) != structure.n:
+        raise ValueError(f"congruence over {len(congruence.alphabet)} letters, but "
+                         f"{structure.name} is over n = {structure.n}")
     reach = reachable_set(structure, max_len)
     row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
-    # the rule-level contexts run over the structure's letters, the classes
-    # over the congruence's, so the two checks agree only when those match
-    rule_level = partition.exact and len(congruence.alphabet) == structure.n
-    if rule_level and _rules_compatible(row, congruence, data, max_len):
-        blocks = []
-    else:   # a rule-level failure is a class-level one; this loop finds its witness
-        blocks = partition.classes()
+    # a rule-level failure is a class-level one; this loop finds its witness
+    blocks = [] if _rules_compatible(row, congruence, data, max_len) else partition.classes()
     for block in blocks:
         words = sorted(block)
         if len(words) > 1:

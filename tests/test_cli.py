@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -588,6 +589,20 @@ def test_degenerate_bounds_exit_2(argv):
         assert "n=2" in err and f"--max-len {argv[-1]}" in err
     if argv[-2:] == ["--n", "1"]:
         assert "n=1" in err
+
+
+@pytest.mark.parametrize("check", ["cross-section", "compatibility"])
+def test_a_congruence_rule_that_changes_length_exits_2(check, monkeypatch, capsys):
+    # a registered congruence holding 1.1 -> 1 is refused, not checked on a
+    # partition that is only a lower bound
+    monkeypatch.setitem(STRUCTURES, "young-right", replace(
+        STRUCTURES["young-right"], congruence=lambda n, L: rewriting.RewritingSystem.from_pairs(
+            rewriting.Alphabet.letters(n), [((0, 0), (0,))])))
+    assert main(["check", check, "--structure", "young-right", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: rule 1.1 -> 1 changes length") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _word(n: int, length: int, seed: int) -> str:

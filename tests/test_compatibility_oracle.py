@@ -4,9 +4,11 @@
 rule-level test, copied verbatim: it walks every member of every
 congruence class from every reachable datum.  Its reports must agree, as
 JSON text, with `sdskit.sds.check_compatibility` on every registered
-structure at small bounds, on structures whose fault shows only when a
-rule is applied inside a context at the very end of the bound, and on a
-congruence whose partition is only a lower bound.
+structure at small bounds, and on structures whose fault shows only when a
+rule is applied inside a context at the very end of the bound.  The check
+takes a congruence that keeps length and is over the structure's n
+letters, and refuses any other with a ValueError: the rule-level test
+decides, and the class walk runs only to find a failure's witness.
 
 `_rules_compatible` below is the rule-level check as it was before the
 trie walk: it walks both sides of every rule from every context state.
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdskit import registry, sds
+from sdskit import registry, rewriting, sds
 from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     Alphabet,
@@ -158,7 +161,7 @@ def test_a_fault_inside_the_deepest_context_fails_with_the_class_level_witness(b
 
 def test_exact_partitions_that_pass_walk_no_class(monkeypatch):
     def classes(self):
-        raise AssertionError("class-level walk on a passing exact partition")
+        raise AssertionError("class-level walk on a passing check")
 
     monkeypatch.setattr(CongruencePartition, "classes", classes)
     for name in sorted(registry.STRUCTURES):
@@ -167,18 +170,37 @@ def test_exact_partitions_that_pass_walk_no_class(monkeypatch):
                                        5)["result"] == "pass"
 
 
-def test_a_lower_bound_partition_takes_the_class_level_path(monkeypatch):
-    # 1.1 = 1 changes length, so the partition is only a lower bound and the
-    # rule-level test does not decide it
-    def rules_compatible(*args):
-        raise AssertionError("rule-level check on a lower-bound partition")
+LENGTH_CHANGING = [
+    ([((0, 0), (0,))], "1.1 -> 1"),
+    ([((0, 1), (1, 0)), ((1, 1), (1,)), ((0,), (0, 0))], "2.2 -> 2"),
+]
 
-    monkeypatch.setattr(sds, "_rules_compatible", rules_compatible)
-    congruence = RewritingSystem.from_pairs(Alphabet(("1",)), [((0, 0), (0,))])
-    assert not congruence_classes(congruence, 3).exact
+
+@pytest.mark.parametrize("pairs,named", LENGTH_CHANGING)
+def test_a_rule_that_changes_length_is_refused(pairs, named):
+    # the first such rule in rule order is named, by the closure and by
+    # both checks that read it; the mutation gate calls this test directly
+    congruence = RewritingSystem.from_pairs(Alphabet(("1", "2")), pairs)
+    message = f"^rule {re.escape(named)} changes length"
     for max_len in range(5):
-        result = _same_report(young_right(1), congruence, max_len)
-    assert result["result"] == "fail"
+        with pytest.raises(ValueError, match=message):
+            rewriting.congruence_classes(congruence, max_len)
+        for check in (sds.check_cross_section, sds.check_compatibility):
+            with pytest.raises(ValueError, match=message):
+                check(young_right(2), congruence, max_len)
+
+
+# (structure n, congruence n)
+OTHER_LETTERS = [(3, 2), (2, 3), (1, 3)]
+
+
+@pytest.mark.parametrize("structure_n,congruence_n", OTHER_LETTERS)
+def test_a_congruence_over_other_letters_is_refused(structure_n, congruence_n):
+    # the mutation gate calls this test directly
+    congruence = build_presentation("knuth", congruence_n).system
+    with pytest.raises(ValueError, match=f"^congruence over {congruence_n} letters, but "
+                                         f"young-right is over n = {structure_n}$"):
+        sds.check_compatibility(young_right(structure_n), congruence, 4)
 
 
 # --- the trie walk against the walk per rule ------------------------------------

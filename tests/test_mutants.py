@@ -29,6 +29,8 @@ import test_branching_oracle as oracle
 import test_build_stream as build
 import test_chinese
 import test_cli
+import test_compatibility_oracle as compatibility
+import test_congruence_oracle as congruence
 import test_family_oracle as family
 import test_insertion_oracle as insertion
 import test_registry
@@ -347,6 +349,17 @@ def _parse_ints_without_fallback(tokens):
     return tuple(map(sds.NUMERALS.get, tokens))
 
 
+_check_compatibility = sds.check_compatibility
+
+
+def _compatibility_taking_any_alphabet(structure, congruence, max_len):
+    """`sds.check_compatibility` reading the congruence's rules as rules over
+    the structure's n letters, whatever the congruence's alphabet."""
+    over_n = rewriting.RewritingSystem(rewriting.Alphabet.letters(structure.n),
+                                       congruence.rules)
+    return _check_compatibility(structure, over_n, max_len)
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -435,6 +448,18 @@ MUTANTS = [
            "A step table lives as long as its system",
            rewriting, "_step_tables", {},
            (test_rewriting.test_a_step_table_lives_as_long_as_its_system,)),
+    # the closure as it was before the refusal, which closes a rule that
+    # changes length over a working length past the bound
+    Mutant("congruence-closes-a-length-changing-rule",
+           "One congruence contract",
+           rewriting, "congruence_classes", congruence.congruence_classes,
+           tuple(_case(compatibility.test_a_rule_that_changes_length_is_refused, pairs, named)
+                 for pairs, named in compatibility.LENGTH_CHANGING)),
+    Mutant("compatibility-takes-any-alphabet",
+           "One congruence contract",
+           sds, "check_compatibility", _compatibility_taking_any_alphabet,
+           tuple(_case(compatibility.test_a_congruence_over_other_letters_is_refused, *ns)
+                 for ns in compatibility.OTHER_LETTERS)),
     Mutant("staircase-display-unreversed",
            "One registry entry per structure",
            chinese, "staircase_display", _staircase_display_unreversed,

@@ -113,6 +113,17 @@ def test_default_congruences_build(name):
             assert STRUCTURES[name].congruence(n, L) == CONGRUENCE_ORACLES[name](n, L), (n, L)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_default_congruences_keep_length_over_their_n_letters(name):
+    # the premise of `check cross-section` and `check compatibility`, which
+    # refuse a congruence with a rule that changes length or over other letters
+    for n in range(1, 6):
+        for L in range(1, 8):
+            system = STRUCTURES[name].congruence(n, L)
+            assert len(system.alphabet) == n, (n, L)
+            assert all(len(rule.lhs) == len(rule.rhs) for rule in system.rules), (n, L)
+
+
 @pytest.mark.parametrize("name", ["column", "chinese-completed"])
 def test_strategies_agree_on_convergent_presentations(name):
     # leftmost and rightmost normalization reach the same target once the

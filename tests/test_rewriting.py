@@ -342,7 +342,6 @@ def test_precolumn_has_the_expected_nonconfluent_branchings():
 
 def test_congruence_classes_chinese_321():
     part = congruence_classes(build_presentation("chinese-relations", 3).system, 4)
-    assert part.exact
     block, = (c for c in part.classes() if (2, 1, 0) in c)  # the word 3 2 1
     assert block == frozenset({(2, 1, 0), (2, 0, 1), (1, 2, 0)})
 
