@@ -94,9 +94,12 @@ def strategy_cells(presentation: Presentation, budget: int | None = None) -> lis
     Both paths must reach the canonical decomposition of the folded product
     of the three generators; a mismatch raises `CellFailure`, since it
     contradicts the commutation the presentation was built from, and so
-    does a path that hits the budget.
+    does a path that hits the budget.  A presentation over plain letters
+    has no such decomposition, and raises a plain ValueError.
     """
     gen_set = presentation.generating
+    if gen_set is None:
+        raise ValueError("strategy cells need a presentation built from a generating set")
     cells = []
     for word, top, bottom in strategy_paths(presentation.system, budget):
         expected = gen_set.word(gen_set.product(word))

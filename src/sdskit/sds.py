@@ -20,6 +20,7 @@ from typing import Any, Callable, Sequence
 
 from .rewriting import (
     Alphabet,
+    CongruencePartition,
     RewritingSystem,
     Word,
     congruence_classes,
@@ -383,11 +384,25 @@ def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[fro
     return {frozenset(v) for v in fibers.values()}
 
 
+def _congruence_partition(structure: StringDataStructure, congruence: RewritingSystem,
+                          max_len: int) -> CongruencePartition:
+    """The congruence's partition of the words of length <= max_len, for a
+    verifier of `structure`.  The congruence must keep length
+    (`congruence_classes` names a rule that does not) and be over the
+    structure's n letters, or a ValueError says so."""
+    partition = congruence_classes(congruence, max_len)
+    if len(congruence.alphabet) != structure.n:
+        raise ValueError(f"congruence over {len(congruence.alphabet)} letters, but "
+                         f"{structure.name} is over n = {structure.n}")
+    return partition
+
+
 def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
                         max_len: int) -> dict:
-    """Constructor fibers must coincide with the congruence classes."""
+    """Constructor fibers must coincide with the congruence classes
+    (`_congruence_partition` states what congruence it takes)."""
     params = {"n": structure.n, "max_len": max_len}
-    classes = set(congruence_classes(congruence, max_len).classes())
+    classes = set(_congruence_partition(structure, congruence, max_len).classes())
     fibers = _constructor_fibers(structure, max_len)
     if fibers == classes:
         return report("cross-section", structure.name, params, "pass",
@@ -402,17 +417,13 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """Congruent words insert identically, and read-after-construct is congruent.
 
     Both halves are checked over all reachable data and words up to the
-    bound.  The congruence must keep length (`congruence_classes` names a
-    rule that does not) and be over the structure's n letters, or a
-    ValueError says so.  Rule by rule (`_rules_compatible`) decides the
-    first half; the walk of every class from every datum runs only when
-    that check fails, to find the witness.
+    bound, against the congruence `_congruence_partition` takes.  Rule by
+    rule (`_rules_compatible`) decides the first half; the walk of every
+    class from every datum runs only when that check fails, to find the
+    witness.
     """
     params = {"n": structure.n, "max_len": max_len}
-    partition = congruence_classes(congruence, max_len)
-    if len(congruence.alphabet) != structure.n:
-        raise ValueError(f"congruence over {len(congruence.alphabet)} letters, but "
-                         f"{structure.name} is over n = {structure.n}")
+    partition = _congruence_partition(structure, congruence, max_len)
     reach = reachable_set(structure, max_len)
     row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]

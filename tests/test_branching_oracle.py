@@ -45,12 +45,14 @@ from sdskit.rewriting import (
     Alphabet,
     Branching,
     CompletionResult,
+    NormalizeResult,
     RewritePath,
     RewriteStep,
     RewritingSystem,
     SystemFlags,
     Word,
     apply_step,
+    default_budget,
     is_normal_form,
     normalize,
 )
@@ -406,6 +408,84 @@ def verify_knuth_decomposition(n: int) -> dict:
             "instances": checked}
 
 
+# --- step selection, verbatim ------------------------------------------------
+# The table-based step selection of `rewriting` and its `normalize` loop,
+# copied: the table is built on every call here, with no cache, and
+# `normalize` is named `_normalize`, since the oracles above call the
+# engine's.  `rewriting.normalize` must agree with `_normalize`, leftmost and
+# rightmost, on the rule sides and critical-branching sources of every
+# registered presentation and of drawn systems.
+
+
+def _rules_by_first_letter(system: RewritingSystem) -> dict[int, tuple[tuple[int, Word], ...]]:
+    rows: dict[int, list[tuple[int, Word]]] = {}
+    for rule_id, rule in enumerate(system.rules):
+        rows.setdefault(rule.lhs[0], []).append((rule_id, rule.lhs))
+    return {k: tuple(v) for k, v in rows.items()}
+
+
+def _first_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
+    """The leftmost match, by the lowest rule id there (tables are in id order)."""
+    table = _rules_by_first_letter(system)
+    for i, letter in enumerate(word):
+        for rule_id, lhs in table.get(letter, ()):
+            if word[i:i + len(lhs)] == lhs:
+                return RewriteStep(rule_id, i)
+    return None
+
+
+def _last_step(system: RewritingSystem, word: Word) -> RewriteStep | None:
+    """The rightmost match, by the highest rule id there."""
+    table = _rules_by_first_letter(system)
+    for i in range(len(word) - 1, -1, -1):
+        for rule_id, lhs in reversed(table.get(word[i], ())):
+            if word[i:i + len(lhs)] == lhs:
+                return RewriteStep(rule_id, i)
+    return None
+
+
+def _normalize(system: RewritingSystem, word: Word, strategy: str = LEFTMOST,
+               budget: int | None = None) -> NormalizeResult:
+    """Normalize by repeatedly applying the leftmost (or rightmost) step.
+
+    Stops at a normal form or once `budget` steps were taken; the result
+    flags which of the two happened.
+    """
+    if budget is None:
+        budget = default_budget(word)
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    pick = _first_step if strategy == LEFTMOST else _last_step
+    if strategy not in (LEFTMOST, RIGHTMOST):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    steps = []
+    current = word
+    for _ in range(budget):
+        step = pick(system, current)
+        if step is None:
+            break
+        steps.append(step)
+        current = apply_step(system, current, step)
+    reached = pick(system, current) is None
+    return NormalizeResult(RewritePath(word, tuple(steps), current), reached)
+
+
+def compare_normalize(system: RewritingSystem, budget: int | None = None) -> int:
+    """Asserts that `rewriting.normalize` agrees with `_normalize`, leftmost
+    and rightmost, on every rule side and critical-branching source of the
+    system: its path steps, its target and `reached_normal_form`.  Returns
+    the number of words compared."""
+    words = {side for rule in system.rules for side in (rule.lhs, rule.rhs)}
+    words.update(b.source for b in critical_branchings(system))
+    for word in sorted(words):
+        for strategy in (LEFTMOST, RIGHTMOST):
+            new = rewriting.normalize(system, word, strategy, budget)
+            old = _normalize(system, word, strategy, budget)
+            assert (new.path.steps, new.target, new.reached_normal_form) == \
+                (old.path.steps, old.target, old.reached_normal_form), (word, strategy)
+    return len(words)
+
+
 # --- random systems -------------------------------------------------------
 
 def _systems(decreasing: bool):
@@ -492,6 +572,14 @@ def test_picks_where_two_rules_match_at_one_position():
 @settings(max_examples=200, deadline=None)
 @given(_systems(decreasing=True), st.sampled_from([None, 0, 1, 3]))
 @example(TANGLED, None)
+@example(TWO_AT_ONE, None)
+def test_normalize_matches_the_step_selection_oracle(system, budget):
+    compare_normalize(system, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems(decreasing=True), st.sampled_from([None, 0, 1, 3]))
+@example(TANGLED, None)
 def test_branching_leg_consumers_match_the_oracle(system, budget):
     assert _checks(system, budget) == check_local_confluence(system, budget)
     assert rewriting.knuth_bendix_pass(system, _shortlex_less, budget) == \
@@ -508,6 +596,13 @@ def test_classify_matches_the_oracle_on_every_presentation(name, n):
     system = registry.build_presentation(name, n).system
     assert rewriting.classify(system) == classify(system)
     assert rewriting.critical_branchings(system) == critical_branchings(system)
+
+
+@pytest.mark.parametrize("name,n", [*((name, 2) for name in registry.PRESENTATION_NAMES),
+                                    ("column", 3), ("chinese-precolumn", 3),
+                                    ("chinese-completed", 3)])
+def test_normalize_matches_the_step_selection_oracle_on_presentations(name, n):
+    assert compare_normalize(registry.build_presentation(name, n).system)
 
 
 @pytest.mark.parametrize("name", ["column", "chinese-completed", "chinese-precolumn", "knuth"])

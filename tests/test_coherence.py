@@ -13,6 +13,7 @@ from sdskit.coherence import (
     verify_cell_shapes_chinese,
     verify_cell_shapes_young,
 )
+from sdskit.registry import build_presentation
 from sdskit.rewriting import (
     LEFTMOST,
     RIGHTMOST,
@@ -79,6 +80,15 @@ def test_strategy_cells_young_worked_triple():
     assert targets == {gen.word(gen.product(triple))}
     (target,) = targets
     assert [pres.system.alphabet.name(i) for i in target] == ["c_54321", "c_531", "c_31"]
+
+
+def test_strategy_cells_need_a_generating_set():
+    # a plain ValueError: a CellFailure is a verified failure, which the
+    # CLI would map to exit 1
+    with pytest.raises(ValueError, match="^strategy cells need a presentation built "
+                                         "from a generating set$") as caught:
+        strategy_cells(build_presentation("knuth", 3))
+    assert type(caught.value) is ValueError
 
 
 def test_squier_and_strategy_cells_share_endpoints():

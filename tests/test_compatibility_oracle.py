@@ -9,6 +9,8 @@ rule is applied inside a context at the very end of the bound.  The check
 takes a congruence that keeps length and is over the structure's n
 letters, and refuses any other with a ValueError: the rule-level test
 decides, and the class walk runs only to find a failure's witness.
+`sds.check_cross_section` takes its congruence through the same gate,
+`sds._congruence_partition`, and refuses the same congruences.
 
 `_rules_compatible` below is the rule-level check as it was before the
 trie walk: it walks both sides of every rule from every context state.
@@ -192,15 +194,20 @@ def test_a_rule_that_changes_length_is_refused(pairs, named):
 
 # (structure n, congruence n)
 OTHER_LETTERS = [(3, 2), (2, 3), (1, 3)]
+# the two verifiers that read a congruence, by their names in `sds`
+VERIFIERS = ["check_cross_section", "check_compatibility"]
 
 
+@pytest.mark.parametrize("check", VERIFIERS)
 @pytest.mark.parametrize("structure_n,congruence_n", OTHER_LETTERS)
-def test_a_congruence_over_other_letters_is_refused(structure_n, congruence_n):
-    # the mutation gate calls this test directly
+def test_a_congruence_over_other_letters_is_refused(structure_n, congruence_n, check):
+    # the mutation gate calls this test directly, so the verifier is looked
+    # up in `sds` when the test runs
     congruence = build_presentation("knuth", congruence_n).system
-    with pytest.raises(ValueError, match=f"^congruence over {congruence_n} letters, but "
-                                         f"young-right is over n = {structure_n}$"):
-        sds.check_compatibility(young_right(structure_n), congruence, 4)
+    message = f"^congruence over {congruence_n} letters, but young-right is over n = {structure_n}$"
+    for max_len in range(5):
+        with pytest.raises(ValueError, match=message):
+            getattr(sds, check)(young_right(structure_n), congruence, max_len)
 
 
 # --- the trie walk against the walk per rule ------------------------------------

@@ -349,15 +349,10 @@ def _parse_ints_without_fallback(tokens):
     return tuple(map(sds.NUMERALS.get, tokens))
 
 
-_check_compatibility = sds.check_compatibility
-
-
-def _compatibility_taking_any_alphabet(structure, congruence, max_len):
-    """`sds.check_compatibility` reading the congruence's rules as rules over
-    the structure's n letters, whatever the congruence's alphabet."""
-    over_n = rewriting.RewritingSystem(rewriting.Alphabet.letters(structure.n),
-                                       congruence.rules)
-    return _check_compatibility(structure, over_n, max_len)
+def _congruence_partition_taking_any_alphabet(structure, congruence, max_len):
+    """`sds._congruence_partition` without its letter test: a congruence
+    over other letters than the structure's n is taken as it is."""
+    return rewriting.congruence_classes(congruence, max_len)
 
 
 def _case(test, *args):
@@ -455,11 +450,12 @@ MUTANTS = [
            rewriting, "congruence_classes", congruence.congruence_classes,
            tuple(_case(compatibility.test_a_rule_that_changes_length_is_refused, pairs, named)
                  for pairs, named in compatibility.LENGTH_CHANGING)),
-    Mutant("compatibility-takes-any-alphabet",
-           "One congruence contract",
-           sds, "check_compatibility", _compatibility_taking_any_alphabet,
-           tuple(_case(compatibility.test_a_congruence_over_other_letters_is_refused, *ns)
-                 for ns in compatibility.OTHER_LETTERS)),
+    # each verifier that reads a congruence must notice it on its own
+    Mutant("congruence-gate-takes-any-alphabet",
+           "One congruence gate",
+           sds, "_congruence_partition", _congruence_partition_taking_any_alphabet,
+           tuple(_case(compatibility.test_a_congruence_over_other_letters_is_refused, *ns, check)
+                 for check in compatibility.VERIFIERS for ns in compatibility.OTHER_LETTERS)),
     Mutant("staircase-display-unreversed",
            "One registry entry per structure",
            chinese, "staircase_display", _staircase_display_unreversed,
