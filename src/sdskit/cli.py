@@ -236,16 +236,22 @@ def _with_congruence(name: str, n: int, L: int):
 
 
 def _confluence(name: str, n: int, L: int, budget) -> dict:
-    legs = check_local_confluence(registry.build_presentation(name, n, L).system, budget)
-    if not legs:    # a pass would rest on nothing examined
+    """The branchings' legs are walked one at a time; the report keeps
+    their count, the budget hits and the first witness."""
+    branchings = budget_hits = 0
+    witness = None
+    for b, left, right in check_local_confluence(
+            registry.build_presentation(name, n, L).system, budget):
+        branchings += 1
+        w = coherence.legs_witness(b.source, left, right)
+        if w:
+            budget_hits += "reason" in w
+            witness = witness or w
+    if not branchings:  # a pass would rest on nothing examined
         raise ValueError(f"{name} at n={n}, --max-len {L} has no critical branching: "
                          "nothing to check")
-    witnesses = [w for b, left, right in legs
-                 if (w := coherence.legs_witness(b.source, left, right))]
-    return report("confluence", name, {"n": n}, "fail" if witnesses else "pass",
-                  branchings=len(legs),
-                  budget_hits=sum("reason" in w for w in witnesses) or None,
-                  witness=witnesses[0] if witnesses else None)
+    return report("confluence", name, {"n": n}, "fail" if witness else "pass",
+                  branchings=branchings, budget_hits=budget_hits or None, witness=witness)
 
 
 def _associativity(name: str, n: int, L: int, budget) -> dict:

@@ -312,11 +312,13 @@ def strategy_paths(system: RewritingSystem, budget: int | None = None
 
 
 def check_local_confluence(system: RewritingSystem, budget: int | None = None
-                           ) -> list[tuple[Branching, NormalizeResult, NormalizeResult]]:
+                           ) -> Iterator[tuple[Branching, NormalizeResult, NormalizeResult]]:
     """Every critical branching with its two legs (`branching_legs`), in
     `critical_branchings` order; `coherence.legs_witness` says whether the
-    legs close."""
-    return [(b, *branching_legs(system, b, budget)) for b in critical_branchings(system)]
+    legs close.  Lazy, as `strategy_paths` is, so a caller holds only the
+    legs it keeps."""
+    for b in critical_branchings(system):
+        yield (b, *branching_legs(system, b, budget))
 
 
 def words_up_to(alphabet_size: int, max_len: int) -> list[Word]:

@@ -400,13 +400,27 @@ def _congruence_partition(structure: StringDataStructure, congruence: RewritingS
 def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
                         max_len: int) -> dict:
     """Constructor fibers must coincide with the congruence classes
-    (`_congruence_partition` states what congruence it takes)."""
+    (`_congruence_partition` states what congruence it takes).
+
+    One walk decides: the partitions coincide exactly when pairing each
+    word's class representative with its constructor's reading is one to
+    one both ways.  The fibers and classes are built as sets only on a
+    failure, to find the witness."""
     params = {"n": structure.n, "max_len": max_len}
-    classes = set(_congruence_partition(structure, congruence, max_len).classes())
-    fibers = _constructor_fibers(structure, max_len)
-    if fibers == classes:
+    partition = _congruence_partition(structure, congruence, max_len)
+    representative, row = partition.representative, Row(structure)
+    reading_of: dict[Word, tuple[int, ...]] = {}    # class representative -> reading
+    class_of: dict[tuple[int, ...], Word] = {}      # reading -> class representative
+    for word, s in _constructor_walks(row, max_len):
+        rep, reading = representative[word], row.read(s)
+        if reading_of.setdefault(rep, reading) != reading or \
+                class_of.setdefault(reading, rep) != rep:
+            break
+    else:
         return report("cross-section", structure.name, params, "pass",
-                      exact=True, class_count=len(classes))
+                      exact=True, class_count=len(reading_of))
+    classes = set(partition.classes())
+    fibers = _constructor_fibers(structure, max_len)
     bad = next(iter(fibers.symmetric_difference(classes)))
     return report("cross-section", structure.name, params, "fail", exact=True,
                   witness={"block": sorted([list(w) for w in bad])[:4]})

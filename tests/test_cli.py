@@ -153,6 +153,35 @@ def test_check_confluence_reports_budget_hits(capsys):
     assert "budget_hits" not in json.loads(capsys.readouterr().out)
 
 
+# check line -> (exit code, stdout, stderr), recorded before `check
+# confluence` walked its branchings' legs one at a time: a failure and its
+# witness, a walk whose every leg hits the budget, and a bound with no
+# critical branching
+CONFLUENCE_CASES = {
+    "check confluence --structure knuth --n 3": (1, json.dumps({
+        "check": "confluence", "structure": "knuth", "params": {"n": 3}, "result": "fail",
+        "branchings": 16,
+        "witness": {"source": [2, 0, 1, 1, 0], "left": [0, 1, 2, 1, 0],
+                    "right": [0, 2, 1, 0, 1]}}, indent=2) + "\n", ""),
+    "check confluence --structure column --n 3 --budget 0": (1, json.dumps({
+        "check": "confluence", "structure": "column", "params": {"n": 3}, "result": "fail",
+        "branchings": 42, "budget_hits": 42,
+        "witness": {"source": [0, 3, 6], "reason": "budget exhausted"}}, indent=2) + "\n", ""),
+    "check confluence --structure row --n 2 --max-len 0": (2, "", (
+        "error: row at n=2, --max-len 0 has no critical branching: nothing to check\n")),
+}
+
+
+@pytest.mark.parametrize("line", list(CONFLUENCE_CASES))
+def test_check_confluence_keeps_its_recorded_output(line):
+    # the mutation gate calls this test directly, so it captures by hand
+    code, out, err = CONFLUENCE_CASES[line]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(line.split()) == code
+    assert (stdout.getvalue(), stderr.getvalue()) == (out, err)
+
+
 @pytest.mark.parametrize("family", ["young", "chinese"])
 def test_check_cell_shapes_fails_on_budget_hits(family, capsys):
     assert main(["check", "cell-shapes", "--structure", family, "--n", "3",

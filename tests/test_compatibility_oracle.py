@@ -12,6 +12,12 @@ decides, and the class walk runs only to find a failure's witness.
 `sds.check_cross_section` takes its congruence through the same gate,
 `sds._congruence_partition`, and refuses the same congruences.
 
+`check_cross_section` below is the cross-section check as it was before it
+decided in one pass, copied verbatim: it compares the constructor fibers
+and the congruence classes as sets of word sets.  Its reports and errors
+must agree with `sdskit.sds.check_cross_section` for every structure
+against every letter family's congruence at small bounds.
+
 `_rules_compatible` below is the rule-level check as it was before the
 trie walk: it walks both sides of every rule from every context state.
 Its verdict must agree with `sdskit.sds._rules_compatible` on every
@@ -40,6 +46,8 @@ from sdskit.rewriting import (
 from sdskit.sds import (
     LEFT_TO_RIGHT,
     StringDataStructure,
+    _congruence_partition,
+    _constructor_fibers,
     _letters_to_indices,
     reachable_set,
     report,
@@ -87,6 +95,24 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
             return report("compatibility", structure.name, params, "fail",
                           witness={"word": list(word), "reading": list(rc)})
     return report("compatibility", structure.name, params, "pass")
+
+
+# --- the cross-section check before its one-pass decision, verbatim -----------
+
+
+def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
+                        max_len: int) -> dict:
+    """Constructor fibers must coincide with the congruence classes
+    (`_congruence_partition` states what congruence it takes)."""
+    params = {"n": structure.n, "max_len": max_len}
+    classes = set(_congruence_partition(structure, congruence, max_len).classes())
+    fibers = _constructor_fibers(structure, max_len)
+    if fibers == classes:
+        return report("cross-section", structure.name, params, "pass",
+                      exact=True, class_count=len(classes))
+    bad = next(iter(fibers.symmetric_difference(classes)))
+    return report("cross-section", structure.name, params, "fail", exact=True,
+                  witness={"block": sorted([list(w) for w in bad])[:4]})
 
 
 # --- the rule-level check before the trie walk, verbatim but for one call -------
@@ -162,14 +188,21 @@ def test_a_fault_inside_the_deepest_context_fails_with_the_class_level_witness(b
 
 
 def test_exact_partitions_that_pass_walk_no_class(monkeypatch):
+    # neither verifier builds the classes, nor cross-section the fibers,
+    # unless it has failed and needs a witness
     def classes(self):
         raise AssertionError("class-level walk on a passing check")
 
+    def fibers(structure, max_len):
+        raise AssertionError("fibers built on a passing check")
+
     monkeypatch.setattr(CongruencePartition, "classes", classes)
+    monkeypatch.setattr(sds, "_constructor_fibers", fibers)
     for name in sorted(registry.STRUCTURES):
         structure = registry.get_structure(name, 3)
-        assert sds.check_compatibility(structure, registry.STRUCTURES[name].congruence(3, 5),
-                                       5)["result"] == "pass"
+        for check in (sds.check_compatibility, sds.check_cross_section):
+            assert check(structure, registry.STRUCTURES[name].congruence(3, 5),
+                         5)["result"] == "pass"
 
 
 LENGTH_CHANGING = [
@@ -208,6 +241,41 @@ def test_a_congruence_over_other_letters_is_refused(structure_n, congruence_n, c
     for max_len in range(5):
         with pytest.raises(ValueError, match=message):
             getattr(sds, check)(young_right(structure_n), congruence, max_len)
+
+
+# --- the one-pass cross-section against the set comparison ----------------------
+
+
+def _outcome(check, *args):
+    """A check's report as JSON text, or the type and text of its error."""
+    try:
+        return json.dumps(check(*args))
+    except Exception as exc:    # both checks must raise alike, whatever they raise
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(registry.STRUCTURES))
+def test_cross_section_matches_the_set_comparison(name):
+    # every letter family's congruence over the structure's n letters, and
+    # over one letter more, which both refuse; many pairings of a structure
+    # with another family's congruence fail, both where a class spans two
+    # fibers and where two classes share a reading (hypoplactic-right
+    # against knuth, say), so the witness path runs too; the mutation gate
+    # calls this test directly
+    verdicts = []
+    for family, n in itertools.product(registry.LETTER_FAMILIES, range(1, 5)):
+        structure = registry.get_structure(name, n)
+        for max_len in range(7):
+            congruence = build_presentation(family, n, max_len).system
+            new = _outcome(sds.check_cross_section, structure, congruence, max_len)
+            assert new == _outcome(check_cross_section, structure, congruence, max_len), \
+                (family, n, max_len)
+            verdicts.append(json.loads(new)["result"])
+        wider = build_presentation(family, n + 1, 2).system
+        refusal = _outcome(sds.check_cross_section, structure, wider, 2)
+        assert refusal == _outcome(check_cross_section, structure, wider, 2)
+        assert refusal[0] is ValueError
+    assert "pass" in verdicts and "fail" in verdicts
 
 
 # --- the trie walk against the walk per rule ------------------------------------

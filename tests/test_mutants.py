@@ -355,6 +355,38 @@ def _congruence_partition_taking_any_alphabet(structure, congruence, max_len):
     return rewriting.congruence_classes(congruence, max_len)
 
 
+def _cross_section_pairing_one_way(structure, congruence, max_len):
+    """`sds.check_cross_section` pairing each class with one reading, but
+    not each reading with one class, so two classes that read alike pass."""
+    params = {"n": structure.n, "max_len": max_len}
+    partition = sds._congruence_partition(structure, congruence, max_len)
+    row = sds.Row(structure)
+    reading_of = {}
+    for word, s in sds._constructor_walks(row, max_len):
+        reading = row.read(s)
+        if reading_of.setdefault(partition.representative[word], reading) != reading:
+            return sds.report("cross-section", structure.name, params, "fail", exact=True,
+                              witness={"block": [list(word)]})
+    return sds.report("cross-section", structure.name, params, "pass",
+                      exact=True, class_count=len(reading_of))
+
+
+def _confluence_counting_first_budget_hit(name, n, L, budget):
+    """`cli._confluence` counting only the first leg that hits its budget."""
+    branchings, witness = 0, None
+    for b, left, right in rewriting.check_local_confluence(
+            registry.build_presentation(name, n, L).system, budget):
+        branchings += 1
+        witness = witness or coherence.legs_witness(b.source, left, right)
+    if not branchings:
+        raise ValueError(f"{name} at n={n}, --max-len {L} has no critical branching: "
+                         "nothing to check")
+    return sds.report("confluence", name, {"n": n}, "fail" if witness else "pass",
+                      branchings=branchings,
+                      budget_hits=int("reason" in witness) if witness else None,
+                      witness=witness)
+
+
 def _case(test, *args):
     """The case `args` of a parametrized test, as a killer."""
     def killer():
@@ -450,6 +482,17 @@ MUTANTS = [
            rewriting, "congruence_classes", congruence.congruence_classes,
            tuple(_case(compatibility.test_a_rule_that_changes_length_is_refused, pairs, named)
                  for pairs, named in compatibility.LENGTH_CHANGING)),
+    Mutant("cross-section-pairs-one-way",
+           "Verifiers hold only what their report needs",
+           sds, "check_cross_section", _cross_section_pairing_one_way,
+           (_case(compatibility.test_cross_section_matches_the_set_comparison,
+                  "hypoplactic-right"),)),
+    # `main` reads the check through its table, which holds the function
+    Mutant("confluence-counts-first-budget-hit-only",
+           "Verifiers hold only what their report needs",
+           cli.CHECKS, "confluence", _confluence_counting_first_budget_hit,
+           (_case(test_cli.test_check_confluence_keeps_its_recorded_output,
+                  "check confluence --structure column --n 3 --budget 0"),)),
     # each verifier that reads a congruence must notice it on its own
     Mutant("congruence-gate-takes-any-alphabet",
            "One congruence gate",

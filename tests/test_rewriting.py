@@ -325,7 +325,7 @@ def _witnesses(system) -> list:
 
 def test_local_confluence_empty_system_vacuous():
     rs = make(AB, [])
-    assert check_local_confluence(rs) == []
+    assert list(check_local_confluence(rs)) == []
 
 
 def test_local_confluence_detects_failure():
