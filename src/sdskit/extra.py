@@ -483,21 +483,16 @@ def commutation_probe(right: StringDataStructure, left: StringDataStructure,
     general claim is made either way.  `pairs_tested` counts the (datum,
     x, y) triples examined, up to and including a counterexample.
     """
-    data, bad = first_noncommuting(right, left, max_len)
+    count, bad = first_noncommuting(right, left, max_len)
     k = right.n
     name, params = f"{right.name}|{left.name}", {"n": k, "max_len": max_len}
     if bad is None:
         return report("probe", name, params, "exhausted",
-                      pairs_tested=len(data) * k * k, data_count=len(data))
-    key, x, y = bad
-    d = data[key]
-    a = left.insert_one(right.insert_one(d, x), y)
-    b = right.insert_one(left.insert_one(d, y), x)
-    position = sorted(data).index(key)
+                      pairs_tested=count * k * k, data_count=count)
+    position, key, x, y, a, b = bad
     return report("probe", name, params, "counterexample",
                   witness={"datum": list(key), "x": x, "y": y,
-                           "left_after_right": list(right.read(a)),
-                           "right_after_left": list(right.read(b))},
+                           "left_after_right": list(a), "right_after_left": list(b)},
                   pairs_tested=(position * k + x - 1) * k + y)
 
 

@@ -340,18 +340,10 @@ class CongruencePartition:
         return [frozenset(v) for v in by_rep.values()]
 
 
-def congruence_classes(system: RewritingSystem, max_len: int) -> CongruencePartition:
-    """Partition of all words of length <= max_len under the congruence of the rules.
-
-    Every rule must keep length, so that a class of words of length <= max_len
-    is joined by those words alone; a ValueError names the first rule, in
-    rule order, whose two sides differ in length.
-
-    Each word is joined to every rewrite of one lhs occurrence, found by
-    looking its factors up by lhs.  The reverse orientation adds no join: if
-    w' holds a rhs at p, its rewrite w by the lhs is a word of the same
-    length, and scanning w for that lhs at p joins the same pair.
-    """
+def rhs_by_lhs(system: RewritingSystem) -> dict[Word, list[Word]]:
+    """Each lhs's right-hand sides, in rule order.  Every rule must keep
+    length, or a ValueError names the first rule, in rule order, whose two
+    sides differ in length."""
     by_lhs: dict[Word, list[Word]] = {}
     for rule in system.rules:
         if len(rule.lhs) != len(rule.rhs):
@@ -359,34 +351,43 @@ def congruence_classes(system: RewritingSystem, max_len: int) -> CongruenceParti
             raise ValueError(f"rule {lhs} -> {rhs} changes length; the congruence "
                              "closure takes only rules that keep length")
         by_lhs.setdefault(rule.lhs, []).append(rule.rhs)
-    words = words_up_to(len(system.alphabet), max_len)
-    index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
+    return by_lhs
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+def congruence_classes(system: RewritingSystem, max_len: int) -> CongruencePartition:
+    """Partition of all words of length <= max_len under the congruence of the rules.
 
-    lengths = sorted({len(lhs) for lhs in by_lhs})
-    for i, word in enumerate(words):
-        for k in lengths:
-            for p in range(len(word) - k + 1):
-                for rhs in by_lhs.get(word[p:p + k], ()):
-                    union(i, index[word[:p] + rhs + word[p + k:]])
+    Every rule must keep length (`rhs_by_lhs` names one that does not), so
+    each length is closed on its own.  Each word is joined to every rewrite
+    of one lhs occurrence: among the words of length k in lexicographic
+    order, rewriting the lhs at p moves a word's place by the rhs's place
+    less the lhs's, times n**(k - p - |lhs|).  The reverse orientation adds
+    no join: a word holding a rhs at p is joined to its rewrite by the lhs,
+    a word of the same length, when that rewrite is scanned.
+    """
+    n = len(system.alphabet)
+    shifts = {lhs: [sum((y - x) * n ** e for e, (x, y) in enumerate(zip(lhs[::-1], rhs[::-1])))
+                    for rhs in rhss] for lhs, rhss in rhs_by_lhs(system).items()}
+    lengths = sorted({len(lhs) for lhs in shifts})
     rep: dict[Word, Word] = {}
-    root_word: dict[int, Word] = {}
-    for word in words:  # shortest-first order makes the first-seen root word minimal
-        root = find(index[word])
-        if root not in root_word:
-            root_word[root] = word
-        rep[word] = root_word[root]
+    for k in range(max_len + 1):
+        words = list(itertools.product(range(n), repeat=k))
+        parent = list(range(len(words)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, word in enumerate(words):
+            for m in lengths:
+                for p in range(k - m + 1):
+                    for shift in shifts.get(word[p:p + m], ()):
+                        ri, rj = find(i), find(i + shift * n ** (k - p - m))
+                        parent[max(ri, rj)] = min(ri, rj)
+        # a root is the least word of its class, so its representative
+        rep.update((word, words[find(i)]) for i, word in enumerate(words))
     return CongruencePartition(rep)
 
 

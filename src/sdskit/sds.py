@@ -25,6 +25,7 @@ from .rewriting import (
     Word,
     congruence_classes,
     is_normal_form,
+    rhs_by_lhs,
 )
 
 LEFT_TO_RIGHT = "left_to_right"
@@ -224,16 +225,15 @@ class ReachableSet:
         return {key: self.row.data[i] for key, i in self.index.items()}
 
 
-def reachable_set(structure: StringDataStructure, max_len: int,
-                  like: Row | None = None) -> ReachableSet:
+def reachable_set(row: Row, max_len: int) -> ReachableSet:
     """All data obtainable from words of length <= max_len, keyed by reading.
 
-    Breadth first from the empty datum, in a new row (built `like` the
-    given one); every datum met is interned, but only one with a new
-    reading is kept and expanded.
+    Breadth first from the empty datum, in the given row, which reads back
+    the insertions it already holds; every datum met is interned, but only
+    one with a new reading is kept and expanded.
     """
-    row, n = Row(structure, like), structure.n
-    start = row.state(structure.empty)
+    n = row.n
+    start = row.state(row.structure.empty)
     index = {row.read(start): start}
     frontier = [start]
     for _ in range(max_len):
@@ -266,21 +266,21 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
     of the reading on every reachable datum.
     """
     params = {"n": structure.n, "max_len": max_len}
+    row = Row(structure)
+    empty = row.state(structure.empty)
     for x in range(1, structure.n + 1):
-        if structure.read(structure.iota(x)) != (x,):
+        if row.read(row.step(empty, x)) != (x,):
             return report("axioms", structure.name, params, "fail",
                           witness={"axiom": "single_letter_reading", "letter": x})
-    if structure.read(structure.empty) != ():
+    if row.read(empty) != ():
         return report("axioms", structure.name, params, "fail",
                       witness={"axiom": "empty_reading"})
-    reach = reachable_set(structure, max_len)
-    row, index = reach.row, reach.index
-    empty = row.ids[structure.empty]
-    # the search interns every datum it meets, so a reading collision is an
-    # id that lost its reading to an earlier one
+    index = reachable_set(row, max_len).index
+    # a reading collision is an id that lost its reading to an earlier one;
+    # a single letter past a bound of 0 has a reading the search never met
     for i in range(len(row.data)):
         key = row.read(i)
-        if index[key] != i:
+        if index.get(key, i) != i:
             return report("axioms", structure.name, params, "fail",
                           witness={"axiom": "reading_injective", "reading": list(key)})
     for key, i in index.items():
@@ -293,7 +293,7 @@ def check_axioms(structure: StringDataStructure, max_len: int) -> dict:
 def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
     """Exhaustively compare the two bracketings of the internal product."""
     params = {"n": structure.n, "max_len": max_len}
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(Row(structure), max_len)
     row = reach.row
     by_weight: dict[int, list[int]] = {}
     for key, i in reach.index.items():
@@ -315,27 +315,28 @@ def check_associativity(structure: StringDataStructure, max_len: int) -> dict:
 
 
 def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
-                       max_len: int) -> tuple[dict[tuple[int, ...], Datum], tuple | None]:
-    """The data reachable by either insertion within the bound, keyed by reading,
-    and the first (reading, x, y), in sorted order, on which inserting x on the
-    right and y on the left depends on the order; None if there is none."""
+                       max_len: int) -> tuple[int, tuple | None]:
+    """The number of readings reachable by either insertion within the bound,
+    and the first (position, reading, x, y, a, b), in sorted order, on which
+    inserting x on the right and y on the left depends on the order, with a
+    and b the right's readings of the two orders; None if there is none."""
     if right.n != left.n:
         raise ValueError("structures must share the alphabet size")
-    reach_r = reachable_set(right, max_len)
-    reach_l = reachable_set(left, max_len, like=reach_r.row)
+    reach_r = reachable_set(Row(right), max_len)
+    reach_l = reachable_set(Row(left, reach_r.row), max_len)
     r, l = reach_r.row, reach_l.row
     ids = {**reach_l.index, **reach_r.index}    # a shared reading keeps the right's id
-    data = {key: r.data[i] for key, i in ids.items()}
     letters = range(1, right.n + 1)
-    for key in sorted(ids):
+    for position, key in enumerate(sorted(ids)):
         i = ids[key]
         rights = [r.step(i, x) for x in letters]
         lefts = [l.step(i, y) for y in letters]
         for x, rx in zip(letters, rights):
             for y, ly in zip(letters, lefts):
-                if l.step(rx, y) != r.step(ly, x):
-                    return data, (key, x, y)
-    return data, None
+                a, b = l.step(rx, y), r.step(ly, x)
+                if a != b:
+                    return len(ids), (position, key, x, y, r.read(a), r.read(b))
+    return len(ids), None
 
 
 def check_commutation(right: StringDataStructure, left: StringDataStructure,
@@ -343,12 +344,12 @@ def check_commutation(right: StringDataStructure, left: StringDataStructure,
     """Check that the two one-element insertions commute on reachable data."""
     params = {"n": right.n, "max_len": max_len}
     name = f"{right.name}|{left.name}"
-    data, bad = first_noncommuting(right, left, max_len)
+    count, bad = first_noncommuting(right, left, max_len)
     if bad is not None:
-        key, x, y = bad
+        _, key, x, y, _, _ = bad
         return report("commutation", name, params, "fail",
                       witness={"datum": list(key), "x": x, "y": y})
-    return report("commutation", name, params, "pass", data_count=len(data))
+    return report("commutation", name, params, "pass", data_count=count)
 
 
 def _letters_to_indices(word: tuple[int, ...]) -> Word:
@@ -376,8 +377,7 @@ def _constructor_walks(row: Row, max_len: int):
             yield word, s
 
 
-def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
-    row = Row(structure)
+def _constructor_fibers(row: Row, max_len: int) -> set[frozenset[Word]]:
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word, s in _constructor_walks(row, max_len):
         fibers.setdefault(row.read(s), set()).add(word)
@@ -387,14 +387,14 @@ def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[fro
 def _congruence_partition(structure: StringDataStructure, congruence: RewritingSystem,
                           max_len: int) -> CongruencePartition:
     """The congruence's partition of the words of length <= max_len, for a
-    verifier of `structure`.  The congruence must keep length
-    (`congruence_classes` names a rule that does not) and be over the
-    structure's n letters, or a ValueError says so."""
-    partition = congruence_classes(congruence, max_len)
+    verifier of `structure`.  The congruence must keep length (`rhs_by_lhs`
+    names a rule that does not) and be over the structure's n letters, or a
+    ValueError says so, in that order, before the closure enumerates a word."""
+    rhs_by_lhs(congruence)
     if len(congruence.alphabet) != structure.n:
         raise ValueError(f"congruence over {len(congruence.alphabet)} letters, but "
                          f"{structure.name} is over n = {structure.n}")
-    return partition
+    return congruence_classes(congruence, max_len)
 
 
 def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
@@ -420,7 +420,7 @@ def check_cross_section(structure: StringDataStructure, congruence: RewritingSys
         return report("cross-section", structure.name, params, "pass",
                       exact=True, class_count=len(reading_of))
     classes = set(partition.classes())
-    fibers = _constructor_fibers(structure, max_len)
+    fibers = _constructor_fibers(row, max_len)
     bad = next(iter(fibers.symmetric_difference(classes)))
     return report("cross-section", structure.name, params, "fail", exact=True,
                   witness={"block": sorted([list(w) for w in bad])[:4]})
@@ -438,7 +438,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """
     params = {"n": structure.n, "max_len": max_len}
     partition = _congruence_partition(structure, congruence, max_len)
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(Row(structure), max_len)
     row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     # a rule-level failure is a class-level one; this loop finds its witness
@@ -638,7 +638,7 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int) -> Prese
     """
     if mode not in (FULL, MINIMAL, READINGS):
         raise ValueError(f"unknown mode {mode!r}")
-    reach = reachable_set(structure, bound)
+    reach = reachable_set(Row(structure), bound)
     data = tuple(reach.row.data[i] for key, i in reach.index.items() if key)
     gen = GeneratingSet(structure, data, lambda d: (d,))
     row = gen.row
@@ -698,18 +698,18 @@ def validate_generating_set(gen: GeneratingSet, max_len: int) -> dict:
     params = {"n": structure.n, "max_len": max_len}
     name = structure.name
     index = gen.index
-    for x in range(1, structure.n + 1):
-        if structure.read(structure.iota(x)) not in index:
-            return report("generating-set", name, params, "fail",
-                          witness={"condition": "letters", "letter": x})
     # a twin set: generator i is id i in its row too, and the set's row and
     # memo of words stay as they were, with no reachable datum kept in them
     twin = replace(gen)
-    reach = reachable_set(structure, max_len, like=twin.row)
+    row = twin.row
+    read, empty = row.read, row.state(structure.empty)
+    for x in range(1, structure.n + 1):
+        if read(row.step(empty, x)) not in index:
+            return report("generating-set", name, params, "fail",
+                          witness={"condition": "letters", "letter": x})
+    reach = reachable_set(row, max_len)
     # a rule longer than every reading matches no factorization checked here
     induced = generating_presentation(gen, max(map(len, reach.index))).system
-    row = reach.row
-    read, empty = row.read, row.ids[structure.empty]
 
     def valid(word: tuple[int, ...], d: int) -> bool:
         # the generators multiply to datum d, and no adjacent two multiply to a generator

@@ -20,6 +20,7 @@ from sdskit.rewriting import (
     termination_witness,
 )
 from sdskit.sds import (
+    Row,
     check_commutation,
     check_cross_section,
     reachable_set,
@@ -54,7 +55,7 @@ def test_criterion_02_chinese_commutation():
 
 
 def _identities_hold(right, left, max_len):
-    for key, d in reachable_set(right, max_len).by_read.items():
+    for key, d in reachable_set(Row(right), max_len).by_read.items():
         for x in range(1, right.n + 1):
             if right.insert_one(d, x) != left.insert_word(left.constructor((x,)), key):
                 return False

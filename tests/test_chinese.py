@@ -30,7 +30,7 @@ from sdskit.chinese import (
 from sdskit.coherence import legs_witness
 from sdskit.registry import build_presentation
 from sdskit.rewriting import check_local_confluence, classify, knuth_bendix_pass, termination_witness
-from sdskit.sds import datum_label, reachable_set
+from sdskit.sds import Row, datum_label, reachable_set
 
 
 def test_right_insert_figure():
@@ -85,14 +85,14 @@ def test_left_insert_worked_example_matches_oracle():
 def test_left_insert_equals_derived_oracle_exhaustively():
     # acceptance runs this at rank 4 and length 6; keep the unit test small
     s = chinese_right(3)
-    for key, t in reachable_set(s, 5).by_read.items():
+    for key, t in reachable_set(Row(s), 5).by_read.items():
         for x in range(1, 4):
             assert chinese_left_insert(t, x) == s.insert_word(s.iota(x), key)
 
 
 def test_commutation_instances():
     s_r, s_l = chinese_right(3), chinese_left(3)
-    for key, t in reachable_set(s_r, 5).by_read.items():
+    for key, t in reachable_set(Row(s_r), 5).by_read.items():
         for x in range(1, 4):
             rx = s_r.insert_one(t, x)
             for y in range(1, 4):
@@ -101,7 +101,7 @@ def test_commutation_instances():
 
 def test_read_rr_round_trip():
     s = chinese_right(3)
-    for key, t in reachable_set(s, 6).by_read.items():
+    for key, t in reachable_set(Row(s), 6).by_read.items():
         assert read_rr(t) == key
         assert s.constructor(read_rr(t)) == t
     assert read_rr(empty_staircase(4)) == ()
@@ -133,7 +133,7 @@ def test_read_qn_top_rank_run_stays_single():
 
 def test_read_qn_concatenates_to_row_reading():
     s = chinese_right(4)
-    for key, t in reachable_set(s, 5).by_read.items():
+    for key, t in reachable_set(Row(s), 5).by_read.items():
         flattened = tuple(x for g in read_qn(t)
                           for x in ((g[0],) if g[1] == 0 else (g[0], g[1])))
         assert flattened == key

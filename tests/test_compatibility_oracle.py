@@ -13,10 +13,13 @@ decides, and the class walk runs only to find a failure's witness.
 `sds._congruence_partition`, and refuses the same congruences.
 
 `check_cross_section` below is the cross-section check as it was before it
-decided in one pass, copied verbatim: it compares the constructor fibers
-and the congruence classes as sets of word sets.  Its reports and errors
-must agree with `sdskit.sds.check_cross_section` for every structure
-against every letter family's congruence at small bounds.
+decided in one pass, copied verbatim with the congruence gate and the
+fibers it read: it compares the constructor fibers and the congruence
+classes as sets of word sets.  Its reports and errors must agree with
+`sdskit.sds.check_cross_section` for every structure against every letter
+family's congruence at small bounds.  The gate closed the congruence
+before its letter test; `sds._congruence_partition` refuses both faults
+before the closure enumerates a word.
 
 `_rules_compatible` below is the rule-level check as it was before the
 trie walk: it walks both sides of every rule from every context state.
@@ -41,13 +44,14 @@ from sdskit.rewriting import (
     Alphabet,
     CongruencePartition,
     RewritingSystem,
+    Word,
     congruence_classes,
 )
 from sdskit.sds import (
     LEFT_TO_RIGHT,
+    Row,
     StringDataStructure,
-    _congruence_partition,
-    _constructor_fibers,
+    _constructor_walks,
     _letters_to_indices,
     reachable_set,
     report,
@@ -71,7 +75,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(Row(structure), max_len)
     row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     for block in partition.classes():
@@ -98,6 +102,27 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
 
 
 # --- the cross-section check before its one-pass decision, verbatim -----------
+
+
+def _congruence_partition(structure: StringDataStructure, congruence: RewritingSystem,
+                          max_len: int) -> CongruencePartition:
+    """The congruence's partition of the words of length <= max_len, for a
+    verifier of `structure`.  The congruence must keep length
+    (`congruence_classes` names a rule that does not) and be over the
+    structure's n letters, or a ValueError says so."""
+    partition = congruence_classes(congruence, max_len)
+    if len(congruence.alphabet) != structure.n:
+        raise ValueError(f"congruence over {len(congruence.alphabet)} letters, but "
+                         f"{structure.name} is over n = {structure.n}")
+    return partition
+
+
+def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
+    row = Row(structure)
+    fibers: dict[tuple[int, ...], set[Word]] = {}
+    for word, s in _constructor_walks(row, max_len):
+        fibers.setdefault(row.read(s), set()).add(word)
+    return {frozenset(v) for v in fibers.values()}
 
 
 def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
@@ -193,7 +218,7 @@ def test_exact_partitions_that_pass_walk_no_class(monkeypatch):
     def classes(self):
         raise AssertionError("class-level walk on a passing check")
 
-    def fibers(structure, max_len):
+    def fibers(row, max_len):
         raise AssertionError("fibers built on a passing check")
 
     monkeypatch.setattr(CongruencePartition, "classes", classes)
@@ -243,6 +268,28 @@ def test_a_congruence_over_other_letters_is_refused(structure_n, congruence_n, c
             getattr(sds, check)(young_right(structure_n), congruence, max_len)
 
 
+def test_a_refused_congruence_is_never_closed(monkeypatch):
+    # each refusal comes before the closure, which takes seconds over seven
+    # letters at length 7; the length error comes first
+    def closure(system, max_len):
+        raise AssertionError("a refused congruence is closed")
+
+    monkeypatch.setattr(sds, "congruence_classes", closure)
+    cases = [(young_right(2), RewritingSystem.from_pairs(Alphabet(("1", "2")), pairs),
+              f"^rule {re.escape(named)} changes length") for pairs, named in LENGTH_CHANGING]
+    cases += [(young_right(structure_n), build_presentation("knuth", congruence_n).system,
+               f"^congruence over {congruence_n} letters")
+              for structure_n, congruence_n in OTHER_LETTERS]
+    # both faults at once: the rule that changes length is named
+    cases.append((young_right(2),
+                  RewritingSystem.from_pairs(Alphabet(("1", "2", "3")), [((0, 1), (2,))]),
+                  "^rule 1.2 -> 3 changes length"))
+    for structure, congruence, message in cases:
+        for check in VERIFIERS:
+            with pytest.raises(ValueError, match=message):
+                getattr(sds, check)(structure, congruence, 7)
+
+
 # --- the one-pass cross-section against the set comparison ----------------------
 
 
@@ -285,7 +332,7 @@ def _same_verdict(structure, congruence, max_len) -> bool:
     """Both rule-level verdicts, each from a row of its own, must agree."""
     verdicts = []
     for rules_compatible in (sds._rules_compatible, _rules_compatible):
-        reach = reachable_set(structure, max_len)
+        reach = reachable_set(Row(structure), max_len)
         data = [reach.index[k] for k in sorted(reach.index)]
         verdicts.append(rules_compatible(reach.row, congruence, data, max_len))
     assert verdicts[0] == verdicts[1], (structure.name, congruence.rules, max_len)

@@ -2,12 +2,14 @@
 
 `congruence_classes` and `_find_factor` below are the bounded congruence
 closure as it was when it scanned every word for both sides of every rule,
-and `_words`, `_constructor_fibers` and `check_compatibility` are the
-constructor walks as they were when each word was walked from the empty
+and `_words`, `_constructor_fibers`, `check_cross_section` (the set
+comparison of those fibers with the classes) and `check_compatibility` are
+the constructor walks as they were when each word was walked from the empty
 datum on its own, all copied verbatim but for the partition, which has one
-field now that every congruence keeps length.  Partitions must agree with
-`sdskit.rewriting.congruence_classes` in key order and representatives, and
-fibers and compatibility reports with `sdskit.sds`, on every registered
+field now that every congruence keeps length, and the row that each search
+is given.  Partitions must agree with `sdskit.rewriting.congruence_classes`
+in key order and representatives, and cross-section and compatibility
+reports with `sdskit.sds`, on every registered
 congruence, on every registered presentation whose rules keep length (the
 others are refused) and structure at small bounds, on random systems whose
 rules keep length, and on the compatibility oracle's fault structures.
@@ -110,13 +112,27 @@ def _words(n: int, max_len: int):
 
 
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
-    row = reachable_set(structure, max_len).row
+    row = reachable_set(Row(structure), max_len).row
     empty = row.ids[structure.empty]
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word in _words(structure.n, max_len):
         key = row.read(row.walk(empty, word))
         fibers.setdefault(key, set()).add(_letters_to_indices(word))
     return {frozenset(v) for v in fibers.values()}
+
+
+def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
+                        max_len: int) -> dict:
+    """Constructor fibers must coincide with the congruence classes."""
+    params = {"n": structure.n, "max_len": max_len}
+    classes = set(congruence_classes(congruence, max_len).classes())
+    fibers = _constructor_fibers(structure, max_len)
+    if fibers == classes:
+        return report("cross-section", structure.name, params, "pass",
+                      exact=True, class_count=len(classes))
+    bad = next(iter(fibers.symmetric_difference(classes)))
+    return report("cross-section", structure.name, params, "fail", exact=True,
+                  witness={"block": sorted([list(w) for w in bad])[:4]})
 
 
 def check_compatibility(structure: StringDataStructure, congruence: RewritingSystem,
@@ -130,7 +146,7 @@ def check_compatibility(structure: StringDataStructure, congruence: RewritingSys
     """
     params = {"n": structure.n, "max_len": max_len}
     partition = congruence_classes(congruence, max_len)
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(Row(structure), max_len)
     row = reach.row
     data = [reach.index[k] for k in sorted(reach.index)]
     # the rule-level contexts run over the structure's letters, the classes
@@ -240,8 +256,8 @@ def test_a_duplicate_lhs_keeps_every_rhs():
 
 
 def _same_walks(structure, congruence, max_len):
-    assert sds._constructor_fibers(structure, max_len) == \
-        _constructor_fibers(structure, max_len)
+    assert json.dumps(sds.check_cross_section(structure, congruence, max_len)) == \
+        json.dumps(check_cross_section(structure, congruence, max_len))
     assert json.dumps(sds.check_compatibility(structure, congruence, max_len)) == \
         json.dumps(check_compatibility(structure, congruence, max_len))
 

@@ -102,8 +102,8 @@ def test_sylvester_golden_tree():
 
 def test_sylvester_round_trip():
     s = sylvester_left(3)
-    from sdskit.sds import reachable_set
-    for key, t in reachable_set(s, 5).by_read.items():
+    from sdskit.sds import Row, reachable_set
+    for key, t in reachable_set(Row(s), 5).by_read.items():
         assert s.constructor(tree_read(t)) == t
 
 

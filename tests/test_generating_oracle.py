@@ -31,6 +31,7 @@ from sdskit.sds import (
     MINIMAL,
     READINGS,
     GeneratingSet,
+    Row,
     StringDataStructure,
     _letters_to_indices,
     datum_label,
@@ -69,7 +70,7 @@ def build_srs(structure: StringDataStructure, mode: str, *, bound: int | None = 
         return _build_generating(structure, generating)
     if bound is None:
         raise ValueError(f"{mode} mode needs a bound")
-    reach = reachable_set(structure, bound)
+    reach = reachable_set(Row(structure), bound)
     data = [d for d in reach.data if structure.read(d)]  # the unit is not a generator
     keys = {structure.read(d): i for i, d in enumerate(data)}
     labels = tuple(datum_label(structure, d) for d in data)
@@ -154,7 +155,7 @@ def validate_generating_set(structure: StringDataStructure, gen: GeneratingSet,
     induced = _build_generating(structure, gen, strict=False)
     gen_index = {structure.read(c): i for i, c in enumerate(gen.generators)}
     from sdskit.rewriting import is_normal_form
-    reach = reachable_set(structure, max_len)
+    reach = reachable_set(Row(structure), max_len)
     max_valid = 1
     for key in sorted(reach.by_read):
         d = reach.by_read[key]

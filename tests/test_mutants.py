@@ -371,6 +371,42 @@ def _cross_section_pairing_one_way(structure, congruence, max_len):
                       exact=True, class_count=len(reading_of))
 
 
+def _noncommuting_orders_swapped(right, left, max_len):
+    """`sds.first_noncommuting` naming the witness's two orders the wrong
+    way round."""
+    count, bad = sds.first_noncommuting(right, left, max_len)
+    if bad is not None:
+        position, key, x, y, a, b = bad
+        bad = position, key, x, y, b, a
+    return count, bad
+
+
+def _axioms_letters_off_the_row(structure, max_len):
+    """`sds.check_axioms` checking the single letters through `iota`,
+    beside its row, whose search then inserts them again."""
+    params = {"n": structure.n, "max_len": max_len}
+    for x in range(1, structure.n + 1):
+        if structure.read(structure.iota(x)) != (x,):
+            return sds.report("axioms", structure.name, params, "fail",
+                              witness={"axiom": "single_letter_reading", "letter": x})
+    if structure.read(structure.empty) != ():
+        return sds.report("axioms", structure.name, params, "fail",
+                          witness={"axiom": "empty_reading"})
+    row = sds.Row(structure)
+    index = sds.reachable_set(row, max_len).index
+    empty = row.ids[structure.empty]
+    for i in range(len(row.data)):
+        key = row.read(i)
+        if index[key] != i:
+            return sds.report("axioms", structure.name, params, "fail",
+                              witness={"axiom": "reading_injective", "reading": list(key)})
+    for key, i in index.items():
+        if row.walk(empty, key) != i:
+            return sds.report("axioms", structure.name, params, "fail",
+                              witness={"axiom": "constructor_section", "reading": list(key)})
+    return sds.report("axioms", structure.name, params, "pass", data_count=len(index))
+
+
 def _confluence_counting_first_budget_hit(name, n, L, budget):
     """`cli._confluence` counting only the first leg that hits its budget."""
     branchings, witness = 0, None
@@ -499,6 +535,17 @@ MUTANTS = [
            sds, "_congruence_partition", _congruence_partition_taking_any_alphabet,
            tuple(_case(compatibility.test_a_congruence_over_other_letters_is_refused, *ns, check)
                  for check in compatibility.VERIFIERS for ns in compatibility.OTHER_LETTERS)),
+    # `commutation_probe` reads the function through its own module
+    Mutant("probe-orders-swapped",
+           "One row per structure verifier",
+           extra, "first_noncommuting", _noncommuting_orders_swapped,
+           (table.test_broken_pairs_match_the_oracle,)),
+    # the reports are the oracle's, so only the count of insertions sees it
+    Mutant("axioms-letters-off-the-row",
+           "One row per structure verifier",
+           sds, "check_axioms", _axioms_letters_off_the_row,
+           (_case(test_sds.test_reachable_set_and_axioms_insert_each_datum_and_letter_once,
+                  "young-right"),)),
     Mutant("staircase-display-unreversed",
            "One registry entry per structure",
            chinese, "staircase_display", _staircase_display_unreversed,

@@ -20,7 +20,7 @@ from sdskit.registry import (
     presentation_rules,
 )
 from sdskit.rewriting import LEFTMOST, RIGHTMOST, normalize, words_up_to
-from sdskit.sds import check_axioms, reachable_set
+from sdskit.sds import Row, check_axioms, reachable_set
 import test_family_oracle as family
 
 ALL_NAMES = sorted(STRUCTURES)
@@ -34,7 +34,7 @@ def test_every_structure_satisfies_the_axioms(name):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_star_is_unitary_everywhere(name):
     s = get_structure(name, 3)
-    for key, d in reachable_set(s, 4).by_read.items():
+    for key, d in reachable_set(Row(s), 4).by_read.items():
         assert s.star(d, s.empty) == d
         assert s.star(s.empty, d) == d
 
@@ -53,7 +53,7 @@ def test_datum_text_round_trip(name):
     entry = STRUCTURES[name]
     for n in range(1, 5):
         structure = entry.factory(n)
-        for d in [structure.empty, *reachable_set(structure, 5).data]:
+        for d in [structure.empty, *reachable_set(Row(structure), 5).data]:
             text = entry.format_datum(d)
             parsed = entry.parse_datum(text, n)
             assert parsed == d, (n, text)

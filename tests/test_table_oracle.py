@@ -5,7 +5,10 @@ per word, no memo), copied verbatim with the reachable set they searched,
 are compared with the table-backed ones in `sdskit.sds` on every registered
 structure, commutation pair and probe pair at small bounds, and on
 structures with a broken reading, a broken pair or a mirrored product, so
-that every verdict, witness and counter must agree.
+that every verdict, witness and counter must agree.  The commutation check,
+the probe and the cross-section check (as the set comparison of fibers and
+classes) are the report builders as they were when they read the helpers
+copied here, copied verbatim.
 
 The last section checks the row's memoised product (`Row.product`) against
 a fold of `star` on the same structures, and generating-set products against
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import pytest
@@ -161,6 +164,46 @@ def first_noncommuting(right: StringDataStructure, left: StringDataStructure,
     return data, None
 
 
+def check_commutation(right: StringDataStructure, left: StringDataStructure,
+                      max_len: int) -> dict:
+    """Check that the two one-element insertions commute on reachable data."""
+    params = {"n": right.n, "max_len": max_len}
+    name = f"{right.name}|{left.name}"
+    data, bad = first_noncommuting(right, left, max_len)
+    if bad is not None:
+        key, x, y = bad
+        return report("commutation", name, params, "fail",
+                      witness={"datum": list(key), "x": x, "y": y})
+    return report("commutation", name, params, "pass", data_count=len(data))
+
+
+def commutation_probe(right: StringDataStructure, left: StringDataStructure,
+                      max_len: int) -> dict:
+    """Search for a commutation counterexample over all reachable data.
+
+    Returns a definitive bounded report: either a witness (datum, x, y)
+    with both evaluation orders, or exhaustion of the search space.  No
+    general claim is made either way.  `pairs_tested` counts the (datum,
+    x, y) triples examined, up to and including a counterexample.
+    """
+    data, bad = first_noncommuting(right, left, max_len)
+    k = right.n
+    name, params = f"{right.name}|{left.name}", {"n": k, "max_len": max_len}
+    if bad is None:
+        return report("probe", name, params, "exhausted",
+                      pairs_tested=len(data) * k * k, data_count=len(data))
+    key, x, y = bad
+    d = data[key]
+    a = left.insert_one(right.insert_one(d, x), y)
+    b = right.insert_one(left.insert_one(d, y), x)
+    position = sorted(data).index(key)
+    return report("probe", name, params, "counterexample",
+                  witness={"datum": list(key), "x": x, "y": y,
+                           "left_after_right": list(right.read(a)),
+                           "right_after_left": list(right.read(b))},
+                  pairs_tested=(position * k + x - 1) * k + y)
+
+
 def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[frozenset[Word]]:
     fibers: dict[tuple[int, ...], set[Word]] = {}
     for word in itertools.chain.from_iterable(
@@ -168,6 +211,20 @@ def _constructor_fibers(structure: StringDataStructure, max_len: int) -> set[fro
         key = structure.read(structure.constructor(word))
         fibers.setdefault(key, set()).add(_letters_to_indices(word))
     return {frozenset(v) for v in fibers.values()}
+
+
+def check_cross_section(structure: StringDataStructure, congruence: RewritingSystem,
+                        max_len: int) -> dict:
+    """Constructor fibers must coincide with the congruence classes."""
+    params = {"n": structure.n, "max_len": max_len}
+    classes = set(congruence_classes(congruence, max_len).classes())
+    fibers = _constructor_fibers(structure, max_len)
+    if fibers == classes:
+        return report("cross-section", structure.name, params, "pass",
+                      exact=True, class_count=len(classes))
+    bad = next(iter(fibers.symmetric_difference(classes)))
+    return report("cross-section", structure.name, params, "fail", exact=True,
+                  witness={"block": sorted([list(w) for w in bad])[:4]})
 
 
 def check_compatibility(structure: StringDataStructure, congruence: RewritingSystem,
@@ -210,7 +267,7 @@ SMALL = [(n, max_len) for n in (1, 2, 3) for max_len in range(5)]
 
 
 def _same_reachable_set(structure, max_len):
-    new, old = sds.reachable_set(structure, max_len), reachable_set(structure, max_len)
+    new, old = sds.reachable_set(sds.Row(structure), max_len), reachable_set(structure, max_len)
     assert (new.data, new.by_read) == (old.data, old.by_read)
 
 
@@ -219,19 +276,17 @@ def _same_single_structure_reports(structure, congruence, max_len):
     assert sds.check_axioms(structure, max_len) == check_axioms(structure, max_len)
     assert sds.check_associativity(structure, max_len) == \
         check_associativity(structure, max_len)
-    assert sds._constructor_fibers(structure, max_len) == \
-        _constructor_fibers(structure, max_len)
+    assert sds.check_cross_section(structure, congruence, max_len) == \
+        check_cross_section(structure, congruence, max_len)
     assert sds.check_compatibility(structure, congruence, max_len) == \
         check_compatibility(structure, congruence, max_len)
 
 
-def _same_commutation(right, left, max_len, monkeypatch):
-    assert sds.first_noncommuting(right, left, max_len) == \
-        first_noncommuting(right, left, max_len)
+def _same_commutation(right, left, max_len):
+    assert sds.check_commutation(right, left, max_len) == \
+        check_commutation(right, left, max_len)
     probe = extra.commutation_probe(right, left, max_len)
-    with monkeypatch.context() as m:
-        m.setattr(extra, "first_noncommuting", first_noncommuting)
-        assert probe == extra.commutation_probe(right, left, max_len)
+    assert probe == commutation_probe(right, left, max_len)
     return probe
 
 
@@ -249,10 +304,10 @@ PAIRS = {**{name: (lambda n, r=r, l=l: (registry.get_structure(r, n),
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_commutation_and_probe_pairs_match_the_oracle(name, monkeypatch):
+def test_commutation_and_probe_pairs_match_the_oracle(name):
     for n, max_len in SMALL:
         right, left = PAIRS[name](n)
-        _same_commutation(right, left, max_len, monkeypatch)
+        _same_commutation(right, left, max_len)
 
 
 def _with_reading(name, read):
@@ -291,17 +346,50 @@ def test_fault_injection_reaches_every_failure_path():
     assert check_compatibility(FAULTS["sorted-reading"], knuth, 4)["result"] == "fail"
 
 
-def test_broken_pairs_match_the_oracle(monkeypatch):
-    # the right insertion paired with itself as a fake left structure, and
-    # the same for patience sorting: both probes end on a counterexample
+def _broken_pairs():
+    """The right insertion paired with itself as a fake left structure, and
+    the same for patience sorting."""
     fake_young = StringDataStructure("fake-left", 2, (), young_right(2).insert_one,
                                      read_tableau, RIGHT_TO_LEFT)
     fake_lps = StringDataStructure("fake-left", 2, (), extra.lps_insert,
                                    extra.ps_read, RIGHT_TO_LEFT)
-    for right, left in ((young_right(2), fake_young), (extra.lps_right(2), fake_lps)):
+    return [(young_right(2), fake_young), (extra.lps_right(2), fake_lps)]
+
+
+def test_broken_pairs_match_the_oracle():
+    # both probes end on a counterexample; the mutation gate calls this
+    # test directly
+    for right, left in _broken_pairs():
         for max_len in range(5):
-            probe = _same_commutation(right, left, max_len, monkeypatch)
+            probe = _same_commutation(right, left, max_len)
         assert probe["result"] == "counterexample"
+
+
+def test_a_probe_counterexample_inserts_only_through_its_rows(monkeypatch):
+    # the witness's two orders are read off the rows the search compared
+    # them in, so every insertion the probe makes is one its rows record
+    rows, calls = [], []
+
+    class Recorded(sds.Row):
+        def __init__(self, structure, like=None):
+            super().__init__(structure, like)
+            rows.append(self)
+
+    def counted(structure):
+        def insert_one(d, x):
+            calls.append((structure.name, d, x))
+            return structure.insert_one(d, x)
+        return replace(structure, insert_one=insert_one)
+
+    monkeypatch.setattr(sds, "Row", Recorded)
+    for right, left in _broken_pairs():
+        rows.clear()
+        calls.clear()
+        right, left = counted(right), counted(left)
+        assert extra.commutation_probe(right, left, 4)["result"] == "counterexample"
+        assert len(rows) == 2
+        recorded = sum(len(row.delta) - row.delta.count(None) for row in rows)
+        assert calls and len(calls) == recorded
 
 
 def _left_after_ties(t, x):
@@ -315,7 +403,7 @@ def _left_after_ties(t, x):
     return t[:i] + ((row[:j],) if j else ()) + ((x,) + row[j:],) + t[i + 1:]
 
 
-def test_a_pair_failing_only_on_the_diagonal_is_reported(monkeypatch):
+def test_a_pair_failing_only_on_the_diagonal_is_reported():
     # the pair commutes for every x != y, so only the x = y diagonal of the
     # commutation loop can see the fault
     right = extra.hypoplactic_right(3)
@@ -328,7 +416,7 @@ def test_a_pair_failing_only_on_the_diagonal_is_reported(monkeypatch):
     witness = {"datum": [], "x": 1, "y": 1}
     result = sds.check_commutation(right, left, 4)
     assert (result["result"], result["witness"]) == ("fail", witness)
-    probe = _same_commutation(right, left, 4, monkeypatch)
+    probe = _same_commutation(right, left, 4)
     assert probe["result"] == "counterexample"
     assert {key: probe["witness"][key] for key in witness} == witness
 
@@ -347,7 +435,7 @@ def test_row_products_match_the_star_fold(case):
     # second answer comes from the memo, is the fold of `star`
     structure = PRODUCT_CASES[case]()
     for max_len in range(5):
-        reach = sds.reachable_set(structure, max_len)
+        reach = sds.reachable_set(sds.Row(structure), max_len)
         row, ids = reach.row, list(reach.index.values())
         for _ in range(2):
             for i, j in itertools.product(ids, repeat=2):

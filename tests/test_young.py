@@ -13,7 +13,7 @@ from sdskit.rewriting import (
     normalize,
     termination_witness,
 )
-from sdskit.sds import reachable_set
+from sdskit.sds import Row, reachable_set
 from sdskit import young
 from sdskit.young import (
     column_complement,
@@ -54,7 +54,7 @@ def test_insert_into_empty():
 def test_left_insertion_matches_derived_form():
     # left insertion equals right-inserting the reading into a single box
     s = young_right(3)
-    for key, t in reachable_set(s, 5).by_read.items():
+    for key, t in reachable_set(Row(s), 5).by_read.items():
         for x in range(1, 4):
             assert schensted_left(t, x) == s.insert_word(((x,),), key)
 
@@ -83,7 +83,7 @@ def test_readings_golden():
 def test_reading_injective_on_reachable():
     s = young_right(3)
     seen = {}
-    for key, t in reachable_set(s, 6).by_read.items():
+    for key, t in reachable_set(Row(s), 6).by_read.items():
         assert seen.setdefault(key, t) == t
 
 
